@@ -49,7 +49,6 @@ from .solvers import (
     SolverError,
     StepContractionError,
     solve_meanfield,
-    solve_memory_ide,
     solve_pairwise,
 )
 from .trajectory import EpidemicParams, SolverConfig, Trajectory
@@ -89,7 +88,6 @@ __all__ = [
     "solve_markovian_meanfield",
     "solve_markovian_pairwise",
     "solve_meanfield",
-    "solve_memory_ide",
     "solve_pairwise",
     "solve_uniform_delay_pairwise",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import final_size_meanfield, final_size_pairwise, reproduction_numbers
 from .network import generate_regular, save_edge_list
 from .recovery import parse_distribution
-from .simulate import run_ensemble, run_single
+from .simulate import run_ensemble
 from .solvers import SolverError, solve_meanfield, solve_pairwise
 from .reference import (
     solve_fixed_delay_pairwise,
@@ -32,7 +32,7 @@ from .reference import (
     solve_markovian_pairwise,
     solve_uniform_delay_pairwise,
 )
-from .trajectory import EpidemicParams, SolverConfig, Trajectory
+from .trajectory import EpidemicParams, SolverConfig, Trajectory, format_meta
 
 __all__ = ["ConfigError", "ExperimentConfig", "build_config", "main"]
 
@@ -155,7 +155,16 @@ def build_config(pairs: dict[str, str]) -> ExperimentConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return ExperimentConfig(**updates).validate()
+    cfg = ExperimentConfig(**updates).validate()
+    # Specs are kept in canonical form: free of whitespace, so they survive a
+    # `# meta:` echo, and equal laws compare equal as text.
+    return replace(
+        cfg,
+        epidemic_dist=parse_distribution(cfg.epidemic_dist).spec_string(),
+        compare_distributions=";".join(
+            parse_distribution(spec).spec_string() for spec in cfg.distribution_list()
+        ),
+    )
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -207,9 +216,8 @@ def _meta_with_config(cfg: ExperimentConfig, **extra) -> dict:
     return meta
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
-    params = _epidemic_params(cfg)
-    mean, std = run_ensemble(
+def _ensemble(cfg: ExperimentConfig, params: EpidemicParams) -> tuple[Trajectory, Trajectory]:
+    return run_ensemble(
         params,
         num_nodes=cfg.network_num_nodes,
         degree=cfg.network_degree,
@@ -219,25 +227,17 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         fresh_graph_per_run=cfg.network_fresh_graph_per_run,
         dt_out=cfg.simulation_dt_out,
     )
+
+
+def cmd_simulate(cfg: ExperimentConfig) -> int:
+    mean, std = _ensemble(cfg, _epidemic_params(cfg))
     mean.meta = _meta_with_config(cfg, command="simulate")
     std.meta = _meta_with_config(cfg, command="simulate", statistic="std")
     mean_path = _out_path(cfg, "sim_mean.csv")
     mean.to_csv(mean_path)
     std.to_csv(_out_path(cfg, "sim_std.csv"), column_suffix="_std")
     if cfg.simulation_save_runs:
-        streams = np.random.SeedSequence(cfg.simulation_base_seed).spawn(
-            cfg.simulation_runs
-        )
-        for k, stream in enumerate(streams):
-            graph = generate_regular(
-                cfg.network_num_nodes,
-                cfg.network_degree,
-                cfg.network_graph_seed
-                + (7919 * k if cfg.network_fresh_graph_per_run else 0),
-            )
-            traj = run_single(
-                graph, params, np.random.default_rng(stream), cfg.simulation_dt_out
-            )
+        for k, traj in enumerate(mean.extra["runs"]):
             traj.meta = _meta_with_config(cfg, command="simulate", run=k)
             traj.to_csv(_out_path(cfg, f"sim_run_{k:03d}.csv"))
     print(f"wrote {mean_path} and companion std file ({cfg.simulation_runs} runs)")
@@ -255,22 +255,10 @@ _SPECIAL_SOLVERS = {
 def solve_model(cfg: ExperimentConfig, model: str, dist_spec: str | None = None) -> Trajectory:
     params = _epidemic_params(cfg, dist_spec)
     common = dict(num_nodes=cfg.network_num_nodes, degree=cfg.network_degree)
-    if model == "pairwise":
-        return solve_pairwise(
-            params,
-            config=SolverConfig(
-                h=cfg.solver_h, corrector_iters=cfg.solver_corrector_iters
-            ),
-            **common,
-        )
-    if model == "meanfield":
-        return solve_meanfield(
-            params,
-            config=SolverConfig(
-                h=cfg.solver_h, corrector_iters=cfg.solver_corrector_iters
-            ),
-            **common,
-        )
+    if model in ("pairwise", "meanfield"):
+        solve = solve_pairwise if model == "pairwise" else solve_meanfield
+        config = SolverConfig(h=cfg.solver_h, corrector_iters=cfg.solver_corrector_iters)
+        return solve(params, config=config, **common)
     if model in _SPECIAL_SOLVERS:
         solver, wanted_kind = _SPECIAL_SOLVERS[model]
         if params.dist.kind != wanted_kind:
@@ -327,9 +315,7 @@ def cmd_analytics(cfg: ExperimentConfig) -> int:
 
     path = _out_path(cfg, "analytics.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        meta = _meta_with_config(cfg, command="analytics")
-        tokens = " ".join(f"{k}={v}" for k, v in meta.items())
-        fh.write(f"# meta: {tokens}\n")
+        fh.write(format_meta(_meta_with_config(cfg, command="analytics")) + "\n")
         writer = csv.writer(fh)  # the kind column may itself contain commas
         writer.writerow(header)
         for row in rows:
@@ -339,30 +325,16 @@ def cmd_analytics(cfg: ExperimentConfig) -> int:
 
 
 def _compare_one(cfg: ExperimentConfig, spec: str):
-    params = _epidemic_params(cfg, spec)
-    mean, std = run_ensemble(
-        params,
-        num_nodes=cfg.network_num_nodes,
-        degree=cfg.network_degree,
-        runs=cfg.simulation_runs,
-        base_seed=cfg.simulation_base_seed,
-        graph_seed=cfg.network_graph_seed,
-        fresh_graph_per_run=cfg.network_fresh_graph_per_run,
-        dt_out=cfg.simulation_dt_out,
-    )
+    mean, std = _ensemble(cfg, _epidemic_params(cfg, spec))
     pw = solve_model(cfg, "pairwise", spec)
     mf = solve_model(cfg, "meanfield", spec)
     N = cfg.network_num_nodes
 
-    def metrics(t, I, S):
-        k = int(np.argmax(I))
-        return {"peak": float(I[k]), "peak_time": float(t[k]), "final_size": float(N - S[-1])}
+    def metrics(traj: Trajectory):
+        peak_time, peak = traj.peak_infected()
+        return {"peak": peak, "peak_time": peak_time, "final_size": traj.final_size(N)}
 
-    rows = {
-        "simulation": metrics(mean.t, mean.I, mean.S),
-        "pairwise": metrics(pw.t, pw.I, pw.S),
-        "meanfield": metrics(mf.t, mf.I, mf.S),
-    }
+    rows = {"simulation": metrics(mean), "pairwise": metrics(pw), "meanfield": metrics(mf)}
     sim = rows["simulation"]
     for model in ("pairwise", "meanfield"):
         m = rows[model]
@@ -391,7 +363,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     summary_path = _out_path(cfg, "compare_summary.csv")
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         meta = _meta_with_config(cfg, command="compare")
-        fh.write("# meta: " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        fh.write(format_meta(meta) + "\n")
         writer = csv.writer(fh)
         writer.writerow(
             ["dist", "method", "peak", "peak_time", "final_size",
@@ -402,8 +374,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             tag = parse_distribution(spec).kind
             curve_path = _out_path(cfg, f"compare_{idx}_{tag}.csv")
             with open(curve_path, "w", encoding="utf-8") as cfh:
-                cfh.write("# meta: " + " ".join(f"{k}={v}" for k, v in meta.items()))
-                cfh.write(f" dist={spec}\n")
+                cfh.write(format_meta({**meta, "dist": spec}) + "\n")
                 names = list(curves)
                 cfh.write(",".join(names) + "\n")
                 for vals in zip(*(curves[k] for k in names)):

@@ -22,7 +22,7 @@ import heapq
 import numpy as np
 
 from .network import INFECTED, RECOVERED, SUSCEPTIBLE, RegularGraph, generate_regular
-from .trajectory import EpidemicParams, Trajectory
+from .trajectory import SERIES_NAMES, EpidemicParams, Trajectory
 
 __all__ = ["run_single", "run_ensemble"]
 
@@ -177,7 +177,8 @@ def run_ensemble(
     seeds from ``graph_seed`` when ``fresh_graph_per_run`` is set; a fixed
     ``graph`` may be supplied instead.  Two calls with equal seeds produce
     bit-identical output.  Standard deviations are population (ddof=0), so a
-    single run reports zero spread.
+    single run reports zero spread.  The per-run trajectories, in run order,
+    are kept in the mean's ``extra["runs"]``.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -190,16 +191,13 @@ def run_ensemble(
     else:
         graph_seeds = [graph_seed + 7919 * k for k in range(runs)]
 
-    stacks: dict[str, list[np.ndarray]] = {k: [] for k in ("S", "I", "R", "SI", "SS")}
-    grid = None
+    trajs = []
     for k in range(runs):
         g = graph if graph is not None else generate_regular(
             num_nodes, degree, graph_seeds[k]
         )
-        traj = run_single(g, params, np.random.default_rng(run_streams[k]), dt_out)
-        grid = traj.t
-        for name in stacks:
-            stacks[name].append(traj.series(name))
+        trajs.append(run_single(g, params, np.random.default_rng(run_streams[k]), dt_out))
+    grid = trajs[-1].t
 
     meta = {
         "source": "simulation_ensemble",
@@ -215,10 +213,13 @@ def run_ensemble(
         "graph_seed": graph_seed,
         "fresh_graph_per_run": fresh_graph_per_run,
     }
-    mean_cols = {k: np.mean(np.vstack(v), axis=0) for k, v in stacks.items()}
-    std_cols = {k: np.std(np.vstack(v), axis=0) for k, v in stacks.items()}
-    mean = Trajectory(grid, **{k: mean_cols[k] for k in mean_cols}, meta=dict(meta))
+    stacks = {k: np.vstack([traj.series(k) for traj in trajs]) for k in SERIES_NAMES}
+    mean = Trajectory(
+        grid, **{k: np.mean(v, axis=0) for k, v in stacks.items()},
+        meta=dict(meta), extra={"runs": trajs},
+    )
     std = Trajectory(
-        grid, **{k: std_cols[k] for k in std_cols}, meta={**meta, "statistic": "std"}
+        grid, **{k: np.std(v, axis=0) for k, v in stacks.items()},
+        meta={**meta, "statistic": "std"},
     )
     return mean, std

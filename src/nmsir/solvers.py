@@ -29,19 +29,12 @@ Observed self-convergence is clean second order for continuous survival
 kernels and slightly below (about 1.7) for the fixed-duration law, whose
 solution itself jumps when the newborn infecteds recover; at the default
 step sizes both sit orders of magnitude inside the validation tolerances.
-
-A general integro-differential form
-
-    y'(t) = g(x, y) - int_0^t F(t-a, x(a), y(a)) exp(-int_a^t G ds) da
-            - H(t, int_0^t G ds)
-
-is exposed as :func:`solve_memory_ide` with the same stepping machinery; it
-is the tool used for convergence studies and manufactured problems.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +46,6 @@ __all__ = [
     "StepContractionError",
     "solve_meanfield",
     "solve_pairwise",
-    "solve_memory_ide",
 ]
 
 
@@ -63,13 +55,6 @@ class SolverError(RuntimeError):
 
 class StepContractionError(SolverError):
     """Fixed-point corrector failed to contract; the step size is too large."""
-
-
-def _resolve_grid(t_end: float, h: float) -> tuple[int, float]:
-    steps = int(round(t_end / h))
-    if steps < 1:
-        raise ValueError("t_end must be at least one step")
-    return steps, steps * h
 
 
 def _snap_support(dist: RecoveryDistribution, h: float):
@@ -292,6 +277,88 @@ def _window_nodes(dist: RecoveryDistribution, h: float, steps: int) -> int | Non
     return min(steps, int(round(upper / h)))
 
 
+def _initial_counts(params: EpidemicParams, num_nodes: float, S0, I0) -> tuple[float, float]:
+    I0 = float(params.initial_infected if I0 is None else I0)
+    S0 = float(num_nodes - I0 if S0 is None else S0)
+    return S0, I0
+
+
+class _Renewal(NamedTuple):
+    """A marched model plus the grid pieces its post-processing needs."""
+
+    x: np.ndarray
+    y: np.ndarray
+    phi: np.ndarray
+    y_hist: np.ndarray
+    xi_quad: np.ndarray
+    b_infected: np.ndarray
+    t: np.ndarray
+    meta: dict
+
+
+def _solve_renewal(
+    model: str,
+    params: EpidemicParams,
+    config: SolverConfig,
+    *,
+    num_nodes: float,
+    degree: float,
+    S0: float,
+    I0: float,
+    deriv_x,
+    state_factor,
+    exponent_rate,
+    boundary_scale: float = 1.0,
+) -> _Renewal:
+    """Grid, kernel and boundary set-up, the march and the meta of one model.
+
+    ``boundary_scale`` converts the initial-infected profile into the units
+    of the renewal variable y (1 for [I], the initial link density for [SI]).
+    """
+    h = config.h
+    steps = int(round((params.t_end if config.t_end is None else config.t_end) / h))
+    if steps < 1:
+        raise ValueError("t_end must be at least one step")
+    dist, snap_notes = _snap_support(params.dist, h)
+    xi_quad, xi_point, xi_pre = _survival_grids(dist, h, steps)
+    b_infected, I0_eff = _boundary_profile(dist, h, steps, I0, config, xi_point)
+    newborn_atom = config.newborn and dist.has_point_mass()[0]
+
+    x, y, phi, y_hist = _march_renewal(
+        deriv_x=deriv_x,
+        state_factor=state_factor,
+        exponent_rate=exponent_rate,
+        xi_quad=xi_quad,
+        boundary=boundary_scale * b_infected,
+        boundary_pre=boundary_scale * I0_eff * xi_pre if newborn_atom else None,
+        boundary_hist=boundary_scale * I0_eff * xi_quad if newborn_atom else None,
+        x0=S0,
+        h=h,
+        steps=steps,
+        corrector_iters=config.corrector_iters,
+        corrector_tol=config.corrector_tol,
+        window=_window_nodes(dist, h, steps),
+        x_floor=0.0,
+    )
+    meta = {
+        "source": "solver",
+        "model": model,
+        "N": num_nodes,
+        "n": degree,
+        "tau": params.tau,
+        "dist": dist.spec_string(),
+        "I0": I0_eff,
+        "S0": S0,
+        "h": h,
+        "t_end": steps * h,
+        "corrector_iters": config.corrector_iters,
+    }
+    if snap_notes:
+        meta["grid_snap"] = ";".join(snap_notes)
+    t = np.arange(steps + 1) * h
+    return _Renewal(x, y, phi, y_hist, xi_quad, b_infected, t, meta)
+
+
 def solve_meanfield(
     params: EpidemicParams,
     *,
@@ -309,56 +376,22 @@ def solve_meanfield(
     config = config or SolverConfig()
     if degree <= 0 or num_nodes <= 0:
         raise ValueError("degree and num_nodes must be positive")
-    I0 = float(params.initial_infected if I0 is None else I0)
-    S0 = float(num_nodes - I0 if S0 is None else S0)
+    S0, I0 = _initial_counts(params, num_nodes, S0, I0)
     if I0 < 0 or S0 < 0 or S0 + I0 > num_nodes + 1e-9:
         raise ValueError("need S0, I0 >= 0 with S0 + I0 <= N")
-    t_end = params.t_end if config.t_end is None else config.t_end
-    h = config.h
-    steps, t_end = _resolve_grid(t_end, h)
-    dist, snap_notes = _snap_support(params.dist, h)
-    xi_quad, xi_point, xi_pre = _survival_grids(dist, h, steps)
-    b_infected, I0_eff = _boundary_profile(dist, h, steps, I0, config, xi_point)
-    newborn_atom = config.newborn and dist.has_point_mass()[0]
 
     tau, n, N = params.tau, degree, float(num_nodes)
     coupling = tau * n / N
 
-    x, y, _, _ = _march_renewal(
+    sol = _solve_renewal(
+        "meanfield", params, config, num_nodes=num_nodes, degree=degree, S0=S0, I0=I0,
         deriv_x=lambda s, i: -coupling * s * i,
         state_factor=lambda s, i: coupling * s * i,
         exponent_rate=None,
-        xi_quad=xi_quad,
-        boundary=b_infected,
-        boundary_pre=I0_eff * xi_pre if newborn_atom else None,
-        boundary_hist=I0_eff * xi_quad if newborn_atom else None,
-        x0=S0,
-        h=h,
-        steps=steps,
-        corrector_iters=config.corrector_iters,
-        corrector_tol=config.corrector_tol,
-        window=_window_nodes(dist, h, steps),
-        x_floor=0.0,
     )
-    S, I = x, y
+    S, I = sol.x, sol.y
     R = N - S - I
-    meta = {
-        "source": "solver",
-        "model": "meanfield",
-        "N": num_nodes,
-        "n": degree,
-        "tau": tau,
-        "dist": dist.spec_string(),
-        "I0": I0_eff,
-        "S0": S0,
-        "h": h,
-        "t_end": t_end,
-        "corrector_iters": config.corrector_iters,
-    }
-    if snap_notes:
-        meta["grid_snap"] = ";".join(snap_notes)
-    t = np.arange(steps + 1) * h
-    return Trajectory(t, S, I, R, (n / N) * S * I, (n / N) * S * S, meta)
+    return Trajectory(sol.t, S, I, R, (n / N) * S * I, (n / N) * S * S, sol.meta)
 
 
 def solve_pairwise(
@@ -382,43 +415,25 @@ def solve_pairwise(
         raise ValueError("pairwise model needs degree >= 2")
     if num_nodes <= 0:
         raise ValueError("num_nodes must be positive")
-    I0 = float(params.initial_infected if I0 is None else I0)
-    S0 = float(num_nodes - I0 if S0 is None else S0)
+    S0, I0 = _initial_counts(params, num_nodes, S0, I0)
     if I0 < 0 or S0 <= 0 or S0 + I0 > num_nodes + 1e-9:
         raise ValueError("need I0 >= 0 and 0 < S0 with S0 + I0 <= N")
-    t_end = params.t_end if config.t_end is None else config.t_end
-    h = config.h
-    steps, t_end = _resolve_grid(t_end, h)
-    dist, snap_notes = _snap_support(params.dist, h)
-    xi_quad, xi_point, xi_pre = _survival_grids(dist, h, steps)
-    b_infected, I0_eff = _boundary_profile(dist, h, steps, I0, config, xi_point)
-    newborn_atom = config.newborn and dist.has_point_mass()[0]
 
     tau, n, N = params.tau, float(degree), float(num_nodes)
     kappa = (n - 1.0) / N * S0 ** (2.0 / n)
     alpha = (n - 2.0) / n
     link_ratio = tau * (n - 1.0) / n
-    link_scale = (n / N) * S0
 
-    x, y, phi, y_hist = _march_renewal(
+    sol = _solve_renewal(
+        "pairwise", params, config, num_nodes=num_nodes, degree=degree, S0=S0, I0=I0,
         deriv_x=lambda s, si: -tau * si,
         state_factor=lambda s, si: tau * kappa * s**alpha * si,
         exponent_rate=lambda s, si: link_ratio * si / s + tau,
-        xi_quad=xi_quad,
-        boundary=link_scale * b_infected,
-        boundary_pre=link_scale * I0_eff * xi_pre if newborn_atom else None,
-        boundary_hist=link_scale * I0_eff * xi_quad if newborn_atom else None,
-        x0=S0,
-        h=h,
-        steps=steps,
-        corrector_iters=config.corrector_iters,
-        corrector_tol=config.corrector_tol,
-        window=_window_nodes(dist, h, steps),
-        x_floor=0.0,
+        boundary_scale=(n / N) * S0,
     )
-    S, SI = x, y
+    S, SI, h = sol.x, sol.y, config.h
     SS = (n / N) * S0 ** (2.0 / n) * S ** (2.0 * (n - 1.0) / n)
-    I = _infected_from_incidence(tau * y_hist, xi_quad, b_infected, h)
+    I = _infected_from_incidence(tau * sol.y_hist, sol.xi_quad, sol.b_infected, h)
     R = N - S - I
 
     # Independent [SS] integration (trapezoid of its own rate equation) for
@@ -426,108 +441,7 @@ def solve_pairwise(
     c = 2.0 * link_ratio * SI / S
     ratio = (1.0 - 0.5 * h * c[:-1]) / (1.0 + 0.5 * h * c[1:])
     ss_independent = (n / N) * S0**2 * np.concatenate(([1.0], np.cumprod(ratio)))
-
-    meta = {
-        "source": "solver",
-        "model": "pairwise",
-        "N": num_nodes,
-        "n": degree,
-        "tau": tau,
-        "dist": dist.spec_string(),
-        "I0": I0_eff,
-        "S0": S0,
-        "h": h,
-        "t_end": t_end,
-        "corrector_iters": config.corrector_iters,
-    }
-    if snap_notes:
-        meta["grid_snap"] = ";".join(snap_notes)
-    t = np.arange(steps + 1) * h
     return Trajectory(
-        t, S, I, R, SI, SS, meta,
-        extra={"Phi": phi, "SS_independent": ss_independent},
+        sol.t, S, I, R, SI, SS, sol.meta,
+        extra={"Phi": sol.phi, "SS_independent": ss_independent},
     )
-
-
-def solve_memory_ide(
-    *,
-    forcing,
-    deriv_x=None,
-    memory_kernel=None,
-    exponent_rate=None,
-    history_forcing=None,
-    x0: float = 0.0,
-    y0: float = 0.0,
-    h: float,
-    t_end: float,
-    corrector_iters: int = 3,
-    corrector_tol: float = 1e-5,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate the general memory system
-
-        x'(t) = deriv_x(x, y)
-        y'(t) = forcing(x, y)
-                - int_0^t memory_kernel(t - a, x(a), y(a))
-                          * exp(-int_a^t exponent_rate(x, y) ds) da
-                - history_forcing(t, int_0^t exponent_rate(x, y) ds)
-
-    with trapezoidal history quadrature and a fixed-point corrector, the same
-    stepping scheme as the model solvers.  ``memory_kernel`` must accept
-    ndarray arguments (ages, x-history, y-history).  Returns (t, x, y).
-    """
-    steps, t_end = _resolve_grid(t_end, h)
-    damped = exponent_rate is not None
-    f = deriv_x or (lambda x, y: 0.0)
-    x = np.empty(steps + 1)
-    y = np.empty(steps + 1)
-    phi = np.zeros(steps + 1)
-    exp_phi = np.ones(steps + 1)
-    rhs = np.empty(steps + 1)
-    tgrid = np.arange(steps + 1) * h
-
-    x[0], y[0] = x0, y0
-    rhs[0] = forcing(x0, y0) - (history_forcing(0.0, 0.0) if history_forcing else 0.0)
-
-    for k in range(steps):
-        t1 = tgrid[k + 1]
-        if memory_kernel is not None:
-            ages = t1 - tgrid[: k + 1]
-            fh = np.asarray(memory_kernel(ages, x[: k + 1], y[: k + 1]), dtype=float)
-            weights = exp_phi[: k + 1] if damped else None
-            seg = float(np.dot(fh, weights)) if damped else float(np.sum(fh))
-            hist = h * seg - 0.5 * h * fh[0] * (exp_phi[0] if damped else 1.0)
-        else:
-            hist = 0.0
-
-        xk, yk = x[k], y[k]
-        fk = f(xk, yk)
-        gk = exponent_rate(xk, yk) if damped else 0.0
-        xs = xk + h * fk
-        ys = yk + h * rhs[k]
-        phis = phi[k] + h * gk
-        delta = math.inf
-        delta_prev = math.inf
-        r_star = rhs[k]
-        for _ in range(corrector_iters):
-            if damped:
-                phis = phi[k] + 0.5 * h * (gk + exponent_rate(xs, ys))
-            mem = 0.0
-            if memory_kernel is not None:
-                scale_out = math.exp(-phis) if damped else 1.0
-                mem = scale_out * hist + 0.5 * h * float(memory_kernel(0.0, xs, ys))
-            r_star = forcing(xs, ys) - mem
-            if history_forcing is not None:
-                r_star -= history_forcing(t1, phis)
-            y_new = yk + 0.5 * h * (rhs[k] + r_star)
-            x_new = xk + 0.5 * h * (fk + f(xs, y_new))
-            delta_prev = delta
-            delta = abs(y_new - ys) + abs(x_new - xs)
-            xs, ys = x_new, y_new
-        if not _corrector_converged(delta, delta_prev, corrector_tol, xs, ys):
-            raise StepContractionError(
-                f"corrector residual {delta:.3e} at t={t1:.6g}; reduce h={h}"
-            )
-        x[k + 1], y[k + 1], phi[k + 1] = xs, ys, phis
-        exp_phi[k + 1] = math.exp(phis)
-        rhs[k + 1] = r_star
-    return tgrid, x, y

@@ -5,19 +5,24 @@ A :class:`Trajectory` is a uniform time grid carrying the node series [S],
 the header ``t,S,I,R,SI,SS`` and a single ``# meta:`` comment line that
 echoes every parameter needed to reproduce the run.  Floats are written with
 shortest round-trip precision, so write -> read -> write is byte-stable.
+Every CSV the package writes records its meta with :func:`format_meta`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from urllib.parse import quote, unquote
 
 import numpy as np
 
 from .recovery import RecoveryDistribution
 
-__all__ = ["SERIES_NAMES", "EpidemicParams", "SolverConfig", "Trajectory"]
+__all__ = [
+    "SERIES_NAMES", "EpidemicParams", "SolverConfig", "Trajectory", "format_meta", "parse_meta",
+]
 
 SERIES_NAMES = ("S", "I", "R", "SI", "SS")
+_META_TAG = "# meta:"
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,30 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _escape(text: str) -> str:
+    # Tokens are split on whitespace, so whitespace (and the escape character
+    # itself) is percent-encoded; everything else stays readable.
+    return "".join(quote(c) if c == "%" or c.isspace() else c for c in text)
+
+
+def format_meta(meta: dict) -> str:
+    """The meta comment line (no newline) recording ``meta`` as key=value tokens."""
+    tokens = (f"{_escape(str(k))}={_escape(_format_value(v))}" for k, v in meta.items())
+    return "# meta: " + " ".join(tokens)
+
+
+def parse_meta(line: str) -> dict[str, str]:
+    """Inverse of :func:`format_meta`; every value comes back as a string."""
+    if not line.startswith(_META_TAG):
+        raise ValueError(f"not a {_META_TAG!r} line: {line[:40]!r}")
+    meta = {}
+    for token in line[len(_META_TAG):].split():
+        key, sep, value = token.partition("=")
+        if sep:
+            meta[unquote(key)] = unquote(value)
+    return meta
+
+
 @dataclass
 class Trajectory:
     """Uniformly gridded time series of node and ordered-link counts.
@@ -122,10 +151,7 @@ class Trajectory:
         names = [name + column_suffix for name in SERIES_NAMES]
         with open(path, "w", encoding="utf-8") as fh:
             if self.meta:
-                tokens = " ".join(
-                    f"{key}={_format_value(val)}" for key, val in self.meta.items()
-                )
-                fh.write(f"# meta: {tokens}\n")
+                fh.write(format_meta(self.meta) + "\n")
             fh.write("t," + ",".join(names) + "\n")
             cols = [self.t] + [getattr(self, name) for name in SERIES_NAMES]
             for row in zip(*cols):
@@ -136,11 +162,8 @@ class Trajectory:
         meta: dict[str, str] = {}
         with open(path, "r", encoding="utf-8") as fh:
             line = fh.readline()
-            if line.startswith("# meta:"):
-                for token in line[len("# meta:"):].split():
-                    key, sep, value = token.partition("=")
-                    if sep:
-                        meta[key] = value
+            if line.startswith(_META_TAG):
+                meta = parse_meta(line)
                 line = fh.readline()
             header = [h.strip() for h in line.strip().split(",")]
             rows = [

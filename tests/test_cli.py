@@ -1,12 +1,16 @@
 """CLI harness: config handling, determinism, meta reconstruction, exit codes."""
 
 import csv
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nmsir as nm
 from nmsir.cli import build_config, config_from_meta, main, read_config_file
-from nmsir.trajectory import Trajectory
+from nmsir.trajectory import Trajectory, parse_meta
+
+FIG1_CFG = Path(__file__).resolve().parent.parent / "demos" / "fig1.cfg"
 
 SMALL = [
     "--set", "network.N=200",
@@ -127,7 +131,7 @@ def test_analytics_table_and_csv(tmp_path, capsys):
     )
     assert rc == 0
     shown = capsys.readouterr().out
-    assert "R0p" in shown and "uniform:a=1,b=2" in shown
+    assert "R0p" in shown and "uniform:a=1.0,b=2.0" in shown
     lines = (tmp_path / "analytics.csv").read_text().splitlines()
     assert lines[1].startswith("kind,mean,variance,laplace_at_tau,R0,R0p")
     assert len(lines) == 5  # meta + header + three rows
@@ -135,8 +139,8 @@ def test_analytics_table_and_csv(tmp_path, capsys):
     parsed = list(csv.reader(lines[2:]))
     attack_pw = {row[0]: float(row[-1]) for row in parsed}
     assert (
-        attack_pw["uniform:a=1,b=2"]
-        > attack_pw["gamma:shape=3,rate=2"]
+        attack_pw["uniform:a=1.0,b=2.0"]
+        > attack_pw["gamma:shape=3,rate=2.0"]
         > attack_pw["exp:rate=0.6667"]
     )
 
@@ -211,3 +215,32 @@ def test_save_runs_writes_per_run_files(tmp_path):
         assert (tmp_path / f"sim_run_{k:03d}.csv").exists()
     run0 = Trajectory.from_csv(tmp_path / "sim_run_000.csv")
     assert run0.S[0] + run0.I[0] == 200.0
+    # The saved runs are the ensemble's own runs, not a re-simulation.
+    runs = [Trajectory.from_csv(tmp_path / f"sim_run_{k:03d}.csv") for k in range(3)]
+    mean = Trajectory.from_csv(tmp_path / "sim_mean.csv")
+    for name in ("S", "I"):
+        run_mean = np.mean([run.series(name) for run in runs], axis=0)
+        np.testing.assert_allclose(run_mean, mean.series(name), rtol=0, atol=1e-12)
+
+
+def test_analytics_meta_round_trips_spaced_spec_list(tmp_path, capsys):
+    # fig1.cfg separates its specs with "; ", which used to split the header.
+    assert main(["analytics", "--config", str(FIG1_CFG), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    header = (tmp_path / "analytics.csv").read_text().splitlines()[0]
+    cfg = config_from_meta(parse_meta(header))
+    assert cfg == build_config(read_config_file(FIG1_CFG))
+    assert cfg.distribution_list() == [
+        "exp:rate=0.6667", "gamma:shape=3,rate=2.0", "uniform:a=1.0,b=2.0"
+    ]
+
+
+def test_solve_meta_round_trips_spaced_dist(tmp_path):
+    rc = main(
+        ["solve", "--model", "pairwise", "--set", "epidemic.dist=gamma:shape=3, rate=2",
+         "--set", "epidemic.t_end=2", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    traj = Trajectory.from_csv(tmp_path / "solve_pairwise.csv")
+    cfg = config_from_meta(traj.meta)
+    assert cfg.epidemic_dist == "gamma:shape=3,rate=2.0"

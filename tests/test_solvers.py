@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import nmsir as nm
-from nmsir.solvers import StepContractionError
+from nmsir.solvers import StepContractionError, _march_renewal
 
 from conftest import rel_sup_diff
 
@@ -219,62 +219,34 @@ def test_tabulated_age_density_rejected_for_bounded_support():
         nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=cfg)
 
 
-# -- generic memory integrator -----------------------------------------------------
+# -- stepping core ------------------------------------------------------------------
 
 
-def test_memory_ide_reduces_to_heun_second_order():
-    errs = []
-    for h in (0.02, 0.01):
-        t, _, y = nm.solve_memory_ide(
-            forcing=lambda x, y: -y, y0=1.0, h=h, t_end=5.0
-        )
-        errs.append(np.max(np.abs(y - np.exp(-t))))
-    ratio = errs[0] / errs[1]
-    assert 3.0 < ratio < 5.0  # order 2 halving
-    assert errs[1] < 1e-4
-
-
-def test_memory_ide_linear_renewal_closed_form():
-    # y'(t) = -int_0^t f(t-a) y(a) da with f the Exp(4) density has the
-    # resolvent solution y(t) = (1 + 2 t) exp(-2 t) (double root at s = -2).
-    t, _, y = nm.solve_memory_ide(
-        forcing=lambda x, y: 0.0,
-        memory_kernel=lambda ages, xs, ys: 4.0 * np.exp(-4.0 * ages) * ys,
-        y0=1.0,
-        h=5e-3,
-        t_end=8.0,
-    )
-    exact = (1.0 + 2.0 * t) * np.exp(-2.0 * t)
-    assert np.max(np.abs(y - exact)) < 1e-4
-
-
-def test_memory_ide_matches_ode_oracle_with_damping():
-    # x' = -0.4 x y, y' = 0.5 - 0.3 y - z with z' reproducing the memory term
-    # for kernel 0.8 e^{-1.2 a} (x + y/2) damped by exp(-(Phi(t)-Phi(a))):
-    # differentiating gives z' = 0.8 (x + y/2) - (1.2 + G(x,y)) z.
-    def g_rate(x, y):
-        return 0.2 + 0.1 * y
-
-    def ode(t, u):
-        x, y, z = u
-        return [
-            -0.4 * x * y,
-            0.5 - 0.3 * y - z,
-            0.8 * (x + 0.5 * y) - (1.2 + g_rate(x, y)) * z,
-        ]
-
-    sol = solve_ivp(ode, (0, 6.0), [1.0, 0.5, 0.0], rtol=1e-11, atol=1e-12,
-                    dense_output=True)
-    t, x, y = nm.solve_memory_ide(
-        deriv_x=lambda x, y: -0.4 * x * y,
-        forcing=lambda x, y: 0.5 - 0.3 * y,
-        memory_kernel=lambda ages, xs, ys: 0.8 * np.exp(-1.2 * ages) * (xs + 0.5 * ys),
-        exponent_rate=g_rate,
-        x0=1.0,
-        y0=0.5,
-        h=2e-3,
-        t_end=6.0,
-    )
-    exact = sol.sol(t)
-    assert np.max(np.abs(x - exact[0])) < 1e-5
-    assert np.max(np.abs(y - exact[1])) < 1e-5
+def test_march_renewal_linear_renewal_closed_form():
+    # y(t) = int_0^t y(u) xi(t-u) du + xi(t) with the Erlang-2 survival
+    # xi(a) = (1 + 2a) e^{-2a} has the Laplace-inverted solution
+    # y(t) = 4/3 - e^{-3t}/3; a constant damping rate g multiplies it by
+    # e^{-gt}.  The sup error must fall at second order.
+    for g in (None, 0.5):
+        errs = []
+        for h in (0.02, 0.01, 0.005):
+            steps = int(round(5.0 / h))
+            ages = np.arange(steps + 1) * h
+            xi = (1.0 + 2.0 * ages) * np.exp(-2.0 * ages)
+            _, y, _, _ = _march_renewal(
+                deriv_x=lambda x, y: 0.0,
+                state_factor=lambda x, y: y,
+                exponent_rate=None if g is None else (lambda x, y: g),
+                xi_quad=xi,
+                boundary=xi,
+                x0=0.0,
+                h=h,
+                steps=steps,
+                corrector_iters=3,
+                corrector_tol=1e-5,
+            )
+            exact = (4.0 / 3.0 - np.exp(-3.0 * ages) / 3.0) * np.exp(-(g or 0.0) * ages)
+            errs.append(float(np.max(np.abs(y - exact))))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 3.5 < coarse / fine < 4.5  # order 2 halving
+        assert errs[-1] < 1e-5
