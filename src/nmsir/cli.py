@@ -7,8 +7,9 @@ keys are rejected.  All outputs are CSV files whose ``# meta:`` line echoes
 the exact configuration (seeds included), so any result file can be
 reproduced byte-for-byte from its own header.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 acceptance
-threshold failure in compare mode.
+Exit codes: 0 success, 2 configuration/validation error or a failed solve
+(solver error or floating-point overflow), 3 acceptance threshold failure in
+compare mode.
 """
 
 from __future__ import annotations
@@ -523,6 +524,9 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ValueError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: numerical failure ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
 
 

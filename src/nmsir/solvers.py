@@ -57,6 +57,15 @@ class StepContractionError(SolverError):
     """Fixed-point corrector failed to contract; the step size is too large."""
 
 
+# Sweeps the corrector may run in all while it still contracts; a step that
+# needs more is reported rather than marched on.
+_MAX_CORRECTOR_SWEEPS = 50
+
+# Phi(t) - Phi_ref at which the stored history weights are rescaled: exp()
+# of it stays far below overflow (about 709) with room for one step's rise.
+_PHI_RESCALE = 300.0
+
+
 def _snap_support(dist: RecoveryDistribution, h: float):
     """Snap kernel breakpoints (sigma, or A and B) onto the step grid."""
     notes: list[str] = []
@@ -181,9 +190,20 @@ def _march_renewal(
 
     Returns (x, y, phi, y_hist) arrays of length steps+1.  ``window``
     truncates the history dot product for kernels with bounded support.  The
-    stored history weights are B_i * exp(Phi_i); the damping exp(-Phi(t)) is
-    applied once per step, so each corrector iteration costs O(1) after one
-    O(k) history sum.
+    stored history weights are B_i * exp(Phi_i - Phi_ref), relative to a
+    reference Phi_ref that starts at 0; the history is damped by
+    exp(-(Phi(t) - Phi_ref)) once per step, so each corrector iteration costs
+    O(1) after one O(k) history sum.  Once Phi(t) - Phi_ref exceeds
+    ``_PHI_RESCALE`` the stored weights are rescaled and Phi_ref moves to
+    Phi(t), so exp() never overflows however long the horizon; while Phi stays
+    below that the arithmetic is the plain B_i * exp(Phi_i) scheme.  The
+    boundary term keeps the absolute damping exp(-Phi(t)).
+
+    The corrector runs at least ``corrector_iters`` sweeps (a few more on the
+    bootstrap step), then keeps sweeping while the tolerance is unmet and the
+    sweeps still contract, up to ``_MAX_CORRECTOR_SWEEPS``.
+    ``StepContractionError`` means the iteration stopped contracting (ratio
+    q >= 1 or a non-finite residual) or hit that cap.
 
     When the boundary term drops discontinuously (newborn infecteds under a
     point-mass recovery law all leave at sigma, making y itself jump there),
@@ -193,70 +213,86 @@ def _march_renewal(
     carries the jump midpoint (``boundary_hist``), exactly mirroring the
     kernel treatment.  For continuous boundaries all three coincide.
     """
+    # Per-step work runs on Python floats and lists, because numpy scalar
+    # arithmetic costs several times more per operation; numpy is kept for
+    # the O(k) history dot product, over a contiguous reversed kernel.
     damped = exponent_rate is not None
-    b_pre = boundary if boundary_pre is None else boundary_pre
-    b_hist = boundary if boundary_hist is None else boundary_hist
+    b_out = boundary.tolist()
+    b_pre = b_out if boundary_pre is None else boundary_pre.tolist()
+    b_hist = b_out if boundary_hist is None else boundary_hist.tolist()
+    xi = xi_quad.tolist()
+    xi_rev = xi_quad[::-1].copy()
+    xi0 = xi[0]
     m = steps
-    x = np.empty(m + 1)
-    y = np.empty(m + 1)
-    y_hist = np.empty(m + 1)
-    phi = np.zeros(m + 1)
     hist_weight = np.empty(m + 1)
 
-    x[0] = x0
-    y[0] = boundary[0]
-    y_hist[0] = b_hist[0]
-    hist_weight[0] = state_factor(x[0], y_hist[0])
-    xi_rev = xi_quad[::-1]
-    xi0 = float(xi_quad[0])
+    xk, yk, phik = float(x0), b_out[0], 0.0
+    y_prev = yk
+    x, y, phi, y_hist = [xk], [yk], [phik], [b_hist[0]]
+    hist_weight[0] = w0 = state_factor(xk, b_hist[0])
+    phi_ref, damp_ref = 0.0, 1.0
 
     for k in range(m):
         lo = 0 if window is None else max(0, k + 1 - window)
-        seg = float(np.dot(hist_weight[lo : k + 1], xi_rev[m - k - 1 + lo : m]))
-        hist = h * seg
+        hist = h * float(np.dot(hist_weight[lo : k + 1], xi_rev[m - k - 1 + lo : m]))
         if lo == 0:
-            hist -= 0.5 * h * hist_weight[0] * xi_quad[k + 1]
+            hist -= 0.5 * h * w0 * xi[k + 1]
 
-        xk, yk = x[k], y[k]
         fk = deriv_x(xk, yk)
         gk = exponent_rate(xk, yk) if damped else 0.0
         xs = xk + h * fk
-        # Linear extrapolation predictor keeps the fixed-iteration corrector
-        # well inside its contraction budget; the bootstrap step has no
-        # history to extrapolate from, so it gets a few extra iterations.
-        ys = yk + (yk - y[k - 1]) if k else yk
-        phis = phi[k] + h * gk
-        scale_out = 1.0
-        delta = math.inf
-        delta_prev = math.inf
-        iters = corrector_iters if k else corrector_iters + 4
-        for _ in range(iters):
+        # Linear extrapolation predictor keeps the corrector well inside its
+        # contraction budget; the bootstrap step has no history to
+        # extrapolate from, so it gets a few extra sweeps.
+        ys = yk + (yk - y_prev) if k else yk
+        phis = phik + h * gk
+        scale_hist = scale_out = 1.0
+        delta = delta_prev = math.inf
+        min_sweeps = corrector_iters if k else corrector_iters + 4
+        sweeps = 0
+        while True:
             if damped:
-                phis = phi[k] + 0.5 * h * (gk + exponent_rate(xs, ys))
-                scale_out = math.exp(-phis)
-            mem = scale_out * hist + 0.5 * h * state_factor(xs, ys) * xi0
+                phis = phik + 0.5 * h * (gk + exponent_rate(xs, ys))
+                scale_hist = math.exp(phi_ref - phis)
+                scale_out = scale_hist * damp_ref
+            mem = scale_hist * hist + 0.5 * h * state_factor(xs, ys) * xi0
             y_new = mem + scale_out * b_pre[k + 1]
             x_new = xk + 0.5 * h * (fk + deriv_x(xs, y_new))
             delta_prev = delta
             delta = abs(y_new - ys) + abs(x_new - xs)
             xs, ys = x_new, y_new
-        if not _corrector_converged(delta, delta_prev, corrector_tol, xs, ys):
-            raise StepContractionError(
-                f"corrector residual {delta:.3e} at t={(k + 1) * h:.6g} exceeds "
-                f"tolerance; reduce the step size h={h}"
-            )
+            sweeps += 1
+            if sweeps < min_sweeps:
+                continue
+            if _corrector_converged(delta, delta_prev, corrector_tol, xs, ys):
+                break
+            q = delta / delta_prev if delta_prev > 0.0 else math.inf
+            if not (math.isfinite(delta) and q < 1.0) or sweeps >= _MAX_CORRECTOR_SWEEPS:
+                raise StepContractionError(
+                    f"corrector stopped contracting at t={(k + 1) * h:.6g}: residual "
+                    f"{delta:.3e}, ratio q={q:.3g} after {sweeps} sweeps; reduce the "
+                    f"step size h={h}"
+                )
         if x_floor is not None and not xs > x_floor:
             raise SolverError(
                 f"state hit the floor ({xs:.6g} <= {x_floor}) at t={(k + 1) * h:.6g}"
             )
-        x[k + 1] = xs
-        y[k + 1] = ys + scale_out * (boundary[k + 1] - b_pre[k + 1])
-        y_hist[k + 1] = ys + scale_out * (b_hist[k + 1] - b_pre[k + 1])
-        phi[k + 1] = phis
-        hist_weight[k + 1] = state_factor(xs, y_hist[k + 1]) * (
-            math.exp(phis) if damped else 1.0
+        b_left = b_pre[k + 1]
+        y_prev = yk
+        xk, yk, phik = xs, ys + scale_out * (b_out[k + 1] - b_left), phis
+        yh = ys + scale_out * (b_hist[k + 1] - b_left)
+        x.append(xk)
+        y.append(yk)
+        phi.append(phik)
+        y_hist.append(yh)
+        if phis - phi_ref > _PHI_RESCALE:
+            hist_weight[: k + 1] *= math.exp(phi_ref - phis)
+            w0 = float(hist_weight[0])
+            phi_ref, damp_ref = phis, math.exp(-phis)
+        hist_weight[k + 1] = state_factor(xs, yh) * (
+            math.exp(phis - phi_ref) if damped else 1.0
         )
-    return x, y, phi, y_hist
+    return np.array(x), np.array(y), np.array(phi), np.array(y_hist)
 
 
 def _infected_from_incidence(
@@ -424,11 +460,14 @@ def solve_pairwise(
     alpha = (n - 2.0) / n
     link_ratio = tau * (n - 1.0) / n
 
+    # The march passes Python floats, which raise or turn complex where numpy
+    # gave nan: an iterate with [S] <= 0 yields nan, and the corrector reports
+    # the step as not contracting.
     sol = _solve_renewal(
         "pairwise", params, config, num_nodes=num_nodes, degree=degree, S0=S0, I0=I0,
         deriv_x=lambda s, si: -tau * si,
-        state_factor=lambda s, si: tau * kappa * s**alpha * si,
-        exponent_rate=lambda s, si: link_ratio * si / s + tau,
+        state_factor=lambda s, si: tau * kappa * s**alpha * si if s >= 0.0 else math.nan,
+        exponent_rate=lambda s, si: link_ratio * si / s + tau if s else math.nan,
         boundary_scale=(n / N) * S0,
     )
     S, SI, h = sol.x, sol.y, config.h

@@ -52,6 +52,11 @@ class SolverConfig:
     ``initial_age_density`` is None all initial infecteds are newborn (age
     zero at t=0); a tabulated ``(ages, density)`` pair is accepted only for
     recovery laws whose survival never vanishes.
+
+    ``corrector_iters`` is the minimum number of fixed-point sweeps per step;
+    the corrector keeps sweeping past it while ``corrector_tol`` is unmet and
+    the sweeps still contract, and raises ``StepContractionError`` once the
+    iteration stops contracting.
     """
 
     h: float = 1e-2

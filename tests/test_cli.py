@@ -67,6 +67,18 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_arithmetic_overflow_exits_2(tmp_path, capsys):
+    # The uniform-delay reference integrates exp(Phi), which overflows once
+    # Phi passes about 709 (here near t=350).
+    argv = ["solve", "--model", "special:uniform",
+            "--set", "epidemic.tau=2", "--set", "epidemic.t_end=400",
+            "--set", "solver.h=0.02", "--set", "epidemic.dist=uniform:a=1,b=2",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "OverflowError" in err
+
+
 def test_simulate_deterministic_and_meta_reconstructs(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

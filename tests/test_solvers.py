@@ -130,6 +130,58 @@ def test_contraction_failure_raises():
         nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.5))
 
 
+def test_solves_raise_only_solver_errors(all_dists):
+    # Diverging steps (S driven below zero, huge tau*h) must surface as the
+    # documented solver errors, never as a TypeError or OverflowError from
+    # the scalar arithmetic.
+    for dist in all_dists.values():
+        for tau in (0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
+            p = nm.EpidemicParams(tau=tau, dist=dist, initial_infected=5, t_end=10.0)
+            for h in (0.01, 0.05, 0.1, 0.25, 0.5):
+                for solve in (nm.solve_pairwise, nm.solve_meanfield):
+                    try:
+                        traj = solve(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
+                    except nm.SolverError:  # StepContractionError included
+                        continue
+                    for name in ("S", "I", "R", "SI", "SS"):
+                        assert np.all(np.isfinite(traj.series(name))), (dist, tau, h, solve)
+
+
+def test_long_horizon_pairwise_stays_finite():
+    # Phi passes 800 here; the stored history weights are rescaled instead of
+    # overflowing exp(Phi), and the rescale leaves the first 60 days (Phi
+    # below 300) bit-identical to a short solve.
+    dist = nm.UniformInterval(1, 2)
+    cfg = nm.SolverConfig(h=0.01)
+    full = nm.solve_pairwise(
+        nm.EpidemicParams(tau=1.0, dist=dist, initial_infected=5, t_end=800.0),
+        num_nodes=N, degree=DEG, config=cfg,
+    )
+    short = nm.solve_pairwise(
+        nm.EpidemicParams(tau=1.0, dist=dist, initial_infected=5, t_end=60.0),
+        num_nodes=N, degree=DEG, config=cfg,
+    )
+    assert full.extra["Phi"][-1] > 709.0
+    for name in ("S", "I", "R", "SI", "SS"):
+        assert np.all(np.isfinite(full.series(name)))
+        assert np.array_equal(full.series(name)[:6001], short.series(name))
+    assert np.array_equal(full.extra["Phi"][:6001], short.extra["Phi"])
+
+
+def test_fast_epidemic_converges_at_default_step():
+    # tau >= 1.5 needs more corrector sweeps than the configured minimum on
+    # the first steps; the iteration contracts, so the solve must go through
+    # and agree with a ten times finer step.
+    dist = nm.GammaErlang(3, 2 / 3)
+    for tau in (1.5, 2.0):
+        p = nm.EpidemicParams(tau=tau, dist=dist, initial_infected=5, t_end=10.0)
+        for solve in (nm.solve_pairwise, nm.solve_meanfield):
+            coarse = solve(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.01))
+            fine = solve(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-3))
+            for name in ("S", "I", "SI"):
+                assert rel_sup_diff(coarse.series(name), fine.series(name)[::10]) < 2e-2
+
+
 def test_grid_snap_warning_recorded():
     p = _params(nm.FixedDuration(1.5037), t_end=5.0)
     pw = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.01))
