@@ -92,6 +92,21 @@ def _pair_stubs(num_nodes: int, degree: int, rng: np.random.Generator):
     return edges
 
 
+def _from_edges(num_nodes: int, degree: int, edges, seed: int | None) -> RegularGraph:
+    """Assemble a graph from undirected (i, j) pairs with i < j."""
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return RegularGraph(
+        num_nodes=num_nodes,
+        degree=degree,
+        neighbors=tuple(tuple(sorted(nbrs)) for nbrs in adj),
+        seed=seed,
+        _edges=np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
+    )
+
+
 def generate_regular(
     num_nodes: int, degree: int, seed: int, max_restarts: int = 200
 ) -> RegularGraph:
@@ -120,19 +135,7 @@ def generate_regular(
             f"after {max_restarts} restarts; parameters may be infeasible"
         )
 
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-    edge_arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    return RegularGraph(
-        num_nodes=num_nodes,
-        degree=degree,
-        neighbors=neighbors,
-        seed=seed,
-        _edges=edge_arr,
-    )
+    return _from_edges(num_nodes, degree, edges, seed)
 
 
 def count_pairs(graph: RegularGraph, states) -> tuple[int, int, int]:
@@ -178,7 +181,6 @@ def load_edge_list(path) -> RegularGraph:
         if len(parts) != 3:
             raise ValueError(f"malformed edge-list header {header!r}")
         num_nodes, degree, seed = int(parts[0]), int(parts[1]), int(parts[2])
-        adj: list[list[int]] = [[] for _ in range(num_nodes)]
         edges = []
         for line in fh:
             line = line.strip()
@@ -188,18 +190,8 @@ def load_edge_list(path) -> RegularGraph:
             i, j = int(i_s), int(j_s)
             if not (0 <= i < j < num_nodes):
                 raise ValueError(f"bad edge line {line!r}")
-            adj[i].append(j)
-            adj[j].append(i)
             edges.append((i, j))
-    neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-    for nbrs in neighbors:
-        if len(nbrs) != degree:
-            raise ValueError("edge list does not describe a regular graph")
-    edge_arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    return RegularGraph(
-        num_nodes=num_nodes,
-        degree=degree,
-        neighbors=neighbors,
-        seed=None if seed < 0 else seed,
-        _edges=edge_arr,
-    )
+    graph = _from_edges(num_nodes, degree, edges, None if seed < 0 else seed)
+    if any(len(nbrs) != degree for nbrs in graph.neighbors):
+        raise ValueError("edge list does not describe a regular graph")
+    return graph

@@ -9,14 +9,17 @@ or delay differential equations:
 * Erlang (gamma)    -> a linear chain of K exponential stages for both nodes
                        and links,
 * uniform interval  -> distributed delays over a moving window, reduced here
-                       to discrete-delay form through cumulative auxiliary
-                       variables (the windowed integrals telescope).
+                       to discrete-delay form through a damped cumulative
+                       auxiliary variable (the windowed integrals telescope).
 
-All solvers use fixed-step classical RK4 on the same grid as the generic
-solver.  Delayed evaluations at RK4 stage times are served by cubic Hermite
-interpolation of the stored node history; branch switches and state jumps
-are aligned to grid nodes, and each step evaluates the branch chosen by its
-*starting* node so that every step integrates a smooth piece.
+All solvers use fixed-step classical RK4 on the same grid, initial counts
+and meta as the generic solver (``trajectory._SolveSetup``).  Every
+exponential of the rate integral Phi enters as a difference
+exp(-(Phi(t) - Phi(u))) <= 1, so no horizon overflows.  Delayed evaluations
+at RK4 stage times are served by cubic Hermite interpolation of the stored
+node history; branch switches and state jumps are aligned to grid nodes, and
+each step evaluates the branch chosen by its *starting* node so that every
+step integrates a smooth piece.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 import numpy as np
 
 from .recovery import Exponential, FixedDuration, GammaErlang, UniformInterval
-from .trajectory import EpidemicParams, Trajectory
+from .trajectory import EpidemicParams, Trajectory, _SolveSetup
 
 __all__ = [
     "solve_markovian_pairwise",
@@ -36,13 +39,6 @@ __all__ = [
     "solve_gamma_chain",
     "solve_uniform_delay_pairwise",
 ]
-
-
-def _grid(t_end: float, h: float) -> tuple[int, float]:
-    steps = int(round(t_end / h))
-    if steps < 1:
-        raise ValueError("t_end must cover at least one step")
-    return steps, steps * h
 
 
 def _node_index(value: float, h: float, name: str) -> int:
@@ -108,27 +104,13 @@ def _march_delay_rk4(rhs, u0, h: float, steps: int, jumps: dict | None = None):
     return U
 
 
-def _base_meta(model, params, num_nodes, degree, S0, I0, h, t_end):
-    return {
-        "source": "solver",
-        "model": model,
-        "N": num_nodes,
-        "n": degree,
-        "tau": params.tau,
-        "dist": params.dist.spec_string(),
-        "I0": I0,
-        "S0": S0,
-        "h": h,
-        "t_end": t_end,
-    }
-
-
-def _initial_conditions(params, num_nodes, S0, I0):
-    I0 = float(params.initial_infected if I0 is None else I0)
-    S0 = float(num_nodes - I0 if S0 is None else S0)
-    if I0 < 0 or S0 <= 0:
+def _setup(model, params, num_nodes, degree, S0, I0, h, t_end) -> _SolveSetup:
+    run = _SolveSetup(
+        model, params, num_nodes=num_nodes, degree=degree, S0=S0, I0=I0, h=h, t_end=t_end
+    )
+    if run.I0 < 0 or run.S0 <= 0:
         raise ValueError("need I0 >= 0 and S0 > 0")
-    return S0, I0
+    return run
 
 
 def solve_markovian_pairwise(
@@ -145,9 +127,8 @@ def solve_markovian_pairwise(
     if not isinstance(params.dist, Exponential):
         raise ValueError("markovian reference requires an exponential recovery law")
     gamma = params.dist.rate
-    tau, n, N = params.tau, float(degree), float(num_nodes)
-    S0, I0 = _initial_conditions(params, num_nodes, S0, I0)
-    steps, t_end = _grid(params.t_end if t_end is None else t_end, h)
+    run = _setup("special:markovian", params, num_nodes, degree, S0, I0, h, t_end)
+    tau, n = params.tau, run.n
     link = tau * (n - 1.0) / n
 
     def rhs(t, u, lookup, t0):
@@ -162,12 +143,8 @@ def solve_markovian_pairwise(
             ]
         )
 
-    u0 = [S0, (n / N) * S0 * S0, I0, (n / N) * S0 * I0]
-    U = _march_delay_rk4(rhs, u0, h, steps)
-    t = np.arange(steps + 1) * h
-    S, SS, I, SI = U.T
-    meta = _base_meta("special:markovian", params, num_nodes, degree, S0, I0, h, t_end)
-    return Trajectory(t, S, I, N - S - I, SI, SS, meta)
+    S, SS, I, SI = _march_delay_rk4(rhs, run.pair_state(), h, run.steps).T
+    return run.trajectory(S, I, SI, SS)
 
 
 def solve_markovian_meanfield(
@@ -184,22 +161,15 @@ def solve_markovian_meanfield(
     if not isinstance(params.dist, Exponential):
         raise ValueError("markovian reference requires an exponential recovery law")
     gamma = params.dist.rate
-    tau, n, N = params.tau, float(degree), float(num_nodes)
-    S0, I0 = _initial_conditions(params, num_nodes, S0, I0)
-    steps, t_end = _grid(params.t_end if t_end is None else t_end, h)
-    coupling = tau * n / N
+    run = _setup("special:markovian_meanfield", params, num_nodes, degree, S0, I0, h, t_end)
+    coupling = params.tau * run.n / run.N
 
     def rhs(t, u, lookup, t0):
         S, I = u
         return np.array([-coupling * S * I, coupling * S * I - gamma * I])
 
-    U = _march_delay_rk4(rhs, [S0, I0], h, steps)
-    t = np.arange(steps + 1) * h
-    S, I = U.T
-    meta = _base_meta(
-        "special:markovian_meanfield", params, num_nodes, degree, S0, I0, h, t_end
-    )
-    return Trajectory(t, S, I, N - S - I, (n / N) * S * I, (n / N) * S * S, meta)
+    S, I = _march_delay_rk4(rhs, [run.S0, run.I0], h, run.steps).T
+    return run.trajectory(S, I)
 
 
 def solve_fixed_delay_pairwise(
@@ -222,12 +192,13 @@ def solve_fixed_delay_pairwise(
     if not isinstance(params.dist, FixedDuration):
         raise ValueError("fixed-delay reference requires a fixed-duration recovery law")
     sigma = params.dist.sigma
-    tau, n, N = params.tau, float(degree), float(num_nodes)
-    S0, I0 = _initial_conditions(params, num_nodes, S0, I0)
-    steps, t_end = _grid(params.t_end if t_end is None else t_end, h)
+    run = _setup("special:fixed", params, num_nodes, degree, S0, I0, h, t_end)
     j_sigma = _node_index(sigma, h, "sigma")
+    tau, n = params.tau, run.n
     link = tau * (n - 1.0) / n
     half = 0.5 * h
+    u0 = run.pair_state() + [0.0]
+    SI0 = u0[3]
 
     def rhs(t, u, lookup, t0):
         S, SS, I, SI, phi = u
@@ -245,19 +216,13 @@ def solve_fixed_delay_pairwise(
 
     def recover_newborns(u):
         u = u.copy()
-        u[2] -= I0
-        u[3] -= (n / N) * S0 * I0 * math.exp(-u[4])
+        u[2] -= run.I0
+        u[3] -= SI0 * math.exp(-u[4])
         return u
 
-    u0 = [S0, (n / N) * S0 * S0, I0, (n / N) * S0 * I0, 0.0]
-    jumps = {j_sigma: recover_newborns} if j_sigma <= steps else None
-    U = _march_delay_rk4(rhs, u0, h, steps, jumps)
-    t = np.arange(steps + 1) * h
-    S, SS, I, SI, phi = U.T
-    meta = _base_meta("special:fixed", params, num_nodes, degree, S0, I0, h, t_end)
-    traj = Trajectory(t, S, I, N - S - I, SI, SS, meta)
-    traj.extra["Phi"] = phi
-    return traj
+    jumps = {j_sigma: recover_newborns} if j_sigma <= run.steps else None
+    S, SS, I, SI, phi = _march_delay_rk4(rhs, u0, h, run.steps, jumps).T
+    return run.trajectory(S, I, SI, SS, extra={"Phi": phi})
 
 
 def solve_fixed_delay_meanfield(
@@ -274,11 +239,9 @@ def solve_fixed_delay_meanfield(
     if not isinstance(params.dist, FixedDuration):
         raise ValueError("fixed-delay reference requires a fixed-duration recovery law")
     sigma = params.dist.sigma
-    tau, n, N = params.tau, float(degree), float(num_nodes)
-    S0, I0 = _initial_conditions(params, num_nodes, S0, I0)
-    steps, t_end = _grid(params.t_end if t_end is None else t_end, h)
+    run = _setup("special:fixed_meanfield", params, num_nodes, degree, S0, I0, h, t_end)
     j_sigma = _node_index(sigma, h, "sigma")
-    coupling = tau * n / N
+    coupling = params.tau * run.n / run.N
     half = 0.5 * h
 
     def rhs(t, u, lookup, t0):
@@ -291,17 +254,12 @@ def solve_fixed_delay_meanfield(
 
     def recover_newborns(u):
         u = u.copy()
-        u[1] -= I0
+        u[1] -= run.I0
         return u
 
-    jumps = {j_sigma: recover_newborns} if j_sigma <= steps else None
-    U = _march_delay_rk4(rhs, [S0, I0], h, steps, jumps)
-    t = np.arange(steps + 1) * h
-    S, I = U.T
-    meta = _base_meta(
-        "special:fixed_meanfield", params, num_nodes, degree, S0, I0, h, t_end
-    )
-    return Trajectory(t, S, I, N - S - I, (n / N) * S * I, (n / N) * S * S, meta)
+    jumps = {j_sigma: recover_newborns} if j_sigma <= run.steps else None
+    S, I = _march_delay_rk4(rhs, [run.S0, run.I0], h, run.steps, jumps).T
+    return run.trajectory(S, I)
 
 
 def solve_gamma_chain(
@@ -325,9 +283,9 @@ def solve_gamma_chain(
         raise ValueError("gamma-chain reference requires an Erlang recovery law")
     K = params.dist.shape
     stage_rate = params.dist.rate  # K * gamma
-    tau, n, N = params.tau, float(degree), float(num_nodes)
-    S0, I0 = _initial_conditions(params, num_nodes, S0, I0)
-    steps, t_end = _grid(params.t_end if t_end is None else t_end, h)
+    run = _setup("special:gamma", params, num_nodes, degree, S0, I0, h, t_end)
+    run.meta["K"] = K
+    tau, n = params.tau, run.n
     link = tau * (n - 1.0) / n
 
     # State layout: [S, SS, I_1..I_K, SI_1..SI_K]
@@ -350,23 +308,14 @@ def solve_gamma_chain(
         return du
 
     u0 = np.zeros(2 + 2 * K)
-    u0[0] = S0
-    u0[1] = (n / N) * S0 * S0
-    u0[2] = I0
-    u0[2 + K] = (n / N) * S0 * I0
-    U = _march_delay_rk4(rhs, u0, h, steps)
-    t = np.arange(steps + 1) * h
-    S, SS = U[:, 0], U[:, 1]
+    u0[[0, 1, 2, 2 + K]] = run.pair_state()
+    U = _march_delay_rk4(rhs, u0, h, run.steps)
     I_stages = U[:, 2 : 2 + K].T
     SI_stages = U[:, 2 + K :].T
-    I = I_stages.sum(axis=0)
-    SI = SI_stages.sum(axis=0)
-    meta = _base_meta("special:gamma", params, num_nodes, degree, S0, I0, h, t_end)
-    meta["K"] = K
-    traj = Trajectory(t, S, I, N - S - I, SI, SS, meta)
-    traj.extra["I_stages"] = I_stages
-    traj.extra["SI_stages"] = SI_stages
-    return traj
+    return run.trajectory(
+        U[:, 0], I_stages.sum(axis=0), SI_stages.sum(axis=0), U[:, 1],
+        extra={"I_stages": I_stages, "SI_stages": SI_stages},
+    )
 
 
 def solve_uniform_delay_pairwise(
@@ -382,49 +331,48 @@ def solve_uniform_delay_pairwise(
     """Pairwise model with uniform recovery on [A, B]: distributed delays.
 
     The moving-window integrals telescope against cumulative quantities:
-    the [I] window equals (S(t-B) - S(t-A))/(B-A), and the [SI] window uses
-    the running integral W of the damped link inflow.  The newborn removal is
-    the indicator-gated constant flux on [A, B], handled branch-wise (three
+    the [I] window equals (S(t-B) - S(t-A))/(B-A), and the [SI] window is
+    the difference of the running integral W of the link inflow
+    c [SS] exp(Phi) at its two ends.  W itself overflows once Phi passes
+    about 709, so the state carries V = exp(-Phi) W, with
+    V' = c [SS] - (c + tau) V, and the window reads
+    (exp(Phi_a - Phi) V_a - exp(Phi_b - Phi) V_b)/(B-A).  The newborn removal
+    is the indicator-gated constant flux on [A, B], handled branch-wise (three
     regimes t < A, A <= t <= B, t > B with breakpoints on grid nodes).
     """
     if not isinstance(params.dist, UniformInterval):
         raise ValueError("uniform-delay reference requires a uniform recovery law")
     A, B = params.dist.lower, params.dist.upper
-    tau, n, N = params.tau, float(degree), float(num_nodes)
-    S0, I0 = _initial_conditions(params, num_nodes, S0, I0)
-    steps, t_end = _grid(params.t_end if t_end is None else t_end, h)
+    run = _setup("special:uniform", params, num_nodes, degree, S0, I0, h, t_end)
     _node_index(A, h, "a")
     _node_index(B, h, "b")
+    tau, n = params.tau, run.n
     link = tau * (n - 1.0) / n
     width = B - A
     half = 0.5 * h
-    newborn_flux = I0 / width
+    newborn_flux = run.I0 / width
+    newborn_link_flux = (n / run.N) * run.S0 * newborn_flux
 
-    # State layout: [S, SS, I, SI, Phi, W] with W' = link * SS*SI/S * exp(Phi)
+    # State layout: [S, SS, I, SI, Phi, V]
     def rhs(t, u, lookup, t0):
-        S, SS, I, SI, phi, W = u
+        S, SS, I, SI, phi, V = u
         c = link * SI / S
         dS = -tau * SI
         dSS = -2.0 * c * SS
         dI = tau * SI
         dSI = c * SS - c * SI - tau * SI
         dphi = c + tau
-        dW = c * SS * math.exp(phi)
+        dV = c * SS - dphi * V
         if t0 > A - half:
-            ua = lookup(max(0.0, t - A))
-            ub = lookup(max(0.0, t - B))
-            dI -= (ub[0] - ua[0]) / width
-            dSI -= math.exp(-phi) * (ua[5] - ub[5]) / width
+            Sa, _, _, _, phia, Va = lookup(max(0.0, t - A)).tolist()
+            Sb, _, _, _, phib, Vb = lookup(max(0.0, t - B)).tolist()
+            dI -= (Sb - Sa) / width
+            dSI -= (math.exp(phia - phi) * Va - math.exp(phib - phi) * Vb) / width
             if t0 < B - half:
                 dI -= newborn_flux
-                dSI -= (n / N) * S0 * newborn_flux * math.exp(-phi)
-        return np.array([dS, dSS, dI, dSI, dphi, dW])
+                dSI -= newborn_link_flux * math.exp(-phi)
+        return np.array([dS, dSS, dI, dSI, dphi, dV])
 
-    u0 = [S0, (n / N) * S0 * S0, I0, (n / N) * S0 * I0, 0.0, 0.0]
-    U = _march_delay_rk4(rhs, u0, h, steps)
-    t = np.arange(steps + 1) * h
+    U = _march_delay_rk4(rhs, run.pair_state() + [0.0, 0.0], h, run.steps)
     S, SS, I, SI, phi, _ = U.T
-    meta = _base_meta("special:uniform", params, num_nodes, degree, S0, I0, h, t_end)
-    traj = Trajectory(t, S, I, N - S - I, SI, SS, meta)
-    traj.extra["Phi"] = phi
-    return traj
+    return run.trajectory(S, I, SI, SS, extra={"Phi": phi})

@@ -29,12 +29,6 @@ __all__ = ["run_single", "run_ensemble"]
 _INFECTION, _RECOVERY = 0, 1
 
 
-def _make_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def run_single(
     graph: RegularGraph,
     params: EpidemicParams,
@@ -50,7 +44,7 @@ def run_single(
     """
     if params.initial_infected > graph.num_nodes:
         raise ValueError("initial_infected exceeds the number of nodes")
-    rng = _make_rng(seed)
+    rng = np.random.default_rng(seed)
     num_nodes = graph.num_nodes
     adjacency = graph.neighbor_lists()
     tau = params.tau
@@ -62,7 +56,6 @@ def run_single(
     out = {name: np.empty(n_out) for name in ("S", "I", "R", "SI", "SS")}
 
     state = [SUSCEPTIBLE] * num_nodes
-    recovery_time = [np.inf] * num_nodes
     s_count, i_count, r_count = num_nodes, 0, 0
     si_count = 0
     ss_count = sum(len(nbrs) for nbrs in adjacency)  # = N*n on a regular graph
@@ -83,7 +76,6 @@ def run_single(
         last_infection = t
         total_infections += 1
         rec_at = t + dist.sample(rng)
-        recovery_time[node] = rec_at
         heapq.heappush(heap, (rec_at, seq, _RECOVERY, node, -1))
         seq += 1
         nbrs = adjacency[node]
@@ -103,7 +95,6 @@ def run_single(
     def recover(node: int, t: float):
         nonlocal i_count, r_count, si_count, last_recovery
         state[node] = RECOVERED
-        recovery_time[node] = -np.inf
         i_count -= 1
         r_count += 1
         last_recovery = t
@@ -119,28 +110,26 @@ def run_single(
         for node in seeds:
             infect(int(node), 0.0)
 
+    # Grid points before the next event (all of them once the heap is empty)
+    # carry the current counts.
     g_idx = 0
-    while heap:
-        t_ev, _, kind, node, source = heapq.heappop(heap)
-        while g_idx < n_out and grid[g_idx] < t_ev:
+    while True:
+        t_next = heap[0][0] if heap else np.inf
+        while g_idx < n_out and grid[g_idx] < t_next:
             out["S"][g_idx] = s_count
             out["I"][g_idx] = i_count
             out["R"][g_idx] = r_count
             out["SI"][g_idx] = si_count
             out["SS"][g_idx] = ss_count
             g_idx += 1
+        if not heap:
+            break
+        _, _, kind, node, source = heapq.heappop(heap)
         if kind == _INFECTION:
             if state[node] == SUSCEPTIBLE and state[source] == INFECTED:
-                infect(node, t_ev)
+                infect(node, t_next)
         else:
-            recover(node, t_ev)
-    while g_idx < n_out:
-        out["S"][g_idx] = s_count
-        out["I"][g_idx] = i_count
-        out["R"][g_idx] = r_count
-        out["SI"][g_idx] = si_count
-        out["SS"][g_idx] = ss_count
-        g_idx += 1
+            recover(node, t_next)
 
     meta = {
         "source": "simulation",
@@ -187,14 +176,11 @@ def run_ensemble(
         graph = generate_regular(num_nodes, degree, graph_seed)
     if graph is not None:
         num_nodes, degree = graph.num_nodes, graph.degree
-        graph_seeds = [graph.seed] * runs
-    else:
-        graph_seeds = [graph_seed + 7919 * k for k in range(runs)]
 
     trajs = []
     for k in range(runs):
         g = graph if graph is not None else generate_regular(
-            num_nodes, degree, graph_seeds[k]
+            num_nodes, degree, graph_seed + 7919 * k
         )
         trajs.append(run_single(g, params, np.random.default_rng(run_streams[k]), dt_out))
     grid = trajs[-1].t

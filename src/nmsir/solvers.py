@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .recovery import FixedDuration, RecoveryDistribution, UniformInterval
-from .trajectory import EpidemicParams, SolverConfig, Trajectory
+from .trajectory import EpidemicParams, SolverConfig, Trajectory, _SolveSetup
 
 __all__ = [
     "SolverError",
@@ -184,13 +184,13 @@ def _march_renewal(
     corrector_iters: int,
     corrector_tol: float,
     window: int | None = None,
-    x_floor: float | None = None,
 ):
     """Advance the coupled ODE + renewal system on a uniform grid.
 
-    Returns (x, y, phi, y_hist) arrays of length steps+1.  ``window``
-    truncates the history dot product for kernels with bounded support.  The
-    stored history weights are B_i * exp(Phi_i - Phi_ref), relative to a
+    Returns (x, y, phi, y_hist) arrays of length steps+1; an x (a count)
+    that goes negative raises ``SolverError``.  ``window`` truncates the
+    history dot product for kernels with bounded support.  The stored history
+    weights are B_i * exp(Phi_i - Phi_ref), relative to a
     reference Phi_ref that starts at 0; the history is damped by
     exp(-(Phi(t) - Phi_ref)) once per step, so each corrector iteration costs
     O(1) after one O(k) history sum.  Once Phi(t) - Phi_ref exceeds
@@ -273,10 +273,8 @@ def _march_renewal(
                     f"{delta:.3e}, ratio q={q:.3g} after {sweeps} sweeps; reduce the "
                     f"step size h={h}"
                 )
-        if x_floor is not None and not xs > x_floor:
-            raise SolverError(
-                f"state hit the floor ({xs:.6g} <= {x_floor}) at t={(k + 1) * h:.6g}"
-            )
+        if not xs >= 0.0:
+            raise SolverError(f"state went negative ({xs:.6g}) at t={(k + 1) * h:.6g}")
         b_left = b_pre[k + 1]
         y_prev = yk
         xk, yk, phik = xs, ys + scale_out * (b_out[k + 1] - b_left), phis
@@ -313,12 +311,6 @@ def _window_nodes(dist: RecoveryDistribution, h: float, steps: int) -> int | Non
     return min(steps, int(round(upper / h)))
 
 
-def _initial_counts(params: EpidemicParams, num_nodes: float, S0, I0) -> tuple[float, float]:
-    I0 = float(params.initial_infected if I0 is None else I0)
-    S0 = float(num_nodes - I0 if S0 is None else S0)
-    return S0, I0
-
-
 class _Renewal(NamedTuple):
     """A marched model plus the grid pieces its post-processing needs."""
 
@@ -328,36 +320,26 @@ class _Renewal(NamedTuple):
     y_hist: np.ndarray
     xi_quad: np.ndarray
     b_infected: np.ndarray
-    t: np.ndarray
-    meta: dict
 
 
 def _solve_renewal(
-    model: str,
-    params: EpidemicParams,
+    run: _SolveSetup,
     config: SolverConfig,
     *,
-    num_nodes: float,
-    degree: float,
-    S0: float,
-    I0: float,
     deriv_x,
     state_factor,
     exponent_rate,
     boundary_scale: float = 1.0,
 ) -> _Renewal:
-    """Grid, kernel and boundary set-up, the march and the meta of one model.
+    """Kernel and boundary set-up and the march of one model; completes its meta.
 
     ``boundary_scale`` converts the initial-infected profile into the units
     of the renewal variable y (1 for [I], the initial link density for [SI]).
     """
-    h = config.h
-    steps = int(round((params.t_end if config.t_end is None else config.t_end) / h))
-    if steps < 1:
-        raise ValueError("t_end must be at least one step")
-    dist, snap_notes = _snap_support(params.dist, h)
+    h, steps = run.h, run.steps
+    dist, snap_notes = _snap_support(run.params.dist, h)
     xi_quad, xi_point, xi_pre = _survival_grids(dist, h, steps)
-    b_infected, I0_eff = _boundary_profile(dist, h, steps, I0, config, xi_point)
+    b_infected, I0_eff = _boundary_profile(dist, h, steps, run.I0, config, xi_point)
     newborn_atom = config.newborn and dist.has_point_mass()[0]
 
     x, y, phi, y_hist = _march_renewal(
@@ -368,31 +350,17 @@ def _solve_renewal(
         boundary=boundary_scale * b_infected,
         boundary_pre=boundary_scale * I0_eff * xi_pre if newborn_atom else None,
         boundary_hist=boundary_scale * I0_eff * xi_quad if newborn_atom else None,
-        x0=S0,
+        x0=run.S0,
         h=h,
         steps=steps,
         corrector_iters=config.corrector_iters,
         corrector_tol=config.corrector_tol,
         window=_window_nodes(dist, h, steps),
-        x_floor=0.0,
     )
-    meta = {
-        "source": "solver",
-        "model": model,
-        "N": num_nodes,
-        "n": degree,
-        "tau": params.tau,
-        "dist": dist.spec_string(),
-        "I0": I0_eff,
-        "S0": S0,
-        "h": h,
-        "t_end": steps * h,
-        "corrector_iters": config.corrector_iters,
-    }
+    run.meta.update(dist=dist.spec_string(), I0=I0_eff, corrector_iters=config.corrector_iters)
     if snap_notes:
-        meta["grid_snap"] = ";".join(snap_notes)
-    t = np.arange(steps + 1) * h
-    return _Renewal(x, y, phi, y_hist, xi_quad, b_infected, t, meta)
+        run.meta["grid_snap"] = ";".join(snap_notes)
+    return _Renewal(x, y, phi, y_hist, xi_quad, b_infected)
 
 
 def solve_meanfield(
@@ -412,22 +380,21 @@ def solve_meanfield(
     config = config or SolverConfig()
     if degree <= 0 or num_nodes <= 0:
         raise ValueError("degree and num_nodes must be positive")
-    S0, I0 = _initial_counts(params, num_nodes, S0, I0)
-    if I0 < 0 or S0 < 0 or S0 + I0 > num_nodes + 1e-9:
+    run = _SolveSetup(
+        "meanfield", params, num_nodes=num_nodes, degree=degree, S0=S0, I0=I0,
+        h=config.h, t_end=config.t_end,
+    )
+    if run.I0 < 0 or run.S0 < 0 or run.S0 + run.I0 > num_nodes + 1e-9:
         raise ValueError("need S0, I0 >= 0 with S0 + I0 <= N")
 
-    tau, n, N = params.tau, degree, float(num_nodes)
-    coupling = tau * n / N
-
+    coupling = params.tau * run.n / run.N
     sol = _solve_renewal(
-        "meanfield", params, config, num_nodes=num_nodes, degree=degree, S0=S0, I0=I0,
+        run, config,
         deriv_x=lambda s, i: -coupling * s * i,
         state_factor=lambda s, i: coupling * s * i,
         exponent_rate=None,
     )
-    S, I = sol.x, sol.y
-    R = N - S - I
-    return Trajectory(sol.t, S, I, R, (n / N) * S * I, (n / N) * S * S, sol.meta)
+    return run.trajectory(sol.x, sol.y)
 
 
 def solve_pairwise(
@@ -451,11 +418,15 @@ def solve_pairwise(
         raise ValueError("pairwise model needs degree >= 2")
     if num_nodes <= 0:
         raise ValueError("num_nodes must be positive")
-    S0, I0 = _initial_counts(params, num_nodes, S0, I0)
+    run = _SolveSetup(
+        "pairwise", params, num_nodes=num_nodes, degree=degree, S0=S0, I0=I0,
+        h=config.h, t_end=config.t_end,
+    )
+    S0, I0 = run.S0, run.I0
     if I0 < 0 or S0 <= 0 or S0 + I0 > num_nodes + 1e-9:
         raise ValueError("need I0 >= 0 and 0 < S0 with S0 + I0 <= N")
 
-    tau, n, N = params.tau, float(degree), float(num_nodes)
+    tau, n, N = params.tau, run.n, run.N
     kappa = (n - 1.0) / N * S0 ** (2.0 / n)
     alpha = (n - 2.0) / n
     link_ratio = tau * (n - 1.0) / n
@@ -464,7 +435,7 @@ def solve_pairwise(
     # gave nan: an iterate with [S] <= 0 yields nan, and the corrector reports
     # the step as not contracting.
     sol = _solve_renewal(
-        "pairwise", params, config, num_nodes=num_nodes, degree=degree, S0=S0, I0=I0,
+        run, config,
         deriv_x=lambda s, si: -tau * si,
         state_factor=lambda s, si: tau * kappa * s**alpha * si if s >= 0.0 else math.nan,
         exponent_rate=lambda s, si: link_ratio * si / s + tau if s else math.nan,
@@ -473,14 +444,12 @@ def solve_pairwise(
     S, SI, h = sol.x, sol.y, config.h
     SS = (n / N) * S0 ** (2.0 / n) * S ** (2.0 * (n - 1.0) / n)
     I = _infected_from_incidence(tau * sol.y_hist, sol.xi_quad, sol.b_infected, h)
-    R = N - S - I
 
     # Independent [SS] integration (trapezoid of its own rate equation) for
     # first-integral drift diagnostics; the update is linear-implicit exact.
     c = 2.0 * link_ratio * SI / S
     ratio = (1.0 - 0.5 * h * c[:-1]) / (1.0 + 0.5 * h * c[1:])
     ss_independent = (n / N) * S0**2 * np.concatenate(([1.0], np.cumprod(ratio)))
-    return Trajectory(
-        sol.t, S, I, R, SI, SS, sol.meta,
-        extra={"Phi": sol.phi, "SS_independent": ss_independent},
+    return run.trajectory(
+        S, I, SI, SS, extra={"Phi": sol.phi, "SS_independent": ss_independent}
     )

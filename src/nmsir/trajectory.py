@@ -196,3 +196,46 @@ class Trajectory:
             SS=pick("SS"),
             meta=meta,
         )
+
+
+class _SolveSetup:
+    """What every deterministic solve shares: counts, step grid, meta, assembly.
+
+    Resolves the ``S0``/``I0`` defaults (I0 from the params, S0 = N - I0),
+    lays the grid ``t = k h`` for ``k = 0..round(t_end/h)`` and starts the meta
+    dict; solvers may update or extend ``meta`` before :meth:`trajectory`.
+    """
+
+    def __init__(self, model, params: EpidemicParams, *, num_nodes, degree, S0, I0, h, t_end):
+        self.params, self.h = params, h
+        self.N, self.n = float(num_nodes), float(degree)
+        self.I0 = float(params.initial_infected if I0 is None else I0)
+        self.S0 = float(num_nodes - self.I0 if S0 is None else S0)
+        self.steps = int(round((params.t_end if t_end is None else t_end) / h))
+        if self.steps < 1:
+            raise ValueError("t_end must cover at least one step")
+        self.meta = {
+            "source": "solver",
+            "model": model,
+            "N": num_nodes,
+            "n": degree,
+            "tau": params.tau,
+            "dist": params.dist.spec_string(),
+            "I0": self.I0,
+            "S0": self.S0,
+            "h": h,
+            "t_end": self.steps * h,
+        }
+
+    def pair_state(self) -> list[float]:
+        """[S, SS, I, SI] at t=0 with pairs at their mean-field values."""
+        S0, I0, density = self.S0, self.I0, self.n / self.N
+        return [S0, density * S0 * S0, I0, density * S0 * I0]
+
+    def trajectory(self, S, I, SI=None, SS=None, extra=None) -> Trajectory:
+        """R = N - S - I; absent pair series take the closure (n/N) S I, (n/N) S^2."""
+        density = self.n / self.N
+        if SI is None:
+            SI, SS = density * S * I, density * S * S
+        t = np.arange(self.steps + 1) * self.h
+        return Trajectory(t, S, I, self.N - S - I, SI, SS, self.meta, extra or {})

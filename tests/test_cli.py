@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nmsir as nm
+from nmsir import cli
 from nmsir.cli import build_config, config_from_meta, main, read_config_file
 from nmsir.trajectory import Trajectory, parse_meta
 
@@ -67,16 +68,37 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_arithmetic_overflow_exits_2(tmp_path, capsys):
-    # The uniform-delay reference integrates exp(Phi), which overflows once
-    # Phi passes about 709 (here near t=350).
-    argv = ["solve", "--model", "special:uniform",
-            "--set", "epidemic.tau=2", "--set", "epidemic.t_end=400",
-            "--set", "solver.h=0.02", "--set", "epidemic.dist=uniform:a=1,b=2",
-            "--out", str(tmp_path)]
-    assert main(argv) == 2
+LONG_UNIFORM = ["solve", "--model", "special:uniform",
+                "--set", "epidemic.tau=2", "--set", "epidemic.t_end=400",
+                "--set", "solver.h=0.02", "--set", "epidemic.dist=uniform:a=1,b=2"]
+
+
+def test_arithmetic_overflow_exits_2(tmp_path, capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "solve_model", overflow)
+    assert main(LONG_UNIFORM + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "OverflowError" in err
+    assert err.startswith("error: numerical failure") and "OverflowError" in err
+
+
+def test_uniform_reference_survives_phi_past_overflow(tmp_path, monkeypatch):
+    # Phi reaches about 840 here; the reference carries exp(-Phi)-damped
+    # window integrals, so exp(Phi) (overflow past 709) is never formed.
+    solved = []
+    real_solve = cli.solve_model
+
+    def spy(*args, **kwargs):
+        solved.append(real_solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve_model", spy)
+    assert main(LONG_UNIFORM + ["--out", str(tmp_path)]) == 0
+    traj = Trajectory.from_csv(tmp_path / "solve_special_uniform.csv")
+    for name in ("S", "I", "SI"):
+        assert np.all(np.isfinite(traj.series(name)))
+    assert solved[0].extra["Phi"][-1] > 709.0
 
 
 def test_simulate_deterministic_and_meta_reconstructs(tmp_path):

@@ -150,3 +150,36 @@ def test_gamma_chain_stage_layout():
     # Newborn seeding: all initial infecteds start in stage one.
     assert stages[0, 0] == 5.0
     assert stages[1, 0] == stages[2, 0] == 0.0
+
+
+_SOLVE_META_KEYS = ["source", "model", "N", "n", "tau", "dist", "I0", "S0", "h", "t_end"]
+
+
+_SOLVE_CASES = [
+    (nm.solve_pairwise, nm.FixedDuration(1.52), ["corrector_iters", "grid_snap"]),
+    (nm.solve_meanfield, nm.GammaErlang(3, 2 / 3), ["corrector_iters"]),
+    (nm.solve_markovian_pairwise, nm.Exponential(2 / 3), []),
+    (nm.solve_markovian_meanfield, nm.Exponential(2 / 3), []),
+    (nm.solve_fixed_delay_pairwise, nm.FixedDuration(1.5), []),
+    (nm.solve_fixed_delay_meanfield, nm.FixedDuration(1.5), []),
+    (nm.solve_gamma_chain, nm.GammaErlang(3, 2 / 3), ["K"]),
+    (nm.solve_uniform_delay_pairwise, nm.UniformInterval(1, 2), []),
+]
+
+
+@pytest.mark.parametrize(
+    "solver,dist,extra_keys", _SOLVE_CASES, ids=[case[0].__name__ for case in _SOLVE_CASES]
+)
+def test_deterministic_solves_share_setup(solver, dist, extra_keys):
+    # Every deterministic solve lays the same grid, writes the same meta keys
+    # in the same order and assembles R as N - S - I.
+    h, t_end = 0.05, 5.0
+    p = _params(dist, t_end=t_end)
+    if solver in (nm.solve_pairwise, nm.solve_meanfield):
+        traj = solver(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
+    else:
+        traj = solver(p, num_nodes=N, degree=DEG, h=h)
+    assert list(traj.meta) == _SOLVE_META_KEYS + extra_keys
+    assert traj.meta["t_end"] == 100 * h
+    assert np.array_equal(traj.t, np.arange(101) * h)
+    assert np.array_equal(traj.R, N - traj.S - traj.I)
