@@ -1,13 +1,18 @@
 """Regular random networks and node/pair state counting.
 
 Networks are undirected, unweighted, simple and n-regular, generated by stub
-pairing (configuration model with suitable-pair matching and bounded
-restarts).  Pair counts use the ordered convention: every undirected link is
-counted in both directions, so an all-susceptible n-regular network has
-``[SS] = N*n`` and one S-I link contributes exactly one ordered (S, I) pair.
+pairing (configuration model with suitable-pair matching, after Steger and
+Wormald 1999, and bounded restarts).  Each pairing pass is one shuffle of the
+open stubs followed by array operations on edge keys ``i*N + j``, so a graph
+costs a few numpy calls per pass rather than a Python step per stub.
+Pair counts use the ordered convention: every undirected link is counted in
+both directions, so an all-susceptible n-regular network has ``[SS] = N*n``
+and one S-I link contributes exactly one ordered (S, I) pair.
 
-Graphs are immutable after construction; shared read access from concurrent
-simulation workers is safe.
+Graphs are immutable after construction (the adjacency is a tuple of tuples
+and the edge array is read-only); shared read access from concurrent
+simulation workers is safe.  Edge lists read from files must describe a
+simple regular graph: repeated edges and unequal degrees are rejected.
 """
 
 from __future__ import annotations
@@ -40,14 +45,16 @@ class RegularGraph:
     seed: int | None = None
     _edges: np.ndarray = field(repr=False, default=None)  # (m, 2) with i < j
 
+    def __post_init__(self):
+        if self._edges is not None:
+            edges = np.asarray(self._edges, dtype=np.int64).view()
+            edges.flags.writeable = False
+            object.__setattr__(self, "_edges", edges)
+
     @property
     def edges(self) -> np.ndarray:
-        """Undirected edge array of shape (N*n/2, 2) with i < j rows."""
+        """Read-only undirected edge array of shape (N*n/2, 2) with i < j rows."""
         return self._edges
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """Mutable copy of the adjacency, for hot loops."""
-        return [list(nbrs) for nbrs in self.neighbors]
 
     def validate(self) -> None:
         """Check regularity, symmetry, and absence of loops/parallel edges."""
@@ -68,42 +75,49 @@ class RegularGraph:
 
 
 def _pair_stubs(num_nodes: int, degree: int, rng: np.random.Generator):
-    """One pairing attempt; returns an edge set or None on a dead end."""
-    edges: set[tuple[int, int]] = set()
-    stubs = np.repeat(np.arange(num_nodes), degree)
+    """One pairing attempt; sorted edge keys ``i*N + j`` (i < j), or None on a dead end.
+
+    Each pass shuffles the open stubs and reads them as consecutive pairs.  A
+    pair is rejected if it is a loop, if its edge was accepted in an earlier
+    pass, or if it repeats a pair seen earlier in the same pass; the rejected
+    pairs stay open, in pair order, for the next pass.  A pass that accepts
+    nothing is a dead end.
+    """
+    accepted = np.empty(0, dtype=np.int64)
+    stubs = np.repeat(np.arange(num_nodes, dtype=np.int64), degree)
     while stubs.size:
         rng.shuffle(stubs)
-        progress = False
-        leftover: list[int] = []
-        flat = stubs.tolist()
-        for u, v in zip(flat[0::2], flat[1::2]):
-            if u == v:
-                leftover.extend((u, v))
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                leftover.extend((u, v))
-                continue
-            edges.add(key)
-            progress = True
-        if not progress:
+        u, v = stubs[0::2], stubs[1::2]
+        keys = np.minimum(u, v) * num_nodes + np.maximum(u, v)
+        # First occurrence of each key within the pass, in pair order.
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[order] = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        ok = (u != v) & first
+        if accepted.size:
+            pos = np.minimum(np.searchsorted(accepted, keys), accepted.size - 1)
+            ok &= accepted[pos] != keys
+        if not ok.any():
             return None
-        stubs = np.asarray(leftover, dtype=np.int64)
-    return edges
+        accepted = np.sort(np.concatenate((accepted, keys[ok])))
+        stubs = np.column_stack((u[~ok], v[~ok])).ravel()
+    return accepted
 
 
-def _from_edges(num_nodes: int, degree: int, edges, seed: int | None) -> RegularGraph:
-    """Assemble a graph from undirected (i, j) pairs with i < j."""
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
+def _from_keys(num_nodes: int, degree: int, keys: np.ndarray, seed: int | None) -> RegularGraph:
+    """Assemble a graph from sorted, distinct edge keys ``i*N + j`` with i < j."""
+    lo, hi = np.divmod(keys, num_nodes)
+    # Sorting both orientations groups each node's neighbours, in order.
+    heads, tails = np.divmod(np.sort(np.concatenate((keys, hi * num_nodes + lo))), num_nodes)
+    bounds = np.searchsorted(heads, np.arange(num_nodes + 1)).tolist()
+    flat = tails.tolist()
     return RegularGraph(
         num_nodes=num_nodes,
         degree=degree,
-        neighbors=tuple(tuple(sorted(nbrs)) for nbrs in adj),
+        neighbors=tuple(tuple(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])),
         seed=seed,
-        _edges=np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
+        _edges=np.column_stack((lo, hi)),
     )
 
 
@@ -124,18 +138,14 @@ def generate_regular(
         raise ValueError("degree must be smaller than num_nodes")
 
     rng = np.random.default_rng(seed)
-    edges = None
     for _ in range(max_restarts):
-        edges = _pair_stubs(num_nodes, degree, rng)
-        if edges is not None:
-            break
-    if edges is None:
-        raise RuntimeError(
-            f"no simple {degree}-regular graph found on {num_nodes} nodes "
-            f"after {max_restarts} restarts; parameters may be infeasible"
-        )
-
-    return _from_edges(num_nodes, degree, edges, seed)
+        keys = _pair_stubs(num_nodes, degree, rng)
+        if keys is not None:
+            return _from_keys(num_nodes, degree, keys, seed)
+    raise RuntimeError(
+        f"no simple {degree}-regular graph found on {num_nodes} nodes "
+        f"after {max_restarts} restarts; parameters may be infeasible"
+    )
 
 
 def count_pairs(graph: RegularGraph, states) -> tuple[int, int, int]:
@@ -181,7 +191,7 @@ def load_edge_list(path) -> RegularGraph:
         if len(parts) != 3:
             raise ValueError(f"malformed edge-list header {header!r}")
         num_nodes, degree, seed = int(parts[0]), int(parts[1]), int(parts[2])
-        edges = []
+        keys = []
         for line in fh:
             line = line.strip()
             if not line:
@@ -190,8 +200,13 @@ def load_edge_list(path) -> RegularGraph:
             i, j = int(i_s), int(j_s)
             if not (0 <= i < j < num_nodes):
                 raise ValueError(f"bad edge line {line!r}")
-            edges.append((i, j))
-    graph = _from_edges(num_nodes, degree, edges, None if seed < 0 else seed)
+            keys.append(i * num_nodes + j)
+    keys = np.sort(np.array(keys, dtype=np.int64))
+    repeats = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeats.size:
+        i, j = divmod(int(keys[repeats[0]]), num_nodes)
+        raise ValueError(f"edge {i} {j} is listed more than once")
+    graph = _from_keys(num_nodes, degree, keys, None if seed < 0 else seed)
     if any(len(nbrs) != degree for nbrs in graph.neighbors):
         raise ValueError("edge list does not describe a regular graph")
     return graph

@@ -4,29 +4,31 @@ Transmission along each S-I link is Markovian with rate ``tau``; the
 infectious period of each node is drawn from the configured recovery
 distribution.  When a node becomes infected, its recovery time is drawn
 immediately and one candidate transmission time (an Exp(tau) delay) is drawn
-per neighbor.  Candidates are validated lazily when popped: they fire only if
-the target is still susceptible and the source has not yet recovered, which
-is exact because transmission is memoryless.  Candidates that can never fire
-(later than the source's recovery or the horizon) are dropped at scheduling
-time; this does not change the law of the process.
+per neighbor.  A candidate is kept only if it falls before the source's
+recovery and within the horizon; this does not change the law of the
+process, because transmission is memoryless.  Kept candidates are popped in
+time order and fire if the target is still susceptible.
 
-Link counts [SI] and [SS] (ordered convention) are maintained incrementally
-by scanning the flipped node's neighborhood, and sampled onto a uniform
-output grid by last-event-carried-forward.
+Recoveries are never queued: a kept candidate always pops while its source is
+still infectious, so the event loop only records each node's infection and
+recovery time.  The output grid is then filled from those per-node times: a
+grid point counts every infection and recovery at or before it, an edge is an
+S-I link from its first endpoint's infection until that endpoint recovers or
+the other one is infected, and an S-S link until either endpoint is infected.
+Link counts use the ordered convention ([SS] counts each link twice).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
-from .network import INFECTED, RECOVERED, SUSCEPTIBLE, RegularGraph, generate_regular
+from .network import RegularGraph, generate_regular
 from .trajectory import SERIES_NAMES, EpidemicParams, Trajectory
 
 __all__ = ["run_single", "run_ensemble"]
-
-_INFECTION, _RECOVERY = 0, 1
 
 
 def run_single(
@@ -40,97 +42,74 @@ def run_single(
 
     ``seed`` may be an int, a ``SeedSequence`` or a ``Generator``; equal seeds
     give bit-identical trajectories.  Initial infecteds are drawn uniformly
-    without replacement unless ``initial_nodes`` pins them explicitly.
+    without replacement unless ``initial_nodes`` pins them explicitly.  The
+    event counts (heap pushes, pops, stale pops, infections) are returned in
+    ``extra["diag"]``.
     """
     if params.initial_infected > graph.num_nodes:
         raise ValueError("initial_infected exceeds the number of nodes")
     rng = np.random.default_rng(seed)
     num_nodes = graph.num_nodes
-    adjacency = graph.neighbor_lists()
-    tau = params.tau
-    dist = params.dist
-    t_end = params.t_end
+    adjacency = graph.neighbors
+    dist, t_end, scale = params.dist, params.t_end, 1.0 / params.tau
+
+    inf = math.inf
+    infected_at = [inf] * num_nodes
+    recovers_at = [inf] * num_nodes
+    infection_times: list[float] = []  # nondecreasing: events pop in time order
+    heap: list[tuple] = []
+    pushes = 0
+
+    def infect(node: int, t: float):
+        nonlocal pushes
+        infected_at[node] = t
+        infection_times.append(t)
+        rec_at = recovers_at[node] = t + dist.sample(rng)
+        nbrs = adjacency[node]
+        for other, delay in zip(nbrs, rng.exponential(scale, size=len(nbrs)).tolist()):
+            if infected_at[other] == inf:
+                t_cand = t + delay
+                if t_cand < rec_at and t_cand <= t_end:
+                    heapq.heappush(heap, (t_cand, pushes, other))
+                    pushes += 1
+
+    if initial_nodes is not None:
+        seeds = [int(node) for node in initial_nodes]
+        if len(set(seeds)) != len(seeds):
+            raise ValueError("initial_nodes must be distinct")
+    elif params.initial_infected:
+        seeds = rng.choice(num_nodes, size=params.initial_infected, replace=False).tolist()
+    else:
+        seeds = []
+    for node in seeds:
+        infect(node, 0.0)
+
+    pops = stale = 0
+    while heap:
+        t, _, node = heapq.heappop(heap)
+        pops += 1
+        if infected_at[node] == inf:
+            infect(node, t)
+        else:
+            stale += 1
 
     n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
     grid = np.arange(n_out) * dt_out
-    out = {name: np.empty(n_out) for name in ("S", "I", "R", "SI", "SS")}
+    a, r = np.array(infected_at), np.array(recovers_at)
+    ever = np.searchsorted(infection_times, grid, side="right")
+    recovery_times = np.sort(r)
+    recovered = np.searchsorted(recovery_times, grid, side="right")
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    first = np.minimum(a[u], a[v])
+    last = np.maximum(a[u], a[v])
+    first_rec = np.where(a[u] <= a[v], r[u], r[v])
+    si_from = np.searchsorted(grid, first)
+    si_to = np.searchsorted(grid, np.minimum(first_rec, last))
+    si = np.cumsum(np.bincount(si_from, minlength=n_out + 1)
+                   - np.bincount(si_to, minlength=n_out + 1))[:n_out]
+    ss = 2 * (len(u) - np.searchsorted(np.sort(first), grid, side="right"))
 
-    state = [SUSCEPTIBLE] * num_nodes
-    s_count, i_count, r_count = num_nodes, 0, 0
-    si_count = 0
-    ss_count = sum(len(nbrs) for nbrs in adjacency)  # = N*n on a regular graph
-
-    heap: list[tuple] = []
-    seq = 0
-    scale = 1.0 / tau
-    last_infection = 0.0
-    last_recovery = 0.0
-    total_infections = 0
-
-    def infect(node: int, t: float):
-        nonlocal s_count, i_count, si_count, ss_count, seq, last_infection
-        nonlocal total_infections
-        state[node] = INFECTED
-        s_count -= 1
-        i_count += 1
-        last_infection = t
-        total_infections += 1
-        rec_at = t + dist.sample(rng)
-        heapq.heappush(heap, (rec_at, seq, _RECOVERY, node, -1))
-        seq += 1
-        nbrs = adjacency[node]
-        delays = rng.exponential(scale, size=len(nbrs))
-        for other, delay in zip(nbrs, delays):
-            st = state[other]
-            if st == SUSCEPTIBLE:
-                ss_count -= 2
-                si_count += 1
-                t_cand = t + delay
-                if t_cand < rec_at and t_cand <= t_end:
-                    heapq.heappush(heap, (t_cand, seq, _INFECTION, other, node))
-                    seq += 1
-            elif st == INFECTED:
-                si_count -= 1
-
-    def recover(node: int, t: float):
-        nonlocal i_count, r_count, si_count, last_recovery
-        state[node] = RECOVERED
-        i_count -= 1
-        r_count += 1
-        last_recovery = t
-        for other in adjacency[node]:
-            if state[other] == SUSCEPTIBLE:
-                si_count -= 1
-
-    if initial_nodes is not None:
-        for node in initial_nodes:
-            infect(int(node), 0.0)
-    elif params.initial_infected:
-        seeds = rng.choice(num_nodes, size=params.initial_infected, replace=False)
-        for node in seeds:
-            infect(int(node), 0.0)
-
-    # Grid points before the next event (all of them once the heap is empty)
-    # carry the current counts.
-    g_idx = 0
-    while True:
-        t_next = heap[0][0] if heap else np.inf
-        while g_idx < n_out and grid[g_idx] < t_next:
-            out["S"][g_idx] = s_count
-            out["I"][g_idx] = i_count
-            out["R"][g_idx] = r_count
-            out["SI"][g_idx] = si_count
-            out["SS"][g_idx] = ss_count
-            g_idx += 1
-        if not heap:
-            break
-        _, _, kind, node, source = heapq.heappop(heap)
-        if kind == _INFECTION:
-            if state[node] == SUSCEPTIBLE and state[source] == INFECTED:
-                infect(node, t_next)
-        else:
-            recover(node, t_next)
-
+    total = len(infection_times)
     meta = {
         "source": "simulation",
         "N": num_nodes,
@@ -140,12 +119,16 @@ def run_single(
         "I0": params.initial_infected,
         "t_end": params.t_end,
         "dt_out": dt_out,
-        "final_size": float(num_nodes - s_count),
-        "last_infection_time": last_infection,
-        "last_recovery_time": last_recovery,
-        "total_infections": total_infections,
+        "final_size": float(total),
+        "last_infection_time": infection_times[-1] if total else 0.0,
+        "last_recovery_time": float(recovery_times[total - 1]) if total else 0.0,
+        "total_infections": total,
     }
-    return Trajectory(grid, out["S"], out["I"], out["R"], out["SI"], out["SS"], meta)
+    diag = {"pushes": pushes, "pops": pops, "stale_pops": stale, "infections": total}
+    return Trajectory(
+        grid, (num_nodes - ever).astype(float), (ever - recovered).astype(float),
+        recovered.astype(float), si.astype(float), ss.astype(float), meta, {"diag": diag},
+    )
 
 
 def run_ensemble(

@@ -7,6 +7,18 @@ import pytest
 
 import nmsir as nm
 
+from oracles import reference_run_single
+
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # Fixed examples on every run, and no per-example deadline: tier-1 runs on
+    # small shared machines whose timing is noisy.
+    settings.register_profile("tier1", derandomize=True, deadline=None)
+    settings.load_profile("tier1")
+
 # One human-readable line per acceptance criterion, printed after the run.
 ACCEPTANCE_LOG: list[str] = []
 
@@ -46,3 +58,13 @@ def small_graph():
 def rel_sup_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Sup-norm of the difference, normalised by the sup of the reference."""
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def assert_matches_reference(graph, params, seed, dt_out=0.1, initial_nodes=None):
+    """Series and meta equal those of the queue-every-event reference loop."""
+    traj = nm.run_single(graph, params, seed, dt_out, initial_nodes)
+    series, meta = reference_run_single(graph, params, seed, dt_out, initial_nodes)
+    for name, expected in series.items():
+        np.testing.assert_array_equal(traj.series(name), expected, err_msg=name)
+    assert traj.meta == meta
+    return traj

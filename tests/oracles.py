@@ -4,9 +4,16 @@ Nothing here may import from the modules it checks beyond plain data types:
 the Gillespie simulator below is a from-scratch rejection-free direct method
 for the Markovian SIR special case, used to cross-validate the event-driven
 simulator, and the pair counter is a brute-force double loop.
+
+The reference graph generator and event loop at the end are the plain-Python
+implementations that the vectorised ``network`` and ``simulate`` code
+replaced.  They draw from the generator in the same order, so the fast code
+must reproduce their output bit for bit.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -101,3 +108,156 @@ def gillespie_final_size(
         else:
             recover(infected[rng.integers(len(infected))])
     return total_infected
+
+
+def _reference_pair_stubs(num_nodes: int, degree: int, rng: np.random.Generator):
+    """One pairing attempt, one Python pair at a time; an edge set or None."""
+    edges: set[tuple[int, int]] = set()
+    stubs = np.repeat(np.arange(num_nodes), degree)
+    while stubs.size:
+        rng.shuffle(stubs)
+        progress = False
+        leftover: list[int] = []
+        flat = stubs.tolist()
+        for u, v in zip(flat[0::2], flat[1::2]):
+            if u == v:
+                leftover.extend((u, v))
+                continue
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                leftover.extend((u, v))
+                continue
+            edges.add(key)
+            progress = True
+        if not progress:
+            return None
+        stubs = np.asarray(leftover, dtype=np.int64)
+    return edges
+
+
+def reference_regular_graph(num_nodes: int, degree: int, seed: int, max_restarts: int = 200):
+    """(neighbors, edges) of ``generate_regular(num_nodes, degree, seed)``.
+
+    ``neighbors`` is a tuple of sorted tuples, ``edges`` the (m, 2) int64
+    array of sorted (i, j) rows with i < j.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(max_restarts):
+        edges = _reference_pair_stubs(num_nodes, degree, rng)
+        if edges is not None:
+            break
+    else:
+        raise RuntimeError("no simple pairing found")
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+    return neighbors, np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+
+
+def reference_run_single(graph: RegularGraph, params, seed, dt_out=0.1, initial_nodes=None):
+    """(series, meta) of one event-driven run with recovery events in the heap.
+
+    Node and link counts are updated incrementally at every infection and
+    recovery and carried forward onto the output grid; ``series`` maps
+    S, I, R, SI, SS to float arrays.
+    """
+    rng = np.random.default_rng(seed)
+    num_nodes = graph.num_nodes
+    adjacency = [list(nbrs) for nbrs in graph.neighbors]
+    dist, t_end, scale = params.dist, params.t_end, 1.0 / params.tau
+
+    n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
+    grid = np.arange(n_out) * dt_out
+    out = {name: np.empty(n_out) for name in ("S", "I", "R", "SI", "SS")}
+
+    state = [SUSCEPTIBLE] * num_nodes
+    s_count, i_count, r_count = num_nodes, 0, 0
+    si_count = 0
+    ss_count = sum(len(nbrs) for nbrs in adjacency)
+
+    infection, recovery = 0, 1
+    heap: list[tuple] = []
+    seq = 0
+    last_infection = 0.0
+    last_recovery = 0.0
+    total_infections = 0
+
+    def infect(node: int, t: float):
+        nonlocal s_count, i_count, si_count, ss_count, seq, last_infection
+        nonlocal total_infections
+        state[node] = INFECTED
+        s_count -= 1
+        i_count += 1
+        last_infection = t
+        total_infections += 1
+        rec_at = t + dist.sample(rng)
+        heapq.heappush(heap, (rec_at, seq, recovery, node, -1))
+        seq += 1
+        nbrs = adjacency[node]
+        delays = rng.exponential(scale, size=len(nbrs))
+        for other, delay in zip(nbrs, delays):
+            st = state[other]
+            if st == SUSCEPTIBLE:
+                ss_count -= 2
+                si_count += 1
+                t_cand = t + delay
+                if t_cand < rec_at and t_cand <= t_end:
+                    heapq.heappush(heap, (t_cand, seq, infection, other, node))
+                    seq += 1
+            elif st == INFECTED:
+                si_count -= 1
+
+    def recover(node: int, t: float):
+        nonlocal i_count, r_count, si_count, last_recovery
+        state[node] = RECOVERED
+        i_count -= 1
+        r_count += 1
+        last_recovery = t
+        for other in adjacency[node]:
+            if state[other] == SUSCEPTIBLE:
+                si_count -= 1
+
+    if initial_nodes is not None:
+        for node in initial_nodes:
+            infect(int(node), 0.0)
+    elif params.initial_infected:
+        seeds = rng.choice(num_nodes, size=params.initial_infected, replace=False)
+        for node in seeds:
+            infect(int(node), 0.0)
+
+    g_idx = 0
+    while True:
+        t_next = heap[0][0] if heap else np.inf
+        while g_idx < n_out and grid[g_idx] < t_next:
+            out["S"][g_idx] = s_count
+            out["I"][g_idx] = i_count
+            out["R"][g_idx] = r_count
+            out["SI"][g_idx] = si_count
+            out["SS"][g_idx] = ss_count
+            g_idx += 1
+        if not heap:
+            break
+        _, _, kind, node, source = heapq.heappop(heap)
+        if kind == infection:
+            if state[node] == SUSCEPTIBLE and state[source] == INFECTED:
+                infect(node, t_next)
+        else:
+            recover(node, t_next)
+
+    meta = {
+        "source": "simulation",
+        "N": num_nodes,
+        "n": graph.degree,
+        "tau": params.tau,
+        "dist": dist.spec_string(),
+        "I0": params.initial_infected,
+        "t_end": params.t_end,
+        "dt_out": dt_out,
+        "final_size": float(num_nodes - s_count),
+        "last_infection_time": last_infection,
+        "last_recovery_time": last_recovery,
+        "total_infections": total_infections,
+    }
+    return out, meta

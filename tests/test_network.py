@@ -1,12 +1,24 @@
 """Regular graph generation, ordered pair counting, edge-list round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import nmsir as nm
 from nmsir.network import INFECTED, RECOVERED, SUSCEPTIBLE
 
-from oracles import brute_force_pair_counts
+from oracles import brute_force_pair_counts, reference_regular_graph
+
+# SHA-256 of the little-endian int64 edge arrays of the fig-1 graphs
+# (N=1000, n=15, graph_seed=12, run k uses seed 12 + 7919*k), recorded with
+# the plain-Python pairing loop kept in ``oracles``.
+FIG1_EDGE_DIGESTS = {
+    0: "9a422b9e8c85e58073d7786a5494a4e6be994d04d6e338c0928e1cf12f7e5b35",
+    1: "2f21f70bbca01c7ececad21f096481310a0d9c70130a851a311e2bc67c203ba3",
+    50: "18b6c578f9ef343432796a5e2b74aa0767297314dc8771513965cc2c6f2c2d6f",
+    99: "790461dfb2fc0cddcdffde0281b18d71681ad2099767f452f82338181d083e9c",
+}
 
 
 def test_k4_is_unique_three_regular_graph():
@@ -39,6 +51,31 @@ def test_generation_deterministic_per_seed():
     c = nm.generate_regular(120, 7, seed=10)
     assert a.neighbors == b.neighbors
     assert a.neighbors != c.neighbors
+
+
+@pytest.mark.parametrize(
+    "num_nodes,degree", [(4, 3), (10, 3), (50, 4), (200, 8), (1000, 15), (100, 1), (10, 0)]
+)
+def test_generation_matches_reference_pairing(num_nodes, degree):
+    for seed in range(5):
+        g = nm.generate_regular(num_nodes, degree, seed)
+        neighbors, edges = reference_regular_graph(num_nodes, degree, seed)
+        assert g.neighbors == neighbors
+        assert g.edges.dtype == edges.dtype
+        np.testing.assert_array_equal(g.edges, edges)
+
+
+@pytest.mark.parametrize("k", sorted(FIG1_EDGE_DIGESTS))
+def test_fig1_graph_edges_are_stable(k):
+    g = nm.generate_regular(1000, 15, 12 + 7919 * k)
+    edges = np.ascontiguousarray(g.edges, dtype="<i8")
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == FIG1_EDGE_DIGESTS[k]
+
+
+def test_edges_are_read_only(small_graph):
+    assert not small_graph.edges.flags.writeable
+    with pytest.raises(ValueError):
+        small_graph.edges[0, 0] = 1
 
 
 def test_count_pairs_all_susceptible(small_graph):
@@ -100,3 +137,18 @@ def test_edge_list_round_trip(tmp_path, small_graph):
     loaded.validate()
     assert loaded.neighbors == small_graph.neighbors
     assert loaded.seed == small_graph.seed
+
+
+def test_edge_list_with_repeated_edge_rejected(tmp_path):
+    # Each node has two entries in its list, but only one distinct neighbour.
+    path = tmp_path / "multi.txt"
+    path.write_text("# 4 2 -1\n0 1\n0 1\n2 3\n2 3\n")
+    with pytest.raises(ValueError, match="more than once"):
+        nm.load_edge_list(path)
+
+
+def test_edge_list_non_regular_rejected(tmp_path):
+    path = tmp_path / "path.txt"
+    path.write_text("# 4 2 -1\n0 1\n1 2\n2 3\n")
+    with pytest.raises(ValueError, match="regular"):
+        nm.load_edge_list(path)

@@ -7,11 +7,22 @@ from scipy import stats
 import nmsir as nm
 from nmsir.network import RegularGraph
 
+from conftest import ALL_DISTS, assert_matches_reference
 from oracles import gillespie_final_size
 
 
 def _params(dist, i0=5, t_end=25.0, tau=0.35):
     return nm.EpidemicParams(tau=tau, dist=dist, initial_infected=i0, t_end=t_end)
+
+
+def _star():
+    return RegularGraph(
+        num_nodes=4,
+        degree=3,
+        neighbors=((1, 2, 3), (0,), (0,), (0,)),
+        seed=None,
+        _edges=np.array([[0, 1], [0, 2], [0, 3]]),
+    )
 
 
 def test_no_initial_infecteds_constant_trajectory(small_graph):
@@ -69,14 +80,51 @@ def test_ensemble_deterministic_and_single_run_identity(small_graph):
     np.testing.assert_array_equal(m1.I, single.I)
 
 
+@pytest.mark.parametrize("law", sorted(ALL_DISTS))
+def test_run_matches_reference_event_loop(small_graph, law):
+    dist = ALL_DISTS[law]
+    for tau in (0.05, 0.35, 2.0):
+        for seed in range(4):
+            assert_matches_reference(small_graph, _params(dist, tau=tau), seed)
+    for i0 in (0, 1, small_graph.num_nodes):
+        assert_matches_reference(small_graph, _params(dist, i0=i0, t_end=8.0), 3)
+    for dt_out in (0.05, 0.25, 1.0, 7.0):
+        assert_matches_reference(small_graph, _params(dist, t_end=12.3), 5, dt_out)
+    assert_matches_reference(small_graph, _params(dist, i0=3), 6, initial_nodes=[17, 2, 150])
+    assert_matches_reference(_star(), _params(dist, i0=1, tau=4.0), 7, initial_nodes=[0])
+
+
+def test_events_on_grid_points_count_at_that_point(small_graph):
+    # The seeds recover at exactly t=1.5, which both grids hit exactly.
+    p = _params(nm.FixedDuration(1.5), i0=5, tau=0.2)
+    for dt_out in (0.5, 0.25):
+        traj = assert_matches_reference(small_graph, p, 11, dt_out)
+        at = int(round(1.5 / dt_out))
+        assert traj.t[at] == 1.5
+        assert traj.R[at - 1] == 0.0
+        assert traj.R[at] >= 5.0
+
+
+def test_diagnostics_account_for_every_event(small_graph):
+    for law, dist in ALL_DISTS.items():
+        for i0, pinned in ((5, None), (3, [4, 9, 1])):
+            p = _params(dist, i0=i0, tau=1.0)
+            traj = nm.run_single(small_graph, p, 2, initial_nodes=pinned)
+            diag = traj.extra["diag"]
+            assert diag["stale_pops"] > 0, law
+            assert diag["pops"] == diag["pushes"], law
+            assert diag["infections"] == i0 + diag["pops"] - diag["stale_pops"], law
+            assert diag["infections"] == traj.meta["total_infections"], law
+            assert "diag" not in traj.meta
+
+
+def test_repeated_initial_node_rejected(small_graph):
+    with pytest.raises(ValueError, match="distinct"):
+        nm.run_single(small_graph, _params(nm.Exponential(1.0), i0=2), 0, initial_nodes=[3, 3])
+
+
 def test_star_graph_instant_transmission_infects_all_leaves():
-    star = RegularGraph(
-        num_nodes=4,
-        degree=3,
-        neighbors=((1, 2, 3), (0,), (0,), (0,)),
-        seed=None,
-        _edges=np.array([[0, 1], [0, 2], [0, 3]]),
-    )
+    star = _star()
     p = nm.EpidemicParams(
         tau=1e6, dist=nm.FixedDuration(1.5), initial_infected=1, t_end=5.0
     )
