@@ -72,7 +72,6 @@ class ExperimentConfig:
     simulation_dt_out: float = 0.1
     simulation_save_runs: bool = False
     solver_h: float = 0.01
-    solver_corrector_iters: int = 3
     outputs_dir: str = "."
     outputs_prefix: str = ""
     compare_distributions: str = ""
@@ -98,8 +97,6 @@ class ExperimentConfig:
             raise ConfigError("simulation.dt_out must be positive")
         if self.solver_h <= 0:
             raise ConfigError("solver.h must be positive")
-        if self.solver_corrector_iters < 1:
-            raise ConfigError("solver.corrector_iters must be >= 1")
         parse_distribution(self.epidemic_dist)
         for spec in self.distribution_list():
             parse_distribution(spec)
@@ -246,10 +243,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 _SPECIAL_SOLVERS = {
-    "special:markovian": (solve_markovian_pairwise, "exp"),
-    "special:fixed": (solve_fixed_delay_pairwise, "fixed"),
-    "special:gamma": (solve_gamma_chain, "gamma"),
-    "special:uniform": (solve_uniform_delay_pairwise, "uniform"),
+    "special:markovian": solve_markovian_pairwise,
+    "special:fixed": solve_fixed_delay_pairwise,
+    "special:gamma": solve_gamma_chain,
+    "special:uniform": solve_uniform_delay_pairwise,
 }
 
 
@@ -258,16 +255,9 @@ def solve_model(cfg: ExperimentConfig, model: str, dist_spec: str | None = None)
     common = dict(num_nodes=cfg.network_num_nodes, degree=cfg.network_degree)
     if model in ("pairwise", "meanfield"):
         solve = solve_pairwise if model == "pairwise" else solve_meanfield
-        config = SolverConfig(h=cfg.solver_h, corrector_iters=cfg.solver_corrector_iters)
-        return solve(params, config=config, **common)
+        return solve(params, config=SolverConfig(h=cfg.solver_h), **common)
     if model in _SPECIAL_SOLVERS:
-        solver, wanted_kind = _SPECIAL_SOLVERS[model]
-        if params.dist.kind != wanted_kind:
-            raise ConfigError(
-                f"model {model} requires a {wanted_kind!r} distribution, "
-                f"got {params.dist.kind!r}"
-            )
-        return solver(params, h=cfg.solver_h, **common)
+        return _SPECIAL_SOLVERS[model](params, h=cfg.solver_h, **common)
     raise ConfigError(f"unknown model {model!r}")
 
 

@@ -34,6 +34,9 @@ __all__ = [
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 
+# Pairing passes generate_regular tries before it gives up on a shape.
+_MAX_RESTARTS = 200
+
 
 @dataclass(frozen=True)
 class RegularGraph:
@@ -121,14 +124,12 @@ def _from_keys(num_nodes: int, degree: int, keys: np.ndarray, seed: int | None) 
     )
 
 
-def generate_regular(
-    num_nodes: int, degree: int, seed: int, max_restarts: int = 200
-) -> RegularGraph:
+def generate_regular(num_nodes: int, degree: int, seed: int) -> RegularGraph:
     """Generate a random n-regular simple graph, deterministic given ``seed``.
 
     Raises ``ValueError`` when ``num_nodes * degree`` is odd or the degree is
     infeasible, and ``RuntimeError`` if no simple pairing is found within
-    ``max_restarts`` attempts.
+    ``_MAX_RESTARTS`` attempts.
     """
     if degree < 0 or num_nodes <= 0:
         raise ValueError("num_nodes must be positive and degree nonnegative")
@@ -138,13 +139,13 @@ def generate_regular(
         raise ValueError("degree must be smaller than num_nodes")
 
     rng = np.random.default_rng(seed)
-    for _ in range(max_restarts):
+    for _ in range(_MAX_RESTARTS):
         keys = _pair_stubs(num_nodes, degree, rng)
         if keys is not None:
             return _from_keys(num_nodes, degree, keys, seed)
     raise RuntimeError(
         f"no simple {degree}-regular graph found on {num_nodes} nodes "
-        f"after {max_restarts} restarts; parameters may be infeasible"
+        f"after {_MAX_RESTARTS} restarts; parameters may be infeasible"
     )
 
 

@@ -104,30 +104,18 @@ def _march_delay_rk4(rhs, u0, h: float, steps: int, jumps: dict | None = None):
     return U
 
 
-def _setup(model, params, num_nodes, degree, S0, I0, h, t_end) -> _SolveSetup:
-    run = _SolveSetup(
-        model, params, num_nodes=num_nodes, degree=degree, S0=S0, I0=I0, h=h, t_end=t_end
-    )
-    if run.I0 < 0 or run.S0 <= 0:
-        raise ValueError("need I0 >= 0 and S0 > 0")
-    return run
-
-
 def solve_markovian_pairwise(
     params: EpidemicParams,
     *,
     num_nodes: float,
     degree: float,
-    S0: float | None = None,
-    I0: float | None = None,
     h: float = 1e-3,
-    t_end: float | None = None,
 ) -> Trajectory:
     """Classic four-equation Markovian pairwise SIR (exponential recovery)."""
     if not isinstance(params.dist, Exponential):
         raise ValueError("markovian reference requires an exponential recovery law")
     gamma = params.dist.rate
-    run = _setup("special:markovian", params, num_nodes, degree, S0, I0, h, t_end)
+    run = _SolveSetup("special:markovian", params, num_nodes=num_nodes, degree=degree, h=h)
     tau, n = params.tau, run.n
     link = tau * (n - 1.0) / n
 
@@ -152,16 +140,15 @@ def solve_markovian_meanfield(
     *,
     num_nodes: float,
     degree: float,
-    S0: float | None = None,
-    I0: float | None = None,
     h: float = 1e-3,
-    t_end: float | None = None,
 ) -> Trajectory:
     """Classical mean-field SIR ODE with rate tau*n/N (exponential recovery)."""
     if not isinstance(params.dist, Exponential):
         raise ValueError("markovian reference requires an exponential recovery law")
     gamma = params.dist.rate
-    run = _setup("special:markovian_meanfield", params, num_nodes, degree, S0, I0, h, t_end)
+    run = _SolveSetup(
+        "special:markovian_meanfield", params, num_nodes=num_nodes, degree=degree, h=h
+    )
     coupling = params.tau * run.n / run.N
 
     def rhs(t, u, lookup, t0):
@@ -177,10 +164,7 @@ def solve_fixed_delay_pairwise(
     *,
     num_nodes: float,
     degree: float,
-    S0: float | None = None,
-    I0: float | None = None,
     h: float = 1e-3,
-    t_end: float | None = None,
 ) -> Trajectory:
     """Pairwise model with a fixed infectious period: method of steps.
 
@@ -192,7 +176,7 @@ def solve_fixed_delay_pairwise(
     if not isinstance(params.dist, FixedDuration):
         raise ValueError("fixed-delay reference requires a fixed-duration recovery law")
     sigma = params.dist.sigma
-    run = _setup("special:fixed", params, num_nodes, degree, S0, I0, h, t_end)
+    run = _SolveSetup("special:fixed", params, num_nodes=num_nodes, degree=degree, h=h)
     j_sigma = _node_index(sigma, h, "sigma")
     tau, n = params.tau, run.n
     link = tau * (n - 1.0) / n
@@ -230,16 +214,13 @@ def solve_fixed_delay_meanfield(
     *,
     num_nodes: float,
     degree: float,
-    S0: float | None = None,
-    I0: float | None = None,
     h: float = 1e-3,
-    t_end: float | None = None,
 ) -> Trajectory:
     """Mean-field model with a fixed infectious period (delayed removal)."""
     if not isinstance(params.dist, FixedDuration):
         raise ValueError("fixed-delay reference requires a fixed-duration recovery law")
     sigma = params.dist.sigma
-    run = _setup("special:fixed_meanfield", params, num_nodes, degree, S0, I0, h, t_end)
+    run = _SolveSetup("special:fixed_meanfield", params, num_nodes=num_nodes, degree=degree, h=h)
     j_sigma = _node_index(sigma, h, "sigma")
     coupling = params.tau * run.n / run.N
     half = 0.5 * h
@@ -267,10 +248,7 @@ def solve_gamma_chain(
     *,
     num_nodes: float,
     degree: float,
-    S0: float | None = None,
-    I0: float | None = None,
     h: float = 1e-3,
-    t_end: float | None = None,
 ) -> Trajectory:
     """Multi-stage (Erlang) pairwise chain: K exponential stages of rate K*gamma.
 
@@ -283,7 +261,7 @@ def solve_gamma_chain(
         raise ValueError("gamma-chain reference requires an Erlang recovery law")
     K = params.dist.shape
     stage_rate = params.dist.rate  # K * gamma
-    run = _setup("special:gamma", params, num_nodes, degree, S0, I0, h, t_end)
+    run = _SolveSetup("special:gamma", params, num_nodes=num_nodes, degree=degree, h=h)
     run.meta["K"] = K
     tau, n = params.tau, run.n
     link = tau * (n - 1.0) / n
@@ -323,10 +301,7 @@ def solve_uniform_delay_pairwise(
     *,
     num_nodes: float,
     degree: float,
-    S0: float | None = None,
-    I0: float | None = None,
     h: float = 1e-3,
-    t_end: float | None = None,
 ) -> Trajectory:
     """Pairwise model with uniform recovery on [A, B]: distributed delays.
 
@@ -343,7 +318,7 @@ def solve_uniform_delay_pairwise(
     if not isinstance(params.dist, UniformInterval):
         raise ValueError("uniform-delay reference requires a uniform recovery law")
     A, B = params.dist.lower, params.dist.upper
-    run = _setup("special:uniform", params, num_nodes, degree, S0, I0, h, t_end)
+    run = _SolveSetup("special:uniform", params, num_nodes=num_nodes, degree=degree, h=h)
     _node_index(A, h, "a")
     _node_index(B, h, "b")
     tau, n = params.tau, run.n

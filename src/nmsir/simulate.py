@@ -48,6 +48,8 @@ def run_single(
     """
     if params.initial_infected > graph.num_nodes:
         raise ValueError("initial_infected exceeds the number of nodes")
+    if not 0.0 < dt_out < math.inf:
+        raise ValueError(f"dt_out must be positive and finite, got {dt_out}")
     rng = np.random.default_rng(seed)
     num_nodes = graph.num_nodes
     adjacency = graph.neighbors

@@ -54,12 +54,15 @@ class SolverError(RuntimeError):
 
 
 class StepContractionError(SolverError):
-    """Fixed-point corrector failed to contract; the step size is too large."""
+    """Fixed-point corrector did not converge; the step size is too large."""
 
 
 # Sweeps the corrector may run in all while it still contracts; a step that
 # needs more is reported rather than marched on.
 _MAX_CORRECTOR_SWEEPS = 50
+
+# Estimated remaining fixed-point error per step, relative to max(1, |x|, |y|).
+_CORRECTOR_TOL = 1e-5
 
 # Phi(t) - Phi_ref at which the stored history weights are rescaled: exp()
 # of it stays far below overflow (about 709) with room for one step's rise.
@@ -149,24 +152,22 @@ def _boundary_profile(
     return profile, mass
 
 
-def _corrector_converged(
-    delta: float, delta_prev: float, tol: float, xs: float, ys: float
-) -> bool:
-    """Geometric estimate of the remaining fixed-point error vs tolerance.
+def _corrector_converged(delta: float, delta_prev: float, xs: float, ys: float) -> bool:
+    """Geometric estimate of the remaining fixed-point error vs ``_CORRECTOR_TOL``.
 
     Successive corrections shrink by the contraction factor q, so the error
     left after the final sweep is about delta * q / (1 - q).  A step whose
     iteration does not contract (q >= 1) always fails.
     """
-    scale = max(1.0, abs(xs), abs(ys))
-    if delta <= tol * scale:
+    tol = _CORRECTOR_TOL * max(1.0, abs(xs), abs(ys))
+    if delta <= tol:
         return True
     if not math.isfinite(delta_prev) or delta_prev <= 0.0:
         return False
     q = delta / delta_prev
     if q >= 0.99:
         return False
-    return delta * q / (1.0 - q) <= tol * scale
+    return delta * q / (1.0 - q) <= tol
 
 
 def _march_renewal(
@@ -181,16 +182,13 @@ def _march_renewal(
     x0: float,
     h: float,
     steps: int,
-    corrector_iters: int,
-    corrector_tol: float,
     window: int | None = None,
 ):
     """Advance the coupled ODE + renewal system on a uniform grid.
 
-    Returns (x, y, phi, y_hist) arrays of length steps+1; an x (a count)
-    that goes negative raises ``SolverError``.  ``window`` truncates the
-    history dot product for kernels with bounded support.  The stored history
-    weights are B_i * exp(Phi_i - Phi_ref), relative to a
+    Returns (x, y, phi, y_hist) arrays of length steps+1.  ``window``
+    truncates the history dot product for kernels with bounded support.  The
+    stored history weights are B_i * exp(Phi_i - Phi_ref), relative to a
     reference Phi_ref that starts at 0; the history is damped by
     exp(-(Phi(t) - Phi_ref)) once per step, so each corrector iteration costs
     O(1) after one O(k) history sum.  Once Phi(t) - Phi_ref exceeds
@@ -199,11 +197,13 @@ def _march_renewal(
     below that the arithmetic is the plain B_i * exp(Phi_i) scheme.  The
     boundary term keeps the absolute damping exp(-Phi(t)).
 
-    The corrector runs at least ``corrector_iters`` sweeps (a few more on the
-    bootstrap step), then keeps sweeping while the tolerance is unmet and the
-    sweeps still contract, up to ``_MAX_CORRECTOR_SWEEPS``.
-    ``StepContractionError`` means the iteration stopped contracting (ratio
-    q >= 1 or a non-finite residual) or hit that cap.
+    Each step runs two corrector sweeps, the fewest that give
+    :func:`_corrector_converged` a contraction ratio q, then keeps sweeping
+    until that test passes with x (a count) nonnegative, up to
+    ``_MAX_CORRECTOR_SWEEPS``.  Only the test decides: a ratio q >= 1 on an
+    early sweep may come from the predictor rather than the iteration, and
+    the sign of an unconverged x alternates from sweep to sweep.
+    ``StepContractionError`` means a non-finite residual or that cap.
 
     When the boundary term drops discontinuously (newborn infecteds under a
     point-mass recovery law all leave at sigma, making y itself jump there),
@@ -243,12 +243,11 @@ def _march_renewal(
         xs = xk + h * fk
         # Linear extrapolation predictor keeps the corrector well inside its
         # contraction budget; the bootstrap step has no history to
-        # extrapolate from, so it gets a few extra sweeps.
+        # extrapolate from.
         ys = yk + (yk - y_prev) if k else yk
         phis = phik + h * gk
         scale_hist = scale_out = 1.0
         delta = delta_prev = math.inf
-        min_sweeps = corrector_iters if k else corrector_iters + 4
         sweeps = 0
         while True:
             if damped:
@@ -262,19 +261,17 @@ def _march_renewal(
             delta = abs(y_new - ys) + abs(x_new - xs)
             xs, ys = x_new, y_new
             sweeps += 1
-            if sweeps < min_sweeps:
+            if sweeps == 1:
                 continue
-            if _corrector_converged(delta, delta_prev, corrector_tol, xs, ys):
+            if xs >= 0.0 and _corrector_converged(delta, delta_prev, xs, ys):
                 break
-            q = delta / delta_prev if delta_prev > 0.0 else math.inf
-            if not (math.isfinite(delta) and q < 1.0) or sweeps >= _MAX_CORRECTOR_SWEEPS:
+            if not math.isfinite(delta) or sweeps >= _MAX_CORRECTOR_SWEEPS:
+                q = delta / delta_prev if delta_prev > 0.0 else math.inf
                 raise StepContractionError(
-                    f"corrector stopped contracting at t={(k + 1) * h:.6g}: residual "
-                    f"{delta:.3e}, ratio q={q:.3g} after {sweeps} sweeps; reduce the "
-                    f"step size h={h}"
+                    f"corrector did not converge at t={(k + 1) * h:.6g}: residual "
+                    f"{delta:.3e}, ratio q={q:.3g}, x={xs:.6g} after {sweeps} sweeps; "
+                    f"reduce the step size h={h}"
                 )
-        if not xs >= 0.0:
-            raise SolverError(f"state went negative ({xs:.6g}) at t={(k + 1) * h:.6g}")
         b_left = b_pre[k + 1]
         y_prev = yk
         xk, yk, phik = xs, ys + scale_out * (b_out[k + 1] - b_left), phis
@@ -353,11 +350,9 @@ def _solve_renewal(
         x0=run.S0,
         h=h,
         steps=steps,
-        corrector_iters=config.corrector_iters,
-        corrector_tol=config.corrector_tol,
         window=_window_nodes(dist, h, steps),
     )
-    run.meta.update(dist=dist.spec_string(), I0=I0_eff, corrector_iters=config.corrector_iters)
+    run.meta.update(dist=dist.spec_string(), I0=I0_eff)
     if snap_notes:
         run.meta["grid_snap"] = ";".join(snap_notes)
     return _Renewal(x, y, phi, y_hist, xi_quad, b_infected)
@@ -368,8 +363,6 @@ def solve_meanfield(
     *,
     num_nodes: float,
     degree: float,
-    S0: float | None = None,
-    I0: float | None = None,
     config: SolverConfig | None = None,
 ) -> Trajectory:
     """Solve the node-level model: S' = -tau (n/N) S I with renewal-form I.
@@ -378,14 +371,10 @@ def solve_meanfield(
     [SS] = (n/N) S^2.
     """
     config = config or SolverConfig()
-    if degree <= 0 or num_nodes <= 0:
-        raise ValueError("degree and num_nodes must be positive")
     run = _SolveSetup(
-        "meanfield", params, num_nodes=num_nodes, degree=degree, S0=S0, I0=I0,
-        h=config.h, t_end=config.t_end,
+        "meanfield", params, num_nodes=num_nodes, degree=degree, h=config.h,
+        allow_no_susceptibles=True,
     )
-    if run.I0 < 0 or run.S0 < 0 or run.S0 + run.I0 > num_nodes + 1e-9:
-        raise ValueError("need S0, I0 >= 0 with S0 + I0 <= N")
 
     coupling = params.tau * run.n / run.N
     sol = _solve_renewal(
@@ -402,8 +391,6 @@ def solve_pairwise(
     *,
     num_nodes: float,
     degree: float,
-    S0: float | None = None,
-    I0: float | None = None,
     config: SolverConfig | None = None,
 ) -> Trajectory:
     """Solve the link-level model reduced to ([S], [SI]) by its first integral.
@@ -416,15 +403,8 @@ def solve_pairwise(
     config = config or SolverConfig()
     if degree < 2:
         raise ValueError("pairwise model needs degree >= 2")
-    if num_nodes <= 0:
-        raise ValueError("num_nodes must be positive")
-    run = _SolveSetup(
-        "pairwise", params, num_nodes=num_nodes, degree=degree, S0=S0, I0=I0,
-        h=config.h, t_end=config.t_end,
-    )
-    S0, I0 = run.S0, run.I0
-    if I0 < 0 or S0 <= 0 or S0 + I0 > num_nodes + 1e-9:
-        raise ValueError("need I0 >= 0 and 0 < S0 with S0 + I0 <= N")
+    run = _SolveSetup("pairwise", params, num_nodes=num_nodes, degree=degree, h=config.h)
+    S0 = run.S0
 
     tau, n, N = params.tau, run.n, run.N
     kappa = (n - 1.0) / N * S0 ** (2.0 / n)

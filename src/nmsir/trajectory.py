@@ -10,6 +10,7 @@ Every CSV the package writes records its meta with :func:`format_meta`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from urllib.parse import quote, unquote
 
@@ -39,39 +40,28 @@ class EpidemicParams:
             raise ValueError("tau must be positive")
         if self.initial_infected < 0:
             raise ValueError("initial_infected must be nonnegative")
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size and corrector settings for the renewal-equation solvers.
+    """Step size and initial ages for the renewal-equation solvers.
 
-    The memory term costs O(steps) per step and O(steps^2) overall, so
+    The seeding and the horizon come from :class:`EpidemicParams`.  The
+    memory term costs O(steps) per step and O(steps^2) overall, so
     ``t_end/h`` should stay in the 1e4-1e5 range on a desktop.  When
     ``initial_age_density`` is None all initial infecteds are newborn (age
     zero at t=0); a tabulated ``(ages, density)`` pair is accepted only for
     recovery laws whose survival never vanishes.
-
-    ``corrector_iters`` is the minimum number of fixed-point sweeps per step;
-    the corrector keeps sweeping past it while ``corrector_tol`` is unmet and
-    the sweeps still contract, and raises ``StepContractionError`` once the
-    iteration stops contracting.
     """
 
     h: float = 1e-2
-    t_end: float | None = None
-    corrector_iters: int = 3
-    corrector_tol: float = 1e-5
     initial_age_density: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.h > 0.0:
             raise ValueError("step size h must be positive")
-        if self.corrector_iters < 1:
-            raise ValueError("corrector_iters must be >= 1")
-        if self.t_end is not None and not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
 
     @property
     def newborn(self) -> bool:
@@ -201,17 +191,31 @@ class Trajectory:
 class _SolveSetup:
     """What every deterministic solve shares: counts, step grid, meta, assembly.
 
-    Resolves the ``S0``/``I0`` defaults (I0 from the params, S0 = N - I0),
-    lays the grid ``t = k h`` for ``k = 0..round(t_end/h)`` and starts the meta
-    dict; solvers may update or extend ``meta`` before :meth:`trajectory`.
+    Everything comes from ``params`` and the step size: I0 is
+    ``params.initial_infected``, S0 = N - I0, and the grid is ``t = k h`` for
+    ``k = 0..round(params.t_end/h)``.  The counts are checked here for every
+    solve: I0 may not exceed N, and S0 must be positive unless
+    ``allow_no_susceptibles``.  Solvers may update or extend ``meta`` before
+    :meth:`trajectory`.
     """
 
-    def __init__(self, model, params: EpidemicParams, *, num_nodes, degree, S0, I0, h, t_end):
+    def __init__(
+        self, model, params: EpidemicParams, *, num_nodes, degree, h, allow_no_susceptibles=False
+    ):
+        if not (num_nodes > 0 and degree > 0):
+            raise ValueError("degree and num_nodes must be positive")
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"step size h must be positive and finite, got {h}")
         self.params, self.h = params, h
         self.N, self.n = float(num_nodes), float(degree)
-        self.I0 = float(params.initial_infected if I0 is None else I0)
-        self.S0 = float(num_nodes - self.I0 if S0 is None else S0)
-        self.steps = int(round((params.t_end if t_end is None else t_end) / h))
+        self.I0 = float(params.initial_infected)
+        self.S0 = self.N - self.I0
+        if self.S0 < 0.0 or (self.S0 == 0.0 and not allow_no_susceptibles):
+            raise ValueError(
+                f"initial_infected={params.initial_infected} leaves no susceptible "
+                f"among num_nodes={num_nodes}"
+            )
+        self.steps = int(round(params.t_end / h))
         if self.steps < 1:
             raise ValueError("t_end must cover at least one step")
         self.meta = {

@@ -35,6 +35,23 @@ def test_unknown_key_rejected():
         build_config({"network.size": "10"})
 
 
+def test_removed_corrector_key(tmp_path, capsys):
+    # solver.corrector_iters is no configuration key: setting it is an error,
+    # while a meta line that still carries it rebuilds its configuration.
+    assert main(["solve", "--set", "solver.corrector_iters=3", "--out", str(tmp_path)]) == 2
+    assert "unknown configuration key" in capsys.readouterr().err
+    old_header = (
+        "# meta: command=solve compare.distributions= compare.enforce=true "
+        "compare.gnuplot=false epidemic.I0=5 epidemic.dist=exp:rate=0.6667 "
+        "epidemic.t_end=1.0 epidemic.tau=0.35 network.N=1000 "
+        "network.fresh_graph_per_run=true network.graph_seed=1 network.n=15 "
+        "simulation.base_seed=42 simulation.dt_out=0.1 simulation.runs=100 "
+        "simulation.save_runs=false solver.corrector_iters=3 solver.h=0.01 model=pairwise"
+    )
+    cfg = config_from_meta(parse_meta(old_header))
+    assert cfg == build_config({"epidemic.t_end": "1.0"})
+
+
 def test_config_file_and_override_precedence(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(

@@ -55,16 +55,16 @@ def test_markovian_instant_recovery_limit():
 
 
 def test_fixed_delay_before_sigma_is_no_recovery_branch():
-    p = _params(nm.FixedDuration(1.5), t_end=1.49)
-    traj = nm.solve_fixed_delay_pairwise(p, num_nodes=N, degree=DEG, h=1e-2, t_end=1.4)
+    p = _params(nm.FixedDuration(1.5), t_end=1.4)
+    traj = nm.solve_fixed_delay_pairwise(p, num_nodes=N, degree=DEG, h=1e-2)
     oracle = _no_recovery_oracle(traj.t)
     assert np.max(np.abs(traj.S - oracle[0])) < 1e-6 * N
     assert np.max(np.abs(traj.I - oracle[2])) < 1e-6 * N
 
 
 def test_uniform_before_lower_endpoint_is_no_recovery_branch():
-    p = _params(nm.UniformInterval(1, 2), t_end=1.0)
-    traj = nm.solve_uniform_delay_pairwise(p, num_nodes=N, degree=DEG, h=1e-2, t_end=0.9)
+    p = _params(nm.UniformInterval(1, 2), t_end=0.9)
+    traj = nm.solve_uniform_delay_pairwise(p, num_nodes=N, degree=DEG, h=1e-2)
     oracle = _no_recovery_oracle(traj.t)
     assert np.max(np.abs(traj.I - oracle[2])) < 1e-6 * N
 
@@ -156,8 +156,8 @@ _SOLVE_META_KEYS = ["source", "model", "N", "n", "tau", "dist", "I0", "S0", "h",
 
 
 _SOLVE_CASES = [
-    (nm.solve_pairwise, nm.FixedDuration(1.52), ["corrector_iters", "grid_snap"]),
-    (nm.solve_meanfield, nm.GammaErlang(3, 2 / 3), ["corrector_iters"]),
+    (nm.solve_pairwise, nm.FixedDuration(1.52), ["grid_snap"]),
+    (nm.solve_meanfield, nm.GammaErlang(3, 2 / 3), []),
     (nm.solve_markovian_pairwise, nm.Exponential(2 / 3), []),
     (nm.solve_markovian_meanfield, nm.Exponential(2 / 3), []),
     (nm.solve_fixed_delay_pairwise, nm.FixedDuration(1.5), []),
@@ -167,6 +167,12 @@ _SOLVE_CASES = [
 ]
 
 
+def _solve(solver, params, h):
+    if solver in (nm.solve_pairwise, nm.solve_meanfield):
+        return solver(params, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
+    return solver(params, num_nodes=N, degree=DEG, h=h)
+
+
 @pytest.mark.parametrize(
     "solver,dist,extra_keys", _SOLVE_CASES, ids=[case[0].__name__ for case in _SOLVE_CASES]
 )
@@ -174,12 +180,40 @@ def test_deterministic_solves_share_setup(solver, dist, extra_keys):
     # Every deterministic solve lays the same grid, writes the same meta keys
     # in the same order and assembles R as N - S - I.
     h, t_end = 0.05, 5.0
-    p = _params(dist, t_end=t_end)
-    if solver in (nm.solve_pairwise, nm.solve_meanfield):
-        traj = solver(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
-    else:
-        traj = solver(p, num_nodes=N, degree=DEG, h=h)
+    traj = _solve(solver, _params(dist, t_end=t_end), h)
     assert list(traj.meta) == _SOLVE_META_KEYS + extra_keys
     assert traj.meta["t_end"] == 100 * h
     assert np.array_equal(traj.t, np.arange(101) * h)
     assert np.array_equal(traj.R, N - traj.S - traj.I)
+
+
+@pytest.mark.parametrize(
+    "solver,dist", [case[:2] for case in _SOLVE_CASES], ids=[c[0].__name__ for c in _SOLVE_CASES]
+)
+def test_seeding_comes_from_params_and_is_checked_once(solver, dist):
+    # I0 is params.initial_infected and S0 = N - I0.  Seeding more than N
+    # nodes is rejected by every solve, seeding all N by every solve but the
+    # generic mean-field one, which then keeps [S] = 0.
+    traj = _solve(solver, _params(dist, i0=7, t_end=2.0), 0.05)
+    assert (traj.meta["I0"], traj.meta["S0"]) == (7.0, N - 7.0)
+    assert traj.S[0] == N - 7.0
+    with pytest.raises(ValueError, match="no susceptible"):
+        _solve(solver, _params(dist, i0=N + 1, t_end=2.0), 0.05)
+    everyone = _params(dist, i0=N, t_end=2.0)
+    if solver is nm.solve_meanfield:
+        assert np.all(_solve(solver, everyone, 0.05).S == 0.0)
+    else:
+        with pytest.raises(ValueError, match="no susceptible"):
+            _solve(solver, everyone, 0.05)
+
+
+@pytest.mark.parametrize(
+    "solver,dist", [case[:2] for case in _SOLVE_CASES[2:]],
+    ids=[c[0].__name__ for c in _SOLVE_CASES[2:]],
+)
+def test_reference_rejects_step_that_is_not_positive_and_finite(solver, dist):
+    # Rejected before the grid is laid, which would divide by h.
+    p = _params(dist, t_end=5.0)
+    for h in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step size"):
+            solver(p, num_nodes=N, degree=DEG, h=h)

@@ -178,3 +178,15 @@ def test_initial_infected_bounds(small_graph):
             base_seed=1,
             graph=small_graph,
         )
+
+
+def test_output_step_must_be_positive_and_finite(small_graph):
+    # The output grid needs a positive, finite step.
+    p = _params(nm.Exponential(1.0), t_end=5.0)
+    for dt_out in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt_out"):
+            nm.run_single(small_graph, p, seed=0, dt_out=dt_out)
+        with pytest.raises(ValueError, match="dt_out"):
+            nm.run_ensemble(
+                p, num_nodes=200, degree=8, runs=2, base_seed=1, dt_out=dt_out
+            )

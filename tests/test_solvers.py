@@ -7,9 +7,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import nmsir as nm
+from nmsir import solvers
 from nmsir.solvers import StepContractionError, _march_renewal
 
-from conftest import rel_sup_diff
+from conftest import FIG1_DISTS, rel_sup_diff
 
 N, DEG = 1000, 15
 
@@ -169,7 +170,7 @@ def test_long_horizon_pairwise_stays_finite():
 
 
 def test_fast_epidemic_converges_at_default_step():
-    # tau >= 1.5 needs more corrector sweeps than the configured minimum on
+    # tau >= 1.5 needs more than the two corrector sweeps every step runs on
     # the first steps; the iteration contracts, so the solve must go through
     # and agree with a ten times finer step.
     dist = nm.GammaErlang(3, 2 / 3)
@@ -180,6 +181,61 @@ def test_fast_epidemic_converges_at_default_step():
             fine = solve(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-3))
             for name in ("S", "I", "SI"):
                 assert rel_sup_diff(coarse.series(name), fine.series(name)[::10]) < 2e-2
+
+
+def test_fig1_steps_stop_after_two_sweeps(monkeypatch):
+    # The stop test first runs after the second sweep, the first that has a
+    # contraction ratio to go on; at the fig-1 settings it passes there on
+    # every step.  deriv_x runs once per step for the predictor and once per
+    # sweep, so it counts the sweeps.
+    counts = {"tests": 0, "derivs": 0}
+    converged, march = solvers._corrector_converged, solvers._march_renewal
+
+    def counted_test(*args):
+        counts["tests"] += 1
+        return converged(*args)
+
+    def counted_march(*, deriv_x, **kwargs):
+        def counted_deriv(*args):
+            counts["derivs"] += 1
+            return deriv_x(*args)
+
+        return march(deriv_x=counted_deriv, **kwargs)
+
+    monkeypatch.setattr(solvers, "_corrector_converged", counted_test)
+    monkeypatch.setattr(solvers, "_march_renewal", counted_march)
+    for dist in FIG1_DISTS.values():
+        for solve in (nm.solve_pairwise, nm.solve_meanfield):
+            counts.update(tests=0, derivs=0)
+            solve(_params(dist), num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
+            steps = 2500
+            assert counts == {"tests": steps, "derivs": steps + 2 * steps}, (dist, solve)
+
+
+def test_early_ratio_above_one_does_not_stop_the_corrector():
+    # On the step to t = 1.4 the second sweep moves further than the first
+    # (ratio about 1.15), because the first move is measured from the
+    # predictor; the sweeps after it contract at about 0.08.  Only the stop
+    # test decides, so the solve goes through and agrees with a finer step.
+    p = nm.EpidemicParams(tau=0.35, dist=nm.FixedDuration(1.5), initial_infected=7, t_end=2.0)
+    coarse = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.05))
+    fine = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.005))
+    for name in ("S", "I", "SI"):
+        assert rel_sup_diff(coarse.series(name), fine.series(name)[::10]) < 2e-2
+
+
+def test_negative_count_iterate_is_not_accepted():
+    # Mean-field [S] falls towards zero at tau = 5.  With h = 0.02 the error
+    # of the [S] iterate changes sign from sweep to sweep and is still larger
+    # than [S] after the second one; the step keeps sweeping until [S] is
+    # nonnegative and the stop test passes.
+    for i0 in (1, 5, 50):
+        p = nm.EpidemicParams(
+            tau=5.0, dist=nm.Exponential(2 / 3), initial_infected=i0, t_end=10.0
+        )
+        traj = nm.solve_meanfield(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.02))
+        assert traj.S.min() >= 0.0
+        assert np.all(np.isfinite(traj.I))
 
 
 def test_grid_snap_warning_recorded():
@@ -294,8 +350,6 @@ def test_march_renewal_linear_renewal_closed_form():
                 x0=0.0,
                 h=h,
                 steps=steps,
-                corrector_iters=3,
-                corrector_tol=1e-5,
             )
             exact = (4.0 / 3.0 - np.exp(-3.0 * ages) / 3.0) * np.exp(-(g or 0.0) * ages)
             errs.append(float(np.max(np.abs(y - exact))))
