@@ -19,17 +19,26 @@ exp(-(Phi(t) - Phi(u))) <= 1, so no horizon overflows.  Delayed evaluations
 at RK4 stage times are served by cubic Hermite interpolation of the stored
 node history; branch switches and state jumps are aligned to grid nodes, and
 each step evaluates the branch chosen by its *starting* node so that every
-step integrates a smooth piece.
+step integrates a smooth piece.  The march runs on Python floats: states
+and RK4 stages are tuples, and the node history is one flat ``array('d')``
+of states and one of derivatives, read in place by the lookup and wrapped as
+an ndarray only at the end.  Every operation keeps the order of the numpy
+march kept as an oracle in the tests, so the series are bit-identical to it.
+A step that fails in arithmetic, or a state that is not finite, raises
+``SolverError`` with the time it happened.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .recovery import Exponential, FixedDuration, GammaErlang, UniformInterval
-from .trajectory import EpidemicParams, Trajectory, _SolveSetup
+from .trajectory import EpidemicParams, SolverError, Trajectory, _SolveSetup
 
 __all__ = [
     "solve_markovian_pairwise",
@@ -54,54 +63,76 @@ def _march_delay_rk4(rhs, u0, h: float, steps: int, jumps: dict | None = None):
     """Classical RK4 with node history, Hermite delayed lookup, node jumps.
 
     ``rhs(t, u, lookup, t0)`` receives the step's starting node time ``t0``
-    for branch decisions.  ``jumps`` maps node index -> fn(u) -> u, applied
-    after the step landing on that node; the pre-jump state and left-limit
-    derivative stay available to interpolation of the preceding panel.
-    Delayed arguments must trail the current time by at least one step.
+    for branch decisions; states, derivatives and lookups are sequences of
+    floats.  ``jumps`` maps node index -> fn(u) -> u, applied after the step
+    landing on that node; the pre-jump state and left-limit derivative stay
+    available to interpolation of the preceding panel.  Delayed arguments
+    must trail the current time by at least one step.  Returns the node
+    states as a (steps+1, m) array; an ``ArithmeticError`` in a step or a
+    non-finite state raises ``SolverError``.
     """
     jumps = jumps or {}
-    u0 = np.asarray(u0, dtype=float)
-    m = u0.size
-    U = np.empty((steps + 1, m))
-    D = np.zeros((steps + 1, m))
-    U[0] = u0
-    pre_jump: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    u = tuple(map(float, u0))
+    m = len(u)
+    U, D = array("d", u), array("d")  # flat rows: node states, node derivatives
+    pre_jump: dict[int, tuple[tuple, tuple]] = {}
+    between: dict[float, list] = {}  # the k2 and k3 stages look up the same times
+    half, sixth = 0.5 * h, h / 6.0
 
-    def lookup(tq: float) -> np.ndarray:
+    def lookup(tq: float):
         j = tq / h
         j0 = int(j)
         theta = j - j0
+        b = j0 * m
         if theta < 1e-9:
-            return U[j0]
+            return U[b : b + m]
         if theta > 1.0 - 1e-9:
-            return U[j0 + 1]
-        right = pre_jump.get(j0 + 1)
-        u_r, d_r = right if right is not None else (U[j0 + 1], D[j0 + 1])
+            return U[b + m : b + 2 * m]
+        if tq in between:
+            return between[tq]
+        u_r, d_r = pre_jump.get(j0 + 1) or (U[b + m : b + 2 * m], D[b + m : b + 2 * m])
         t2 = theta * theta
         t3 = t2 * theta
-        return (
-            (2 * t3 - 3 * t2 + 1) * U[j0]
-            + ((t3 - 2 * t2 + theta) * h) * D[j0]
-            + (-2 * t3 + 3 * t2) * u_r
-            + ((t3 - t2) * h) * d_r
-        )
+        c0 = 2 * t3 - 3 * t2 + 1
+        c1 = (t3 - 2 * t2 + theta) * h
+        c2 = -2 * t3 + 3 * t2
+        c3 = (t3 - t2) * h
+        between[tq] = value = [
+            c0 * U[b + i] + c1 * D[b + i] + c2 * u_r[i] + c3 * d_r[i] for i in range(m)
+        ]
+        return value
 
-    for k in range(steps):
-        t0 = k * h
-        uk = U[k]
-        k1 = rhs(t0, uk, lookup, t0)
-        D[k] = k1
-        k2 = rhs(t0 + 0.5 * h, uk + 0.5 * h * k1, lookup, t0)
-        k3 = rhs(t0 + 0.5 * h, uk + 0.5 * h * k2, lookup, t0)
-        k4 = rhs(t0 + h, uk + h * k3, lookup, t0)
-        u_new = uk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (k + 1) in jumps:
-            d_pre = rhs((k + 1) * h, u_new, lookup, t0)
-            pre_jump[k + 1] = (u_new.copy(), np.asarray(d_pre, dtype=float))
-            u_new = jumps[k + 1](u_new)
-        U[k + 1] = u_new
-    D[steps] = rhs(steps * h, U[steps], lookup, (steps - 1) * h)
-    return U
+    try:
+        for k in range(steps):
+            t0 = k * h
+            between.clear()
+            k1 = rhs(t0, u, lookup, t0)
+            D.extend(k1)
+            k2 = rhs(t0 + half, tuple([x + half * d for x, d in zip(u, k1)]), lookup, t0)
+            k3 = rhs(t0 + half, tuple([x + half * d for x, d in zip(u, k2)]), lookup, t0)
+            k4 = rhs(t0 + h, tuple([x + h * d for x, d in zip(u, k3)]), lookup, t0)
+            u = tuple(
+                [x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                 for x, a, b, c, d in zip(u, k1, k2, k3, k4)]
+            )
+            jump = jumps.get(k + 1)
+            if jump is not None:
+                pre_jump[k + 1] = (u, rhs((k + 1) * h, u, lookup, t0))
+                u = jump(u)
+            U.extend(u)
+    except ArithmeticError as exc:
+        raise SolverError(
+            f"reference march failed in the step to t={(k + 1) * h:.6g} "
+            f"({type(exc).__name__}: {exc}); reduce the step size h={h}"
+        ) from exc
+    states = np.frombuffer(U).reshape(steps + 1, m)
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if bad.size:
+        raise SolverError(
+            f"reference march reached a non-finite state at t={bad[0] * h:.6g}; "
+            f"reduce the step size h={h}"
+        )
+    return states
 
 
 def solve_markovian_pairwise(
@@ -122,13 +153,11 @@ def solve_markovian_pairwise(
     def rhs(t, u, lookup, t0):
         S, SS, I, SI = u
         c = link * SI / S
-        return np.array(
-            [
-                -tau * SI,
-                -2.0 * c * SS,
-                tau * SI - gamma * I,
-                c * SS - c * SI - tau * SI - gamma * SI,
-            ]
+        return (
+            -tau * SI,
+            -2.0 * c * SS,
+            tau * SI - gamma * I,
+            c * SS - c * SI - tau * SI - gamma * SI,
         )
 
     S, SS, I, SI = _march_delay_rk4(rhs, run.pair_state(), h, run.steps).T
@@ -153,7 +182,7 @@ def solve_markovian_meanfield(
 
     def rhs(t, u, lookup, t0):
         S, I = u
-        return np.array([-coupling * S * I, coupling * S * I - gamma * I])
+        return (-coupling * S * I, coupling * S * I - gamma * I)
 
     S, I = _march_delay_rk4(rhs, [run.S0, run.I0], h, run.steps).T
     return run.trajectory(S, I)
@@ -196,13 +225,11 @@ def solve_fixed_delay_pairwise(
             Sd, SSd, Id, SId, phid = lookup(t - sigma)
             dI -= tau * SId
             dSI -= link * (SSd * SId / Sd) * math.exp(-(phi - phid))
-        return np.array([dS, dSS, dI, dSI, dphi])
+        return (dS, dSS, dI, dSI, dphi)
 
     def recover_newborns(u):
-        u = u.copy()
-        u[2] -= run.I0
-        u[3] -= SI0 * math.exp(-u[4])
-        return u
+        S, SS, I, SI, phi = u
+        return (S, SS, I - run.I0, SI - SI0 * math.exp(-phi), phi)
 
     jumps = {j_sigma: recover_newborns} if j_sigma <= run.steps else None
     S, SS, I, SI, phi = _march_delay_rk4(rhs, u0, h, run.steps, jumps).T
@@ -231,12 +258,10 @@ def solve_fixed_delay_meanfield(
         if t0 > sigma - half:
             Sd, Id = lookup(t - sigma)
             dI -= coupling * Sd * Id
-        return np.array([-coupling * S * I, dI])
+        return (-coupling * S * I, dI)
 
     def recover_newborns(u):
-        u = u.copy()
-        u[1] -= run.I0
-        return u
+        return (u[0], u[1] - run.I0)
 
     jumps = {j_sigma: recover_newborns} if j_sigma <= run.steps else None
     S, I = _march_delay_rk4(rhs, [run.S0, run.I0], h, run.steps, jumps).T
@@ -271,22 +296,21 @@ def solve_gamma_chain(
         S, SS = u[0], u[1]
         I_st = u[2 : 2 + K]
         SI_st = u[2 + K :]
-        SI = SI_st.sum()
+        # np.sum's order: left to right below 8 terms, pairwise from 8 on.
+        SI = reduce(add, SI_st, 0.0) if K < 8 else float(np.sum(SI_st))
         c = link * SI / S
-        du = np.empty_like(u)
-        du[0] = -tau * SI
-        du[1] = -2.0 * c * SS
-        du[2] = tau * SI - stage_rate * I_st[0]
-        for j in range(1, K):
-            du[2 + j] = stage_rate * (I_st[j - 1] - I_st[j])
         loss = c + tau + stage_rate
-        du[2 + K] = c * SS - loss * SI_st[0]
-        for j in range(1, K):
-            du[2 + K + j] = stage_rate * SI_st[j - 1] - loss * SI_st[j]
-        return du
+        return (
+            -tau * SI,
+            -2.0 * c * SS,
+            tau * SI - stage_rate * I_st[0],
+            *[stage_rate * (I_st[j - 1] - I_st[j]) for j in range(1, K)],
+            c * SS - loss * SI_st[0],
+            *[stage_rate * SI_st[j - 1] - loss * SI_st[j] for j in range(1, K)],
+        )
 
-    u0 = np.zeros(2 + 2 * K)
-    u0[[0, 1, 2, 2 + K]] = run.pair_state()
+    S0, SS0, I0, SI0 = run.pair_state()
+    u0 = (S0, SS0, I0, *[0.0] * (K - 1), SI0, *[0.0] * (K - 1))
     U = _march_delay_rk4(rhs, u0, h, run.steps)
     I_stages = U[:, 2 : 2 + K].T
     SI_stages = U[:, 2 + K :].T
@@ -339,14 +363,14 @@ def solve_uniform_delay_pairwise(
         dphi = c + tau
         dV = c * SS - dphi * V
         if t0 > A - half:
-            Sa, _, _, _, phia, Va = lookup(max(0.0, t - A)).tolist()
-            Sb, _, _, _, phib, Vb = lookup(max(0.0, t - B)).tolist()
+            Sa, _, _, _, phia, Va = lookup(max(0.0, t - A))
+            Sb, _, _, _, phib, Vb = lookup(max(0.0, t - B))
             dI -= (Sb - Sa) / width
             dSI -= (math.exp(phia - phi) * Va - math.exp(phib - phi) * Vb) / width
             if t0 < B - half:
                 dI -= newborn_flux
                 dSI -= newborn_link_flux * math.exp(-phi)
-        return np.array([dS, dSS, dI, dSI, dphi, dV])
+        return (dS, dSS, dI, dSI, dphi, dV)
 
     U = _march_delay_rk4(rhs, run.pair_state() + [0.0, 0.0], h, run.steps)
     S, SS, I, SI, phi, _ = U.T

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .recovery import FixedDuration, RecoveryDistribution, UniformInterval
-from .trajectory import EpidemicParams, SolverConfig, Trajectory, _SolveSetup
+from .trajectory import EpidemicParams, SolverConfig, SolverError, Trajectory, _SolveSetup
 
 __all__ = [
     "SolverError",
@@ -47,10 +47,6 @@ __all__ = [
     "solve_meanfield",
     "solve_pairwise",
 ]
-
-
-class SolverError(RuntimeError):
-    """Raised when a solve cannot be completed with the given configuration."""
 
 
 class StepContractionError(SolverError):
@@ -291,11 +287,21 @@ def _march_renewal(
 
 
 def _infected_from_incidence(
-    incidence: np.ndarray, xi_quad: np.ndarray, boundary: np.ndarray, h: float
+    incidence: np.ndarray,
+    xi_quad: np.ndarray,
+    boundary: np.ndarray,
+    h: float,
+    window: int | None = None,
 ) -> np.ndarray:
-    """[I](t) = int_0^t incidence(u) xi(t-u) du + b(t) on the whole grid."""
+    """[I](t) = int_0^t incidence(u) xi(t-u) du + b(t) on the whole grid.
+
+    ``window`` (from :func:`_window_nodes`) drops the kernel's zero tail past
+    a bounded support.  The sums then run over fewer exact zeros, so the
+    result may move in the last bits.
+    """
     m = len(incidence) - 1
-    conv = np.convolve(incidence, xi_quad)[: m + 1]
+    kernel = xi_quad if window is None else xi_quad[: window + 1]
+    conv = np.convolve(incidence, kernel)[: m + 1]
     # Trapezoid endpoint correction: halve the i=0 and i=k terms of each sum.
     ends = 0.5 * (incidence[0] * xi_quad[: m + 1] + incidence * xi_quad[0])
     return h * (conv - ends) + boundary
@@ -317,6 +323,7 @@ class _Renewal(NamedTuple):
     y_hist: np.ndarray
     xi_quad: np.ndarray
     b_infected: np.ndarray
+    window: int | None
 
 
 def _solve_renewal(
@@ -338,6 +345,7 @@ def _solve_renewal(
     xi_quad, xi_point, xi_pre = _survival_grids(dist, h, steps)
     b_infected, I0_eff = _boundary_profile(dist, h, steps, run.I0, config, xi_point)
     newborn_atom = config.newborn and dist.has_point_mass()[0]
+    window = _window_nodes(dist, h, steps)
 
     x, y, phi, y_hist = _march_renewal(
         deriv_x=deriv_x,
@@ -350,12 +358,12 @@ def _solve_renewal(
         x0=run.S0,
         h=h,
         steps=steps,
-        window=_window_nodes(dist, h, steps),
+        window=window,
     )
     run.meta.update(dist=dist.spec_string(), I0=I0_eff)
     if snap_notes:
         run.meta["grid_snap"] = ";".join(snap_notes)
-    return _Renewal(x, y, phi, y_hist, xi_quad, b_infected)
+    return _Renewal(x, y, phi, y_hist, xi_quad, b_infected, window)
 
 
 def solve_meanfield(
@@ -423,7 +431,7 @@ def solve_pairwise(
     )
     S, SI, h = sol.x, sol.y, config.h
     SS = (n / N) * S0 ** (2.0 / n) * S ** (2.0 * (n - 1.0) / n)
-    I = _infected_from_incidence(tau * sol.y_hist, sol.xi_quad, sol.b_infected, h)
+    I = _infected_from_incidence(tau * sol.y_hist, sol.xi_quad, sol.b_infected, h, sol.window)
 
     # Independent [SS] integration (trapezoid of its own rate equation) for
     # first-integral drift diagnostics; the update is linear-implicit exact.

@@ -19,11 +19,16 @@ import numpy as np
 from .recovery import RecoveryDistribution
 
 __all__ = [
-    "SERIES_NAMES", "EpidemicParams", "SolverConfig", "Trajectory", "format_meta", "parse_meta",
+    "SERIES_NAMES", "EpidemicParams", "SolverConfig", "SolverError", "Trajectory",
+    "format_meta", "parse_meta",
 ]
 
 SERIES_NAMES = ("S", "I", "R", "SI", "SS")
 _META_TAG = "# meta:"
+
+
+class SolverError(RuntimeError):
+    """Raised when a deterministic solve cannot be completed with the given configuration."""
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ simulator, and the pair counter is a brute-force double loop.
 The reference graph generator and event loop at the end are the plain-Python
 implementations that the vectorised ``network`` and ``simulate`` code
 replaced.  They draw from the generator in the same order, so the fast code
-must reproduce their output bit for bit.
+must reproduce their output bit for bit.  Likewise the numpy RK4 march last
+in this file is the one the float-only march of ``reference`` replaced; it
+performs every operation in the same order, so the closed-form references
+must come out identical on either march.
 """
 
 from __future__ import annotations
@@ -261,3 +264,60 @@ def reference_run_single(graph: RegularGraph, params, seed, dt_out=0.1, initial_
         "total_infections": total_infections,
     }
     return out, meta
+
+
+def reference_march_delay_rk4(rhs, u0, h: float, steps: int, jumps: dict | None = None):
+    """Classical RK4 with node history, Hermite delayed lookup, node jumps.
+
+    The numpy march the closed-form references ran on before they moved to
+    Python floats: every state, stage and lookup is an ndarray row.
+
+    ``rhs(t, u, lookup, t0)`` receives the step's starting node time ``t0``
+    for branch decisions.  ``jumps`` maps node index -> fn(u) -> u, applied
+    after the step landing on that node; the pre-jump state and left-limit
+    derivative stay available to interpolation of the preceding panel.
+    Delayed arguments must trail the current time by at least one step.
+    """
+    jumps = jumps or {}
+    u0 = np.asarray(u0, dtype=float)
+    m = u0.size
+    U = np.empty((steps + 1, m))
+    D = np.zeros((steps + 1, m))
+    U[0] = u0
+    pre_jump: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def lookup(tq: float) -> np.ndarray:
+        j = tq / h
+        j0 = int(j)
+        theta = j - j0
+        if theta < 1e-9:
+            return U[j0]
+        if theta > 1.0 - 1e-9:
+            return U[j0 + 1]
+        right = pre_jump.get(j0 + 1)
+        u_r, d_r = right if right is not None else (U[j0 + 1], D[j0 + 1])
+        t2 = theta * theta
+        t3 = t2 * theta
+        return (
+            (2 * t3 - 3 * t2 + 1) * U[j0]
+            + ((t3 - 2 * t2 + theta) * h) * D[j0]
+            + (-2 * t3 + 3 * t2) * u_r
+            + ((t3 - t2) * h) * d_r
+        )
+
+    for k in range(steps):
+        t0 = k * h
+        uk = U[k]
+        k1 = rhs(t0, uk, lookup, t0)
+        D[k] = k1
+        k2 = rhs(t0 + 0.5 * h, uk + 0.5 * h * k1, lookup, t0)
+        k3 = rhs(t0 + 0.5 * h, uk + 0.5 * h * k2, lookup, t0)
+        k4 = rhs(t0 + h, uk + h * k3, lookup, t0)
+        u_new = uk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (k + 1) in jumps:
+            d_pre = rhs((k + 1) * h, u_new, lookup, t0)
+            pre_jump[k + 1] = (u_new.copy(), np.asarray(d_pre, dtype=float))
+            u_new = jumps[k + 1](u_new)
+        U[k + 1] = u_new
+    D[steps] = rhs(steps * h, U[steps], lookup, (steps - 1) * h)
+    return U

@@ -5,9 +5,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import nmsir as nm
+from nmsir import reference
 from nmsir.analysis import final_size_pairwise, reproduction_numbers
+from nmsir.trajectory import SERIES_NAMES
 
 from conftest import rel_sup_diff
+from oracles import reference_march_delay_rk4
 
 N, DEG = 1000, 15
 TAU = 0.35
@@ -217,3 +220,103 @@ def test_reference_rejects_step_that_is_not_positive_and_finite(solver, dist):
     for h in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="step size"):
             solver(p, num_nodes=N, degree=DEG, h=h)
+
+
+def _numpy_march(rhs, u0, h, steps, jumps=None):
+    """Drive the float right-hand sides and jumps through the numpy oracle march."""
+
+    def rhs_array(t, u, lookup, t0):
+        return np.array(rhs(t, tuple(u.tolist()), lambda tq: tuple(lookup(tq).tolist()), t0))
+
+    def jump_array(jump):
+        return lambda u: np.array(jump(tuple(u.tolist())))
+
+    jumps = {node: jump_array(jump) for node, jump in (jumps or {}).items()}
+    return reference_march_delay_rk4(rhs_array, u0, h, steps, jumps)
+
+
+# (solver, law, tau, I0, t_end, h)
+_ORACLE_CASES = {
+    "markovian": (nm.solve_markovian_pairwise, nm.Exponential(2 / 3), TAU, 5, 25.0, 1e-2),
+    "markovian-mf": (nm.solve_markovian_meanfield, nm.Exponential(2 / 3), TAU, 5, 25.0, 1e-2),
+    "fixed": (nm.solve_fixed_delay_pairwise, nm.FixedDuration(1.5), TAU, 5, 25.0, 1e-2),
+    "fixed-mf": (nm.solve_fixed_delay_meanfield, nm.FixedDuration(1.5), TAU, 5, 25.0, 1e-2),
+    "gamma": (nm.solve_gamma_chain, nm.GammaErlang(3, 2 / 3), TAU, 5, 25.0, 1e-2),
+    "uniform": (nm.solve_uniform_delay_pairwise, nm.UniformInterval(1, 2), TAU, 5, 25.0, 1e-2),
+    "fixed-sigma-one-step": (
+        nm.solve_fixed_delay_pairwise, nm.FixedDuration(0.05), TAU, 5, 5.0, 0.05
+    ),
+    "fixed-mf-sigma-one-step": (
+        nm.solve_fixed_delay_meanfield, nm.FixedDuration(0.05), TAU, 5, 5.0, 0.05
+    ),
+    "fixed-sigma-beyond": (nm.solve_fixed_delay_pairwise, nm.FixedDuration(30.0), TAU, 5, 5.0, 1e-2),
+    "uniform-a-beyond": (
+        nm.solve_uniform_delay_pairwise, nm.UniformInterval(6, 8), TAU, 5, 5.0, 1e-2
+    ),
+    "uniform-b-beyond": (
+        nm.solve_uniform_delay_pairwise, nm.UniformInterval(3, 8), TAU, 5, 5.0, 1e-2
+    ),
+    "gamma-K1": (nm.solve_gamma_chain, nm.GammaErlang(1, 2 / 3), TAU, 5, 10.0, 1e-2),
+    "gamma-K8": (nm.solve_gamma_chain, nm.GammaErlang(8, 2 / 3), TAU, 5, 10.0, 1e-2),
+    "fixed-I0-0": (nm.solve_fixed_delay_pairwise, nm.FixedDuration(1.5), TAU, 0, 5.0, 1e-2),
+    "gamma-I0-0": (nm.solve_gamma_chain, nm.GammaErlang(3, 2 / 3), TAU, 0, 5.0, 1e-2),
+    "uniform-I0-0": (nm.solve_uniform_delay_pairwise, nm.UniformInterval(1, 2), TAU, 0, 5.0, 1e-2),
+    "uniform-coarse-phi-709": (
+        nm.solve_uniform_delay_pairwise, nm.UniformInterval(1, 2), 1.0, 5, 800.0, 0.1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_reference_matches_numpy_oracle_march(monkeypatch, case):
+    # The float march keeps every operation of the numpy one in order, so
+    # each reference comes out identical on either march.
+    solver, dist, tau, i0, t_end, h = _ORACLE_CASES[case]
+    params = nm.EpidemicParams(tau=tau, dist=dist, initial_infected=i0, t_end=t_end)
+    fast = solver(params, num_nodes=N, degree=DEG, h=h)
+    monkeypatch.setattr(reference, "_march_delay_rk4", _numpy_march)
+    slow = solver(params, num_nodes=N, degree=DEG, h=h)
+    for name in SERIES_NAMES:
+        assert np.array_equal(fast.series(name), slow.series(name)), name
+    assert fast.extra.keys() == slow.extra.keys()
+    for key, value in fast.extra.items():
+        assert np.array_equal(value, slow.extra[key]), key
+    assert fast.meta == slow.meta
+    if case == "uniform-coarse-phi-709":
+        assert fast.extra["Phi"][-1] > 709.0
+
+
+_REFERENCES = [
+    (nm.solve_markovian_pairwise, nm.Exponential(2 / 3)),
+    (nm.solve_markovian_meanfield, nm.Exponential(2 / 3)),
+    (nm.solve_fixed_delay_pairwise, nm.FixedDuration(1.5)),
+    (nm.solve_fixed_delay_meanfield, nm.FixedDuration(1.5)),
+    (nm.solve_gamma_chain, nm.GammaErlang(3, 2 / 3)),
+    (nm.solve_uniform_delay_pairwise, nm.UniformInterval(1, 2)),
+]
+
+
+def test_references_end_finite_or_raise_solver_error():
+    # Steps far too large for tau blow the RK4 march up; a reference must
+    # then raise SolverError naming the time, never return NaN or inf series
+    # or leak an OverflowError from the scalar arithmetic.  Seeding every
+    # node is the one ValueError here.
+    assert nm.SolverError is nm.solvers.SolverError is nm.trajectory.SolverError
+    failures = 0
+    for solver, dist in _REFERENCES:
+        for tau in (0.35, 1.0, 2.0, 5.0, 10.0, 50.0):
+            for h in (0.01, 0.05, 0.1, 0.25, 0.5):
+                for i0 in (1, 50, N):
+                    params = nm.EpidemicParams(tau=tau, dist=dist, initial_infected=i0, t_end=10.0)
+                    try:
+                        traj = solver(params, num_nodes=N, degree=DEG, h=h)
+                    except nm.SolverError as exc:
+                        assert "t=" in str(exc)
+                        failures += 1
+                        continue
+                    except ValueError:
+                        assert i0 == N
+                        continue
+                    for name in SERIES_NAMES:
+                        assert np.all(np.isfinite(traj.series(name))), (solver, tau, h, i0)
+    assert failures > 0

@@ -148,6 +148,41 @@ def test_solves_raise_only_solver_errors(all_dists):
                         assert np.all(np.isfinite(traj.series(name))), (dist, tau, h, solve)
 
 
+@pytest.mark.parametrize(
+    "dist", [nm.FixedDuration(1.5), nm.UniformInterval(1, 2)], ids=["fixed", "uniform"]
+)
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+def test_windowed_infected_convolution_matches_full_kernel(dist, h):
+    # Past a bounded support the quadrature kernel is exact zeros; convolving
+    # with the truncated kernel drops them, which may move only the last bits.
+    traj = nm.solve_pairwise(_params(dist), num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
+    steps = len(traj.t) - 1
+    xi_quad = solvers._survival_grids(dist, h, steps)[0]
+    window = solvers._window_nodes(dist, h, steps)
+    assert window < steps and not np.any(xi_quad[window + 1 :])
+    incidence, boundary = 0.35 * traj.SI, 5.0 * xi_quad
+    windowed = solvers._infected_from_incidence(incidence, xi_quad, boundary, h, window)
+    full = solvers._infected_from_incidence(incidence, xi_quad, boundary, h)
+    assert rel_sup_diff(windowed, full) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "dist", [nm.FixedDuration(1.5), nm.UniformInterval(1, 2)], ids=["fixed", "uniform"]
+)
+def test_meanfield_pre_recovery_dip_is_third_order_in_h(dist):
+    # Before the first recovery mean-field R = N - S - I is zero in exact
+    # arithmetic; the corrector's stopping tolerance leaves a small negative
+    # dip near t = 1 that shrinks about 8x per halving of h.
+    dips = []
+    for h in (0.01, 0.005, 0.0025):
+        traj = nm.solve_meanfield(
+            _params(dist, t_end=2.0), num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h)
+        )
+        dips.append(-float(traj.R.min()))
+    assert 0.0 < dips[0] < 1e-3
+    assert dips[0] >= 6.0 * dips[1] and dips[1] >= 6.0 * dips[2]
+
+
 def test_long_horizon_pairwise_stays_finite():
     # Phi passes 800 here; the stored history weights are rescaled instead of
     # overflowing exp(Phi), and the rescale leaves the first 60 days (Phi
