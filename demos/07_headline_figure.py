@@ -21,7 +21,7 @@ from nmsir import (
     GammaErlang,
     SolverConfig,
     UniformInterval,
-    run_ensemble,
+    run_ensembles,
     solve_meanfield,
     solve_pairwise,
 )
@@ -35,12 +35,16 @@ LAWS = {
 
 out = Path("demo_output")
 out.mkdir(exist_ok=True)
+laws = {
+    name: EpidemicParams(tau=TAU, dist=dist, initial_infected=I0, t_end=25.0)
+    for name, dist in LAWS.items()
+}
+# One pass over the run index: every law runs on the same 100 graphs.
+ensembles = run_ensembles(
+    list(laws.values()), num_nodes=N, degree=DEGREE, runs=RUNS, base_seed=11, graph_seed=12
+)
 curves = {}
-for name, dist in LAWS.items():
-    params = EpidemicParams(tau=TAU, dist=dist, initial_infected=I0, t_end=25.0)
-    mean, _ = run_ensemble(
-        params, num_nodes=N, degree=DEGREE, runs=RUNS, base_seed=11, graph_seed=12
-    )
+for (name, params), (mean, _) in zip(laws.items(), ensembles):
     pw = solve_pairwise(params, num_nodes=N, degree=DEGREE, config=SolverConfig(h=0.01))
     mf = solve_meanfield(params, num_nodes=N, degree=DEGREE, config=SolverConfig(h=0.01))
     curves[name] = (mean, pw, mf)

@@ -44,7 +44,7 @@ from .reference import (
     solve_markovian_pairwise,
     solve_uniform_delay_pairwise,
 )
-from .simulate import run_ensemble, run_single
+from .simulate import run_ensemble, run_ensembles, run_single
 from .solvers import (
     SolverError,
     StepContractionError,
@@ -80,6 +80,7 @@ __all__ = [
     "parse_distribution",
     "reproduction_numbers",
     "run_ensemble",
+    "run_ensembles",
     "run_single",
     "save_edge_list",
     "solve_fixed_delay_meanfield",

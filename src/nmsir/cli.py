@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import final_size_meanfield, final_size_pairwise, reproduction_numbers
 from .network import generate_regular, save_edge_list
 from .recovery import parse_distribution
-from .simulate import run_ensemble
+from .simulate import run_ensembles
 from .solvers import SolverError, solve_meanfield, solve_pairwise
 from .reference import (
     solve_fixed_delay_pairwise,
@@ -214,9 +214,11 @@ def _meta_with_config(cfg: ExperimentConfig, **extra) -> dict:
     return meta
 
 
-def _ensemble(cfg: ExperimentConfig, params: EpidemicParams) -> tuple[Trajectory, Trajectory]:
-    return run_ensemble(
-        params,
+def _ensembles(
+    cfg: ExperimentConfig, laws: list[EpidemicParams]
+) -> list[tuple[Trajectory, Trajectory]]:
+    return run_ensembles(
+        laws,
         num_nodes=cfg.network_num_nodes,
         degree=cfg.network_degree,
         runs=cfg.simulation_runs,
@@ -228,7 +230,7 @@ def _ensemble(cfg: ExperimentConfig, params: EpidemicParams) -> tuple[Trajectory
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    mean, std = _ensemble(cfg, _epidemic_params(cfg))
+    ((mean, std),) = _ensembles(cfg, [_epidemic_params(cfg)])
     mean.meta = _meta_with_config(cfg, command="simulate")
     std.meta = _meta_with_config(cfg, command="simulate", statistic="std")
     mean_path = _out_path(cfg, "sim_mean.csv")
@@ -315,8 +317,8 @@ def cmd_analytics(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _compare_one(cfg: ExperimentConfig, spec: str):
-    mean, std = _ensemble(cfg, _epidemic_params(cfg, spec))
+def _compare_one(cfg: ExperimentConfig, spec: str, ensemble: tuple[Trajectory, Trajectory]):
+    mean, std = ensemble
     pw = solve_model(cfg, "pairwise", spec)
     mf = solve_model(cfg, "meanfield", spec)
     N = cfg.network_num_nodes
@@ -360,8 +362,10 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             ["dist", "method", "peak", "peak_time", "final_size",
              "peak_rel_err", "final_size_rel_err"]
         )
-        for idx, spec in enumerate(specs):
-            rows, curves = _compare_one(cfg, spec)
+        # Every law's ensemble first, on shared graphs; the solves follow.
+        ensembles = _ensembles(cfg, [_epidemic_params(cfg, spec) for spec in specs])
+        for idx, (spec, ensemble) in enumerate(zip(specs, ensembles)):
+            rows, curves = _compare_one(cfg, spec, ensemble)
             tag = parse_distribution(spec).kind
             curve_path = _out_path(cfg, f"compare_{idx}_{tag}.csv")
             with open(curve_path, "w", encoding="utf-8") as cfh:

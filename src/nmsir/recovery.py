@@ -29,6 +29,8 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import ClassVar
 
 import numpy as np
@@ -286,7 +288,10 @@ class GammaErlang(RecoveryDistribution):
     def sample(self, rng, size=None):
         # Sum of K exponential stages; keeps the stage interpretation exact.
         if size is None:
-            return float(rng.exponential(1.0 / self.rate, size=self.shape).sum())
+            stages = rng.exponential(1.0 / self.rate, size=self.shape)
+            # np.sum's order (left to right below 8 terms, pairwise from 8 on),
+            # so a scalar draw equals the same draw taken through the array path.
+            return reduce(add, stages.tolist(), 0.0) if self.shape < 8 else float(stages.sum())
         stage_shape = (self.shape,) + tuple(np.atleast_1d(size))
         return rng.exponential(1.0 / self.rate, size=stage_shape).sum(axis=0)
 

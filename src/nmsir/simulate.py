@@ -5,9 +5,13 @@ infectious period of each node is drawn from the configured recovery
 distribution.  When a node becomes infected, its recovery time is drawn
 immediately and one candidate transmission time (an Exp(tau) delay) is drawn
 per neighbor.  A candidate is kept only if it falls before the source's
-recovery and within the horizon; this does not change the law of the
-process, because transmission is memoryless.  Kept candidates are popped in
-time order and fire if the target is still susceptible.
+recovery and within the horizon, and before the target's earliest kept
+candidate; this does not change the law of the process, because transmission
+is memoryless and only a target's earliest candidate can infect it.  Until a
+node is infected, ``infected_at`` holds its earliest kept candidate (a lazy
+decrease-key), and a popped candidate is live iff its time still equals that
+entry; the pops that infect, and so the order of the draws, are those of a
+loop that queues every candidate aimed at a susceptible node.
 
 Recoveries are never queued: a kept candidate always pops while its source is
 still infectious, so the event loop only records each node's infection and
@@ -16,19 +20,24 @@ grid point counts every infection and recovery at or before it, an edge is an
 S-I link from its first endpoint's infection until that endpoint recovers or
 the other one is infected, and an S-S link until either endpoint is infected.
 Link counts use the ordered convention ([SS] counts each link twice).
+
+An ensemble runs several laws in one pass over the run index: run k of every
+law uses graph k and RNG stream k, so each graph is built once whatever the
+number of laws, and a law's runs are those of an ensemble of that law alone.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from collections.abc import Sequence
+from heapq import heappop, heappush
 
 import numpy as np
 
 from .network import RegularGraph, generate_regular
 from .trajectory import SERIES_NAMES, EpidemicParams, Trajectory
 
-__all__ = ["run_single", "run_ensemble"]
+__all__ = ["run_single", "run_ensemble", "run_ensembles"]
 
 
 def run_single(
@@ -42,9 +51,9 @@ def run_single(
 
     ``seed`` may be an int, a ``SeedSequence`` or a ``Generator``; equal seeds
     give bit-identical trajectories.  Initial infecteds are drawn uniformly
-    without replacement unless ``initial_nodes`` pins them explicitly.  The
-    event counts (heap pushes, pops, stale pops, infections) are returned in
-    ``extra["diag"]``.
+    without replacement unless ``initial_nodes`` pins them explicitly, as
+    distinct node ids in ``[0, N)``.  The event counts (heap pushes, pops,
+    stale pops, infections) are returned in ``extra["diag"]``.
     """
     if params.initial_infected > graph.num_nodes:
         raise ValueError("initial_infected exceeds the number of nodes")
@@ -59,41 +68,44 @@ def run_single(
     infected_at = [inf] * num_nodes
     recovers_at = [inf] * num_nodes
     infection_times: list[float] = []  # nondecreasing: events pop in time order
-    heap: list[tuple] = []
-    pushes = 0
-
-    def infect(node: int, t: float):
-        nonlocal pushes
-        infected_at[node] = t
-        infection_times.append(t)
-        rec_at = recovers_at[node] = t + dist.sample(rng)
-        nbrs = adjacency[node]
-        for other, delay in zip(nbrs, rng.exponential(scale, size=len(nbrs)).tolist()):
-            if infected_at[other] == inf:
-                t_cand = t + delay
-                if t_cand < rec_at and t_cand <= t_end:
-                    heapq.heappush(heap, (t_cand, pushes, other))
-                    pushes += 1
+    # t_cand <= t_end is t_cand < past_end, so one comparison with
+    # min(recovery, past_end) keeps a candidate before the source recovers
+    # and within the horizon.
+    past_end = math.nextafter(t_end, inf)
 
     if initial_nodes is not None:
         seeds = [int(node) for node in initial_nodes]
         if len(set(seeds)) != len(seeds):
             raise ValueError("initial_nodes must be distinct")
+        if not all(0 <= node < num_nodes for node in seeds):
+            raise ValueError(f"initial_nodes must lie in [0, {num_nodes})")
     elif params.initial_infected:
         seeds = rng.choice(num_nodes, size=params.initial_infected, replace=False).tolist()
     else:
         seeds = []
+    # The seeds are queued at t = 0 ahead of every candidate, in seed order.
+    heap = [(0.0, k - len(seeds), node) for k, node in enumerate(seeds)]
     for node in seeds:
-        infect(node, 0.0)
+        infected_at[node] = 0.0
 
-    pops = stale = 0
+    sample, exponential = dist.sample, rng.exponential
+    pushes = stale = 0
     while heap:
-        t, _, node = heapq.heappop(heap)
-        pops += 1
-        if infected_at[node] == inf:
-            infect(node, t)
-        else:
+        t, _, node = heappop(heap)
+        if t != infected_at[node]:
             stale += 1
+            continue
+        infection_times.append(t)
+        rec_at = recovers_at[node] = t + sample(rng)
+        limit = rec_at if rec_at < past_end else past_end
+        nbrs = adjacency[node]
+        for other, delay in zip(nbrs, exponential(scale, size=len(nbrs)).tolist()):
+            t_cand = t + delay
+            if t_cand < limit and t_cand < infected_at[other]:
+                infected_at[other] = t_cand
+                heappush(heap, (t_cand, pushes, other))
+                pushes += 1
+    pops = pushes  # candidates only (not the seeds): the heap is drained
 
     n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
     grid = np.arange(n_out) * dt_out
@@ -133,6 +145,80 @@ def run_single(
     )
 
 
+def run_ensembles(
+    laws: Sequence[EpidemicParams],
+    *,
+    num_nodes: int,
+    degree: int,
+    runs: int,
+    base_seed: int,
+    graph_seed: int = 1,
+    fresh_graph_per_run: bool = True,
+    graph: RegularGraph | None = None,
+    dt_out: float = 0.1,
+) -> list[tuple[Trajectory, Trajectory]]:
+    """:func:`run_ensemble` for several laws at once, one (mean, std) per law.
+
+    The run index is the outer loop: graph k is built once and run k of every
+    law uses it, with stream k of ``base_seed``, so each law's ensemble is
+    bit-identical to a :func:`run_ensemble` call for that law alone.
+    """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    run_streams = np.random.SeedSequence(base_seed).spawn(runs)
+    if graph is None and not fresh_graph_per_run:
+        graph = generate_regular(num_nodes, degree, graph_seed)
+    if graph is not None:
+        num_nodes, degree = graph.num_nodes, graph.degree
+
+    # Per law: one (runs, len(t)) array per series, filled row by row.
+    stacks: list[dict[str, np.ndarray]] = [{} for _ in laws]
+    run_lists: list[list[Trajectory]] = [[] for _ in laws]
+    for k in range(runs):
+        g = graph if graph is not None else generate_regular(
+            num_nodes, degree, graph_seed + 7919 * k
+        )
+        for params, stack, trajs in zip(laws, stacks, run_lists):
+            traj = run_single(g, params, np.random.default_rng(run_streams[k]), dt_out)
+            if not stack:
+                stack.update((name, np.empty((runs, len(traj.t)))) for name in SERIES_NAMES)
+            for name, rows in stack.items():
+                rows[k] = traj.series(name)
+            trajs.append(Trajectory(
+                trajs[0].t if trajs else traj.t,
+                **{name: rows[k] for name, rows in stack.items()},
+                meta=traj.meta, extra=traj.extra,
+            ))
+
+    results = []
+    for params, stack, trajs in zip(laws, stacks, run_lists):
+        meta = {
+            "source": "simulation_ensemble",
+            "N": num_nodes,
+            "n": degree,
+            "tau": params.tau,
+            "dist": params.dist.spec_string(),
+            "I0": params.initial_infected,
+            "t_end": params.t_end,
+            "dt_out": dt_out,
+            "runs": runs,
+            "base_seed": base_seed,
+            "graph_seed": graph_seed,
+            "fresh_graph_per_run": fresh_graph_per_run,
+        }
+        grid = trajs[0].t
+        mean = Trajectory(
+            grid, **{k: np.mean(v, axis=0) for k, v in stack.items()},
+            meta=meta, extra={"runs": trajs},
+        )
+        std = Trajectory(
+            grid, **{k: np.std(v, axis=0) for k, v in stack.items()},
+            meta={**meta, "statistic": "std"},
+        )
+        results.append((mean, std))
+    return results
+
+
 def run_ensemble(
     params: EpidemicParams,
     *,
@@ -152,45 +238,12 @@ def run_ensemble(
     ``graph`` may be supplied instead.  Two calls with equal seeds produce
     bit-identical output.  Standard deviations are population (ddof=0), so a
     single run reports zero spread.  The per-run trajectories, in run order,
-    are kept in the mean's ``extra["runs"]``.
+    are kept in the mean's ``extra["runs"]``; their series are row views of
+    one ``(runs, len(t))`` array per series, and they share one grid.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    run_streams = np.random.SeedSequence(base_seed).spawn(runs)
-    if graph is None and not fresh_graph_per_run:
-        graph = generate_regular(num_nodes, degree, graph_seed)
-    if graph is not None:
-        num_nodes, degree = graph.num_nodes, graph.degree
-
-    trajs = []
-    for k in range(runs):
-        g = graph if graph is not None else generate_regular(
-            num_nodes, degree, graph_seed + 7919 * k
-        )
-        trajs.append(run_single(g, params, np.random.default_rng(run_streams[k]), dt_out))
-    grid = trajs[-1].t
-
-    meta = {
-        "source": "simulation_ensemble",
-        "N": num_nodes,
-        "n": degree,
-        "tau": params.tau,
-        "dist": params.dist.spec_string(),
-        "I0": params.initial_infected,
-        "t_end": params.t_end,
-        "dt_out": dt_out,
-        "runs": runs,
-        "base_seed": base_seed,
-        "graph_seed": graph_seed,
-        "fresh_graph_per_run": fresh_graph_per_run,
-    }
-    stacks = {k: np.vstack([traj.series(k) for traj in trajs]) for k in SERIES_NAMES}
-    mean = Trajectory(
-        grid, **{k: np.mean(v, axis=0) for k, v in stacks.items()},
-        meta=dict(meta), extra={"runs": trajs},
+    (result,) = run_ensembles(
+        [params], num_nodes=num_nodes, degree=degree, runs=runs, base_seed=base_seed,
+        graph_seed=graph_seed, fresh_graph_per_run=fresh_graph_per_run, graph=graph,
+        dt_out=dt_out,
     )
-    std = Trajectory(
-        grid, **{k: np.std(v, axis=0) for k, v in stacks.items()},
-        meta={**meta, "statistic": "std"},
-    )
-    return mean, std
+    return result

@@ -50,16 +50,16 @@ def _log(num: int, name: str, ok: bool, detail: str) -> None:
 def fig1_runs():
     """100-run ensembles plus both solvers for the three headline laws."""
     out = {}
-    for name, dist in FIG1.items():
-        p = _params(dist)
-        mean, _ = nm.run_ensemble(
-            p,
-            num_nodes=N,
-            degree=DEG,
-            runs=100,
-            base_seed=BASE_SEED,
-            graph_seed=GRAPH_SEED,
-        )
+    laws = {name: _params(dist) for name, dist in FIG1.items()}
+    ensembles = nm.run_ensembles(
+        list(laws.values()),
+        num_nodes=N,
+        degree=DEG,
+        runs=100,
+        base_seed=BASE_SEED,
+        graph_seed=GRAPH_SEED,
+    )
+    for (name, p), (mean, _) in zip(laws.items(), ensembles):
         pw = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
         mf = nm.solve_meanfield(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
         out[name] = (mean, pw, mf)

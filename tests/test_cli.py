@@ -230,6 +230,31 @@ def test_compare_smoke_and_gnuplot(tmp_path, capsys):
     assert methods == ["simulation", "pairwise", "meanfield"] * 2
 
 
+@pytest.mark.parametrize("fresh", ["true", "false"])
+def test_compare_ensembles_equal_ensembles_run_alone(tmp_path, capsys, fresh):
+    # compare runs every law on shared graphs; each law's curves must be
+    # those of an ensemble of that law alone.
+    specs = "exp:rate=0.6667;gamma:shape=3,rate=2;uniform:a=1,b=2"
+    argv = ["compare", *SMALL, "--seed", "5", "--out", str(tmp_path),
+            "--set", f"compare.distributions={specs}", "--set", "compare.enforce=false",
+            "--set", f"network.fresh_graph_per_run={fresh}"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    cfg = build_config(dict(arg.split("=", 1) for arg in argv if "=" in arg))
+    for idx, spec in enumerate(specs.split(";")):
+        mean, std = nm.run_ensemble(
+            cli._epidemic_params(cfg, spec), num_nodes=200, degree=8, runs=3,
+            base_seed=5, graph_seed=cfg.network_graph_seed,
+            fresh_graph_per_run=fresh == "true", dt_out=cfg.simulation_dt_out,
+        )
+        kind = nm.parse_distribution(spec).kind
+        with open(tmp_path / f"compare_{idx}_{kind}.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        for column, expected in (("t", mean.t), ("I_sim", mean.I), ("S_sim", mean.S),
+                                 ("I_sim_std", std.I)):
+            assert np.array_equal([float(r[column]) for r in rows], expected), column
+
+
 def test_compare_threshold_failure_exits_3(tmp_path, capsys):
     # Seed 1 on this configuration goes extinct immediately, so the
     # deterministic solvers overshoot the single run by far more than 5%.

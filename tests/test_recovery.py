@@ -290,3 +290,17 @@ def test_sampling_ks_below_one_percent_critical(dist):
     stat = stats.kstest(draws, lambda a: np.asarray(dist.cdf(a))).statistic
     critical_1pct = 1.6276 / math.sqrt(n)
     assert stat < critical_1pct
+
+
+@pytest.mark.parametrize("shape", range(1, 13))
+def test_gamma_scalar_draw_equals_array_draw(shape):
+    # A scalar draw sums its stages as a plain float; it must equal, bit for
+    # bit, the same stages summed by numpy (np.sum's order changes at 8).
+    dist = nm.GammaErlang(shape, 0.7)
+    for seed in range(20):
+        scalar_rng, array_rng, vector_rng = (np.random.default_rng(seed) for _ in range(3))
+        for _ in range(25):
+            draw = dist.sample(scalar_rng)
+            assert type(draw) is float
+            assert draw == float(array_rng.exponential(1.0 / dist.rate, size=shape).sum())
+            assert draw == dist.sample(vector_rng, size=1)[0]

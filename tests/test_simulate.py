@@ -6,6 +6,7 @@ from scipy import stats
 
 import nmsir as nm
 from nmsir.network import RegularGraph
+from nmsir.trajectory import SERIES_NAMES
 
 from conftest import ALL_DISTS, assert_matches_reference
 from oracles import gillespie_final_size
@@ -121,6 +122,73 @@ def test_diagnostics_account_for_every_event(small_graph):
 def test_repeated_initial_node_rejected(small_graph):
     with pytest.raises(ValueError, match="distinct"):
         nm.run_single(small_graph, _params(nm.Exponential(1.0), i0=2), 0, initial_nodes=[3, 3])
+
+
+def test_initial_nodes_outside_the_graph_rejected():
+    graph = nm.generate_regular(20, 4, seed=1)
+    p = _params(nm.Exponential(1.0), i0=2)
+    for nodes in ([-1, 19], [25], [0, 20]):
+        with pytest.raises(ValueError, match="initial_nodes"):
+            nm.run_single(graph, p, 0, initial_nodes=nodes)
+
+
+def test_queue_keeps_only_candidates_that_beat_the_earliest(fig1_dists):
+    # Fig-1-shaped runs: a candidate is queued only if it precedes the
+    # target's earliest queued one, so fewer pops are stale than infect.
+    graph = nm.generate_regular(1000, 15, seed=21)
+    for law, dist in dict(fig1_dists, fixed=nm.FixedDuration(1.5)).items():
+        for seed in range(3):
+            diag = nm.run_single(graph, _params(dist), seed).extra["diag"]
+            assert diag["infections"] > 500, law
+            assert diag["stale_pops"] < diag["infections"], (law, seed, diag)
+
+
+def _assert_same_ensemble(together, alone):
+    for (mean, std), (mean_1, std_1) in zip(together, alone, strict=True):
+        for name in SERIES_NAMES:
+            assert np.array_equal(mean.series(name), mean_1.series(name)), name
+            assert np.array_equal(std.series(name), std_1.series(name)), name
+        assert mean.meta == mean_1.meta and std.meta == std_1.meta
+        runs, runs_1 = mean.extra["runs"], mean_1.extra["runs"]
+        assert len(runs) == len(runs_1)
+        for run, run_1 in zip(runs, runs_1):
+            assert np.array_equal(run.t, run_1.t)
+            for name in SERIES_NAMES:
+                assert np.array_equal(run.series(name), run_1.series(name)), name
+            assert run.meta == run_1.meta and run.extra == run_1.extra
+        # The runs are rows of one stack per series, on one shared grid, and
+        # the mean and std are those of the stacked rows.
+        assert all(run.t is mean.t for run in runs)
+        for name in SERIES_NAMES:
+            stack = np.vstack([run.series(name) for run in runs])
+            assert all(run.series(name).base is runs[0].series(name).base for run in runs)
+            assert runs[0].series(name).base.shape == stack.shape
+            assert np.array_equal(mean.series(name), np.mean(stack, axis=0))
+            assert np.array_equal(std.series(name), np.std(stack, axis=0))
+
+
+@pytest.mark.parametrize("fresh", [True, False])
+def test_ensembles_run_together_match_ensembles_run_alone(all_dists, fresh):
+    laws = [_params(dist, t_end=12.0) for dist in all_dists.values()]
+    common = dict(num_nodes=200, degree=8, runs=5, base_seed=9, graph_seed=4,
+                  fresh_graph_per_run=fresh, dt_out=0.25)
+    together = nm.run_ensembles(laws, **common)
+    alone = [nm.run_ensemble(p, **common) for p in laws]
+    _assert_same_ensemble(together, alone)
+    # Run k of every law is graph k under stream k of the base seed.
+    streams = np.random.SeedSequence(9).spawn(5)
+    for k in range(5):
+        graph = nm.generate_regular(200, 8, 4 + 7919 * k if fresh else 4)
+        for p, (mean, _) in zip(laws, together):
+            single = nm.run_single(graph, p, np.random.default_rng(streams[k]), 0.25)
+            for name in SERIES_NAMES:
+                assert np.array_equal(mean.extra["runs"][k].series(name), single.series(name))
+    # A supplied graph takes the place of the generated ones.
+    graph = nm.generate_regular(150, 6, seed=2)
+    common.update(graph=graph, num_nodes=0, degree=0)
+    _assert_same_ensemble(
+        nm.run_ensembles(laws, **common), [nm.run_ensemble(p, **common) for p in laws]
+    )
 
 
 def test_star_graph_instant_transmission_infects_all_leaves():
