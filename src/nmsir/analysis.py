@@ -15,8 +15,10 @@ for s = S_inf/S0 in (0, 1].  s = 1 is always a root; an interior (outbreak)
 root exists exactly when the reproduction number exceeds one, detected from
 the derivative at s = 1 rather than by scanning.  Roots are found by
 bisection on a sign-verified bracket (robust even where the relation is
-extremely flat), with powers evaluated as expm1(log(s) * exponent) so the
-n -> infinity limit degrades gracefully into the classical relation.
+extremely flat) down to two adjacent doubles, with powers evaluated as
+expm1(log(s) * exponent) so the n -> infinity limit degrades gracefully into
+the classical relation.  A root below the smallest positive double is
+reported as s = 0.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ __all__ = [
 ]
 
 _BRACKET_EPS = 1e-12
-_RESIDUAL_TOL = 1e-10
+_TINY = math.ulp(0.0)  # the smallest positive double
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ class FinalSizeResult:
     s_inf: float
     attack_rate: float
     branch: str  # "no-outbreak" or "outbreak"
+    # |g(s_inf)| for the relation g = 0; 0.0 when the root lies below the
+    # smallest positive double, where s_inf = 0.0 is the nearest double.
     residual: float
 
 
@@ -70,7 +74,7 @@ def reproduction_numbers(
     dist: RecoveryDistribution,
 ) -> ReproductionReport:
     """Mean-field r0 and pairwise r0p for the given epidemic setup."""
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError("tau must be nonnegative")
     if degree < 2:
         raise ValueError("degree must be at least 2")
@@ -92,25 +96,44 @@ def reproduction_numbers(
 
 
 def _bisect(g, lo: float, hi: float) -> float:
-    glo = g(lo)
-    ghi = g(hi)
-    if not (glo < 0.0 < ghi or ghi < 0.0 < glo):
-        raise RuntimeError(f"bisection bracket not sign-changing: g({lo})={glo}, g({hi})={ghi}")
-    for _ in range(200):
+    """Root of g in [lo, hi], given g(lo) < 0 <= g(hi), to adjacent doubles.
+
+    Each step halves the bracket until no double lies strictly inside it, so
+    the loop ends after at most about 1100 steps on (0, 1].
+    """
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
-        gm = g(mid)
-        if (gm < 0.0) == (glo < 0.0):
-            lo, glo = mid, gm
+            return mid
+        if g(mid) < 0.0:
+            lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+
+
+def _outbreak_root(g, lo: float) -> FinalSizeResult:
+    """Interior root of a relation with g < 0 near 0, g > 0 below 1, g(1) = 0.
+
+    ``lo`` is the preferred lower end of the bracket.  When it underflowed
+    to 0 or g is not negative there, the bracket starts at the smallest
+    double instead, and when g is not negative even there the root is
+    below every positive double: s = 0.  When g is not positive at the
+    preferred upper end, the root lies closer to 1 and the bracket ends at 1.
+    """
+    if not (lo > 0.0 and g(lo) < 0.0):
+        lo = _TINY
+        if not g(lo) < 0.0:
+            return FinalSizeResult(0.0, 1.0, "outbreak", 0.0)
+    hi = 1.0 - _BRACKET_EPS
+    if not g(hi) > 0.0:
+        lo, hi = hi, 1.0
+    s = _bisect(g, lo, hi)
+    return FinalSizeResult(s, 1.0 - s, "outbreak", abs(g(s)))
 
 
 def final_size_meanfield(r0: float) -> FinalSizeResult:
     """Solve ln(s) = r0 (s - 1) for the surviving susceptible fraction."""
-    if r0 < 0.0:
+    if not r0 >= 0.0:
         raise ValueError("r0 must be nonnegative")
     if r0 <= 1.0:
         # s = 1 is the only root in (0, 1]; return it exactly.
@@ -121,13 +144,12 @@ def final_size_meanfield(r0: float) -> FinalSizeResult:
 
     # For large r0 the root sits near exp(-r0), below the default bracket.
     lo = min(_BRACKET_EPS, math.exp(-r0 - 1.0)) if r0 > 25.0 else _BRACKET_EPS
-    s = _bisect(g, lo, 1.0 - _BRACKET_EPS)
-    return FinalSizeResult(s, 1.0 - s, "outbreak", abs(g(s)))
+    return _outbreak_root(g, lo)
 
 
 def final_size_pairwise(r0p: float, degree: float) -> FinalSizeResult:
     """Solve (n-1)(s^(1/n) - 1) = r0p (s^((n-1)/n) - 1) on (0, 1]."""
-    if r0p < 0.0:
+    if not r0p >= 0.0:
         raise ValueError("r0p must be nonnegative")
     n = float(degree)
     if n < 2:
@@ -146,5 +168,4 @@ def final_size_pairwise(r0p: float, degree: float) -> FinalSizeResult:
             log_s * (n - 1.0) / n
         )
 
-    s = _bisect(g, 1e-300, 1.0 - _BRACKET_EPS)
-    return FinalSizeResult(s, 1.0 - s, "outbreak", abs(g(s)))
+    return _outbreak_root(g, 1e-300)

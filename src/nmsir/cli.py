@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -83,10 +84,10 @@ class ExperimentConfig:
             raise ConfigError("network.N must be at least 2")
         if not 0 < self.network_degree < self.network_num_nodes:
             raise ConfigError("network.n must satisfy 0 < n < N")
-        if self.epidemic_tau < 0:
+        if not 0 <= self.epidemic_tau < math.inf:
             # tau = 0 is meaningful for analytics (L = 1, r0p = 0); the
             # simulator and solvers reject it when actually run.
-            raise ConfigError("epidemic.tau must be nonnegative")
+            raise ConfigError("epidemic.tau must be nonnegative and finite")
         if not 0 <= self.epidemic_initial_infected <= self.network_num_nodes:
             raise ConfigError("epidemic.I0 must lie in [0, N]")
         if self.epidemic_t_end <= 0:

@@ -57,6 +57,24 @@ def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values) if scalar else values
 
 
+def _sum_in_numpy_order(terms):
+    """Sum ``terms`` (floats, or equal-length arrays summed elementwise) in the
+    order ``np.sum`` adds a contiguous 1-D array: left to right from 0.0 below
+    8 terms, eight interleaved partial sums up to 128, halves beyond that."""
+    n = len(terms)
+    if n < 8:
+        return reduce(add, terms, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_in_numpy_order(terms[:half]) + _sum_in_numpy_order(terms[half:])
+    tail = n - n % 8
+    r = list(terms[:8])
+    for i in range(8, tail, 8):
+        r = [a + b for a, b in zip(r, terms[i:i + 8])]
+    head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, terms[tail:], head)
+
+
 class RecoveryDistribution(abc.ABC):
     """Common interface of the infectious-period laws."""
 
@@ -97,6 +115,20 @@ class RecoveryDistribution(abc.ABC):
     def sample(self, rng: np.random.Generator, size=None):
         """Draw infectious periods from a caller-owned generator."""
 
+    def exponential_stages(self) -> int | None:
+        """K when ``sample(rng)`` consumes K standard exponentials and nothing
+        else (see :meth:`periods_from_stages`), otherwise None."""
+        return None
+
+    def periods_from_stages(self, stages: np.ndarray) -> np.ndarray:
+        """Scalar draws read off a stream of standard exponentials.
+
+        ``periods[p]`` is bit for bit what ``sample(rng)`` returns when the
+        generator's next K standard exponentials are ``stages[p:p + K]``,
+        with K = :meth:`exponential_stages`; ``p`` runs up to ``len(stages) - K``.
+        """
+        raise NotImplementedError(f"{self.kind} draws are not standard-exponential stages")
+
     def has_point_mass(self) -> tuple[bool, float | None]:
         """(True, location) when the law is a point mass, else (False, None)."""
         return (False, None)
@@ -128,8 +160,8 @@ class Exponential(RecoveryDistribution):
     kind: ClassVar[str] = "exp"
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError("Exponential rate must be positive")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError("Exponential rate must be positive and finite")
 
     def pdf(self, a):
         arr, scalar = _validated_age(a)
@@ -156,6 +188,12 @@ class Exponential(RecoveryDistribution):
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
 
+    def exponential_stages(self):
+        return 1
+
+    def periods_from_stages(self, stages):
+        return stages * (1.0 / self.rate)
+
     def spec_string(self):
         return f"exp:rate={self.rate!r}"
 
@@ -168,8 +206,8 @@ class FixedDuration(RecoveryDistribution):
     kind: ClassVar[str] = "fixed"
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("FixedDuration sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("FixedDuration sigma must be positive and finite")
 
     def pdf(self, a):
         raise ValueError(
@@ -206,6 +244,12 @@ class FixedDuration(RecoveryDistribution):
             return self.sigma
         return np.full(size, self.sigma)
 
+    def exponential_stages(self):
+        return 0
+
+    def periods_from_stages(self, stages):
+        return np.full(len(stages) + 1, self.sigma, dtype=float)
+
     def has_point_mass(self):
         return (True, self.sigma)
 
@@ -230,16 +274,16 @@ class GammaErlang(RecoveryDistribution):
     kind: ClassVar[str] = "gamma"
 
     def __post_init__(self):
-        if int(self.shape) != self.shape or self.shape < 1:
+        if not (math.isfinite(self.shape) and int(self.shape) == self.shape >= 1):
             raise ValueError("GammaErlang shape must be a positive integer")
         object.__setattr__(self, "shape", int(self.shape))
-        if not self.gamma > 0.0:
-            raise ValueError("GammaErlang gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("GammaErlang gamma must be positive and finite")
 
     @classmethod
     def from_shape_rate(cls, shape: int, rate: float) -> "GammaErlang":
-        if not rate > 0.0:
-            raise ValueError("GammaErlang rate must be positive")
+        if not 0.0 < rate < math.inf:
+            raise ValueError("GammaErlang rate must be positive and finite")
         return cls(shape=shape, gamma=rate / shape)
 
     @property
@@ -288,12 +332,19 @@ class GammaErlang(RecoveryDistribution):
     def sample(self, rng, size=None):
         # Sum of K exponential stages; keeps the stage interpretation exact.
         if size is None:
-            stages = rng.exponential(1.0 / self.rate, size=self.shape)
-            # np.sum's order (left to right below 8 terms, pairwise from 8 on),
-            # so a scalar draw equals the same draw taken through the array path.
-            return reduce(add, stages.tolist(), 0.0) if self.shape < 8 else float(stages.sum())
+            # np.sum's order, so a scalar draw equals the same draw taken
+            # through the array path and through periods_from_stages.
+            return _sum_in_numpy_order(rng.exponential(1.0 / self.rate, size=self.shape).tolist())
         stage_shape = (self.shape,) + tuple(np.atleast_1d(size))
         return rng.exponential(1.0 / self.rate, size=stage_shape).sum(axis=0)
+
+    def exponential_stages(self):
+        return self.shape
+
+    def periods_from_stages(self, stages):
+        scaled, k = stages * (1.0 / self.rate), self.shape
+        count = max(len(scaled) - k + 1, 0)
+        return _sum_in_numpy_order([scaled[i:i + count] for i in range(k)])
 
     def spec_string(self):
         return f"gamma:shape={self.shape},rate={self.rate!r}"
@@ -311,8 +362,8 @@ class UniformInterval(RecoveryDistribution):
     _SERIES_TAU: ClassVar[float] = 1e-12
 
     def __post_init__(self):
-        if not (0.0 < self.lower < self.upper):
-            raise ValueError("UniformInterval requires 0 < lower < upper")
+        if not 0.0 < self.lower < self.upper < math.inf:
+            raise ValueError("UniformInterval requires 0 < lower < upper < inf")
 
     @property
     def width(self) -> float:
@@ -342,6 +393,9 @@ class UniformInterval(RecoveryDistribution):
         return self.width**2 / 12.0
 
     def sample(self, rng, size=None):
+        if size is None:
+            # The word and the arithmetic of rng.uniform, without its overhead.
+            return self.lower + self.width * rng.random()
         return rng.uniform(self.lower, self.upper, size=size)
 
     def support_upper(self):
@@ -400,7 +454,7 @@ def parse_distribution(spec: str) -> RecoveryDistribution:
         return FixedDuration(sigma)
     if kind == "gamma":
         shape, rate = take(("shape", "rate"))
-        if int(shape) != shape:
+        if not shape.is_integer():
             raise ValueError(f"gamma shape must be an integer, got {shape}")
         return GammaErlang.from_shape_rate(int(shape), rate)
     if kind == "uniform":

@@ -2,16 +2,24 @@
 
 Transmission along each S-I link is Markovian with rate ``tau``; the
 infectious period of each node is drawn from the configured recovery
-distribution.  When a node becomes infected, its recovery time is drawn
-immediately and one candidate transmission time (an Exp(tau) delay) is drawn
-per neighbor.  A candidate is kept only if it falls before the source's
-recovery and within the horizon, and before the target's earliest kept
-candidate; this does not change the law of the process, because transmission
-is memoryless and only a target's earliest candidate can infect it.  Until a
-node is infected, ``infected_at`` holds its earliest kept candidate (a lazy
-decrease-key), and a popped candidate is live iff its time still equals that
-entry; the pops that infect, and so the order of the draws, are those of a
-loop that queues every candidate aimed at a susceptible node.
+distribution.  When a node becomes infected it consumes one block of
+variates: its infectious period, then one candidate transmission time (an
+Exp(tau) delay) per neighbor.  When the law draws its period as K standard
+exponentials (exponential, Erlang and fixed laws, K = 1, K and 0), every
+block is a run of standard exponentials, so a few calls draw the blocks of
+the whole run and each infection reads its own at its offset; the uniform law
+interleaves two distributions and draws block by block.  Either way the
+stream is consumed in the same order, and a caller's generator is left where
+block-by-block draws would leave it.
+
+A candidate is kept only if it falls before the source's recovery and within
+the horizon, and before the target's earliest kept candidate; this does not
+change the law of the process, because transmission is memoryless and only a
+target's earliest candidate can infect it.  Until a node is infected,
+``infected_at`` holds its earliest kept candidate (a lazy decrease-key), and
+a popped candidate is live iff its time still equals that entry; the pops
+that infect, and so the order of the draws, are those of a loop that queues
+every candidate aimed at a susceptible node.
 
 Recoveries are never queued: a kept candidate always pops while its source is
 still infectious, so the event loop only records each node's infection and
@@ -88,24 +96,55 @@ def run_single(
     for node in seeds:
         infected_at[node] = 0.0
 
+    # When the law's periods are K standard-exponential stages, every block is
+    # a run of one standard-exponential stream, and infection j reads its
+    # block at offset ``pos``.  The stream is drawn in a few calls, each at
+    # least doubling it; a call that would pass half of ``most`` (enough for
+    # every node to be infected) draws all of it.  Memoryviews yield Python
+    # floats without building a list of every value.
+    num_stages = dist.exponential_stages()
+    if num_stages is not None:
+        state = rng.bit_generator.state
+        most = num_stages * num_nodes + sum(map(len, adjacency))
+        # Nothing drawn yet; a fixed period still reads off the empty stream.
+        stages, drawn = np.empty(0), 0
+        periods, scaled = memoryview(dist.periods_from_stages(stages)), memoryview(stages)
     sample, exponential = dist.sample, rng.exponential
-    pushes = stale = 0
+    pos = pushes = stale = 0
     while heap:
         t, _, node = heappop(heap)
         if t != infected_at[node]:
             stale += 1
             continue
         infection_times.append(t)
-        rec_at = recovers_at[node] = t + sample(rng)
-        limit = rec_at if rec_at < past_end else past_end
         nbrs = adjacency[node]
-        for other, delay in zip(nbrs, exponential(scale, size=len(nbrs)).tolist()):
+        if num_stages is None:
+            rec_at = t + sample(rng)
+            delays = exponential(scale, size=len(nbrs)).tolist()
+        else:
+            end = pos + num_stages + len(nbrs)
+            if end > drawn:
+                drawn = max(2 * drawn, end, 8192)
+                drawn = most if 2 * drawn > most else drawn
+                stages = np.concatenate((stages, rng.standard_exponential(drawn - len(stages))))
+                periods = memoryview(dist.periods_from_stages(stages))
+                scaled = memoryview(stages * scale)
+            rec_at = t + periods[pos]
+            delays = scaled[end - len(nbrs):end]
+            pos = end
+        recovers_at[node] = rec_at
+        limit = rec_at if rec_at < past_end else past_end
+        for other, delay in zip(nbrs, delays):
             t_cand = t + delay
             if t_cand < limit and t_cand < infected_at[other]:
                 infected_at[other] = t_cand
                 heappush(heap, (t_cand, pushes, other))
                 pushes += 1
     pops = pushes  # candidates only (not the seeds): the heap is drained
+    if num_stages is not None and isinstance(seed, np.random.Generator):
+        # Leave a caller's generator where block-by-block draws would have.
+        rng.bit_generator.state = state
+        rng.standard_exponential(pos)
 
     n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
     grid = np.arange(n_out) * dt_out
@@ -179,7 +218,7 @@ def run_ensembles(
             num_nodes, degree, graph_seed + 7919 * k
         )
         for params, stack, trajs in zip(laws, stacks, run_lists):
-            traj = run_single(g, params, np.random.default_rng(run_streams[k]), dt_out)
+            traj = run_single(g, params, run_streams[k], dt_out)
             if not stack:
                 stack.update((name, np.empty((runs, len(traj.t)))) for name in SERIES_NAMES)
             for name, rows in stack.items():

@@ -41,8 +41,8 @@ class EpidemicParams:
     t_end: float = 25.0
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if self.initial_infected < 0:
             raise ValueError("initial_infected must be nonnegative")
         if not 0.0 < self.t_end < math.inf:

@@ -3,7 +3,9 @@
 Nothing here may import from the modules it checks beyond plain data types:
 the Gillespie simulator below is a from-scratch rejection-free direct method
 for the Markovian SIR special case, used to cross-validate the event-driven
-simulator, and the pair counter is a brute-force double loop.
+simulator, and the pair counter is a brute-force double loop.  The
+percolation oracle checks the simulator's final sizes for every recovery law
+without times or a heap.
 
 The reference graph generator and event loop at the end are the plain-Python
 implementations that the vectorised ``network`` and ``simulate`` code
@@ -19,6 +21,8 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from nmsir.network import INFECTED, RECOVERED, SUSCEPTIBLE, RegularGraph
 
@@ -111,6 +115,37 @@ def gillespie_final_size(
         else:
             recover(infected[rng.integers(len(infected))])
     return total_infected
+
+
+def percolation_final_size(
+    graph: RegularGraph,
+    tau: float,
+    dist,
+    initial_infected: int,
+    rng: np.random.Generator,
+) -> int:
+    """Final size of one SIR run as a percolation out-component.
+
+    With Markovian transmission at rate ``tau``, u infects v iff an Exp(tau)
+    delay drawn for the directed edge u->v falls below u's infectious period
+    (Kenah & Robins 2007, Phys. Rev. E 76:036113).  So one period per node,
+    one delay per directed edge and one seed set give the epidemic's final
+    size as the number of nodes reachable from the seeds over the kept edges.
+    """
+    num_nodes = graph.num_nodes
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    source, target = np.concatenate([u, v]), np.concatenate([v, u])
+    periods = np.asarray(dist.sample(rng, size=num_nodes), dtype=float)
+    kept = rng.exponential(1.0 / tau, size=source.size) < periods[source]
+    seeds = rng.choice(num_nodes, size=initial_infected, replace=False)
+    # Node num_nodes is a root with an edge to every seed.
+    rows = np.concatenate([source[kept], np.full(seeds.size, num_nodes)])
+    cols = np.concatenate([target[kept], seeds])
+    links = csr_matrix(
+        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(num_nodes + 1,) * 2
+    )
+    reached = breadth_first_order(links, num_nodes, directed=True, return_predecessors=False)
+    return reached.size - 1
 
 
 def _reference_pair_stubs(num_nodes: int, degree: int, rng: np.random.Generator):

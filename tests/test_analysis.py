@@ -1,6 +1,7 @@
 """Reproduction numbers and final-size roots against independent root finding."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +104,98 @@ def test_final_size_pairwise_out_of_range():
         nm.final_size_pairwise(14.0, 15)
     with pytest.raises(ValueError):
         nm.final_size_pairwise(-1.0, 15)
+
+
+def _is_last_bit_root(g, s):
+    # g < 0 just below the root and g >= 0 from it on: no double in between.
+    return g(math.nextafter(s, 0.0)) < 0.0 <= g(math.nextafter(s, 1.0))
+
+
+def _meanfield_relation(r0):
+    return lambda s: math.log(s) - r0 * (s - 1.0)
+
+
+def _pairwise_relation(r0p, n):
+    return lambda s: (n - 1.0) * math.expm1(math.log(s) / n) - r0p * math.expm1(
+        math.log(s) * (n - 1.0) / n
+    )
+
+
+@pytest.mark.parametrize("r0", [30.0, 105.9, 140.0, 200.0, 700.0])
+def test_final_size_meanfield_tiny_roots_to_the_last_bit(r0):
+    # Roots near exp(-r0), far below a bracket that 200 halvings can close.
+    res = nm.final_size_meanfield(r0)
+    assert res.s_inf == pytest.approx(math.exp(-r0), rel=1e-12)
+    assert _is_last_bit_root(_meanfield_relation(r0), res.s_inf)
+    assert res.residual < 1e-10
+    assert res.attack_rate == 1.0 - res.s_inf
+
+
+def test_final_size_meanfield_subnormal_root():
+    res = nm.final_size_meanfield(720.0)
+    assert 0.0 < res.s_inf < sys.float_info.min
+    assert res.s_inf == pytest.approx(math.exp(-720.0), rel=1e-8)
+    assert _is_last_bit_root(_meanfield_relation(720.0), res.s_inf)
+
+
+@pytest.mark.parametrize("r0", [744.5, 745.0, 800.0, 1e6, 1e300, math.inf])
+def test_final_size_meanfield_root_below_smallest_double(r0):
+    # g is still positive at the smallest double: the root rounds to zero.
+    assert _meanfield_relation(r0)(math.ulp(0.0)) > 0.0
+    res = nm.final_size_meanfield(r0)
+    assert (res.s_inf, res.attack_rate, res.branch) == (0.0, 1.0, "outbreak")
+
+
+def test_final_size_meanfield_never_raises_for_finite_r0():
+    near_one = 1.0 + np.logspace(-16, -1, 60)
+    for r0 in np.concatenate([np.linspace(0.0, 800.0, 801), np.logspace(-3, 308, 400), near_one]):
+        res = nm.final_size_meanfield(float(r0))
+        assert 0.0 <= res.s_inf <= 1.0
+        if res.s_inf >= sys.float_info.min:
+            assert res.residual < 1e-10, r0
+
+
+@pytest.mark.parametrize("excess", [1e-11, 1e-13, 1e-15, 2.0**-52])
+def test_final_size_roots_just_above_threshold(excess):
+    # The outbreak root lies within 1e-12 of 1, above the default bracket:
+    # s = 1 - 2 (r - 1) to first order (pairwise: 1 - 2n (r - 1) / (n - 2)).
+    r = 1.0 + excess
+    mf = nm.final_size_meanfield(r)
+    assert mf.branch == "outbreak"
+    assert abs(mf.s_inf - (1.0 - 2.0 * (r - 1.0))) < 1e-15
+    pw = nm.final_size_pairwise(r, DEG)
+    assert abs(pw.s_inf - (1.0 - 2.0 * DEG * (r - 1.0) / (DEG - 2.0))) < 1e-15
+
+
+def test_final_size_relations_reject_nan():
+    with pytest.raises(ValueError):
+        nm.final_size_meanfield(math.nan)
+    with pytest.raises(ValueError):
+        nm.final_size_pairwise(math.nan, DEG)
+    with pytest.raises(ValueError):
+        nm.reproduction_numbers(math.nan, DEG, N, 100.0, nm.Exponential(1.0))
+
+
+@pytest.mark.parametrize("r0p", [13.99999, 14.0 - 1e-9, math.nextafter(14.0, 0.0)])
+def test_final_size_pairwise_near_degree_minus_one(r0p):
+    # As r0p -> n - 1 the root falls like ((n-1-r0p)/(n-1))^n toward zero.
+    res = nm.final_size_pairwise(r0p, DEG)
+    assert 0.0 < res.s_inf < 1e-90
+    assert res.s_inf == pytest.approx(((DEG - 1 - r0p) / (DEG - 1)) ** DEG, rel=1e-3)
+    assert _is_last_bit_root(_pairwise_relation(r0p, float(DEG)), res.s_inf)
+    assert res.residual < 1e-10
+
+
+def test_final_size_pairwise_root_below_smallest_double():
+    n = 100.0
+    r0p = math.nextafter(n - 1.0, 0.0)
+    assert _pairwise_relation(r0p, n)(math.ulp(0.0)) > 0.0
+    assert nm.final_size_pairwise(r0p, n).s_inf == 0.0
+    # Below the default bracket but still a normal double.
+    res = nm.final_size_pairwise(98.91, n)
+    assert sys.float_info.min < res.s_inf < 1e-300
+    assert _is_last_bit_root(_pairwise_relation(98.91, n), res.s_inf)
+    assert res.residual < 1e-10
 
 
 def test_final_size_monotone_in_reproduction_number():

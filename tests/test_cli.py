@@ -85,6 +85,38 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+NON_FINITE_OVERRIDES = [
+    "epidemic.tau=nan",
+    "epidemic.tau=inf",
+    "epidemic.dist=exp:rate=inf",
+    "epidemic.dist=fixed:sigma=inf",
+    "epidemic.dist=gamma:shape=3,rate=inf",
+    "epidemic.dist=gamma:shape=inf,rate=2",
+    "epidemic.dist=uniform:a=1,b=inf",
+    "epidemic.dist=uniform:a=nan,b=2",
+]
+
+
+@pytest.mark.parametrize("override", NON_FINITE_OVERRIDES)
+def test_non_finite_inputs_exit_2(tmp_path, capsys, override):
+    with pytest.raises(cli.ConfigError if override.startswith("epidemic.tau") else ValueError):
+        build_config(dict([override.split("=", 1)]))
+    for command in ("analytics", "simulate"):
+        assert main([command, *SMALL, "--set", override, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_analytics_huge_tau_reports_zero_survivors(tmp_path, capsys):
+    # r0 is about 2e7, so the mean-field root lies below the smallest double.
+    assert main(["analytics", "--set", "epidemic.tau=1e6", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "analytics.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert float(rows[0]["s_inf_meanfield"]) == 0.0
+    assert 0.0 < float(rows[0]["s_inf_pairwise"]) < 1e-20
+
+
 LONG_UNIFORM = ["solve", "--model", "special:uniform",
                 "--set", "epidemic.tau=2", "--set", "epidemic.t_end=400",
                 "--set", "solver.h=0.02", "--set", "epidemic.dist=uniform:a=1,b=2"]

@@ -200,6 +200,24 @@ def test_parameter_validation():
         nm.UniformInterval(2.0, 1.0)
 
 
+NON_FINITE = (math.inf, math.nan)
+
+
+@pytest.mark.parametrize("make", [
+    nm.Exponential,
+    nm.FixedDuration,
+    lambda x: nm.GammaErlang(3, x),
+    lambda x: nm.GammaErlang.from_shape_rate(3, x),
+    lambda x: nm.GammaErlang(x, 1.0),
+    lambda x: nm.UniformInterval(1.0, x),
+    lambda x: nm.UniformInterval(x, 2.0),
+], ids=["exp", "fixed", "gamma", "gamma-rate", "gamma-shape", "uniform-b", "uniform-a"])
+def test_non_finite_parameters_rejected(make):
+    for value in NON_FINITE:
+        with pytest.raises(ValueError):
+            make(value)
+
+
 def test_has_point_mass():
     assert nm.FixedDuration(1.5).has_point_mass() == (True, 1.5)
     assert nm.Exponential(1.0).has_point_mass() == (False, None)
@@ -242,6 +260,14 @@ def test_parse_distribution_round_trip():
         "fixed:sigma=0",
         "weibull:k=1",
         "exp:rate=1,extra=2",
+        "exp:rate=inf",
+        "exp:rate=nan",
+        "fixed:sigma=inf",
+        "gamma:shape=inf,rate=2",
+        "gamma:shape=nan,rate=2",
+        "gamma:shape=3,rate=inf",
+        "uniform:a=1,b=inf",
+        "uniform:a=nan,b=2",
     ],
 )
 def test_parse_distribution_rejects(bad):
@@ -292,10 +318,11 @@ def test_sampling_ks_below_one_percent_critical(dist):
     assert stat < critical_1pct
 
 
-@pytest.mark.parametrize("shape", range(1, 13))
+@pytest.mark.parametrize("shape", [*range(1, 13), 127, 128, 129, 200])
 def test_gamma_scalar_draw_equals_array_draw(shape):
-    # A scalar draw sums its stages as a plain float; it must equal, bit for
-    # bit, the same stages summed by numpy (np.sum's order changes at 8).
+    # A scalar draw sums its stages as plain floats; it must equal, bit for
+    # bit, the same stages summed by numpy (np.sum's order changes at 8 and
+    # again above 128).
     dist = nm.GammaErlang(shape, 0.7)
     for seed in range(20):
         scalar_rng, array_rng, vector_rng = (np.random.default_rng(seed) for _ in range(3))
@@ -304,3 +331,47 @@ def test_gamma_scalar_draw_equals_array_draw(shape):
             assert type(draw) is float
             assert draw == float(array_rng.exponential(1.0 / dist.rate, size=shape).sum())
             assert draw == dist.sample(vector_rng, size=1)[0]
+
+
+def test_uniform_scalar_draw_equals_uniform_call():
+    # The scalar draw consumes the word rng.uniform consumes and does its
+    # arithmetic, so both give the same float and leave equal states.
+    picks = np.random.default_rng(5)
+    for seed in range(2000):
+        lower = float(picks.uniform(1e-6, 10.0) * 10.0 ** picks.integers(-3, 4))
+        dist = nm.UniformInterval(lower, lower + float(picks.exponential(2.0)) + 1e-9)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            draw = dist.sample(rng)
+            assert type(draw) is float
+            assert draw == ref.uniform(dist.lower, dist.upper)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("dist", [
+    nm.Exponential(2.0 / 3.0),
+    nm.FixedDuration(1.5),
+    *(nm.GammaErlang(k, 0.7) for k in (1, 3, 7, 8, 9, 16, 130)),
+], ids=lambda d: d.spec_string())
+def test_periods_from_stages_equal_scalar_draws(dist):
+    # Period p read off one bulk call equals the scalar draw made when the
+    # generator stands at standard exponential p, at every offset.
+    k = dist.exponential_stages()
+    for seed in range(5):
+        stages = np.random.default_rng(seed).standard_exponential(40 + 3 * k)
+        periods = dist.periods_from_stages(stages)
+        assert len(periods) == len(stages) - k + 1
+        rng = np.random.default_rng(seed)
+        for p in range(len(stages) - k + 1):
+            probe = np.random.Generator(type(rng.bit_generator)())
+            probe.bit_generator.state = rng.bit_generator.state
+            draw = dist.sample(probe)
+            assert periods[p] == draw
+            rng.standard_exponential()
+
+
+def test_uniform_draws_are_not_stages():
+    dist = nm.UniformInterval(1.0, 2.0)
+    assert dist.exponential_stages() is None
+    with pytest.raises(NotImplementedError):
+        dist.periods_from_stages(np.ones(3))

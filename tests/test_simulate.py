@@ -1,5 +1,8 @@
 """Event-driven simulator: conservation, determinism, exactness sanity."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,7 +12,10 @@ from nmsir.network import RegularGraph
 from nmsir.trajectory import SERIES_NAMES
 
 from conftest import ALL_DISTS, assert_matches_reference
-from oracles import gillespie_final_size
+from oracles import gillespie_final_size, percolation_final_size, reference_run_single
+
+# Erlang with K >= 8 stages sums them in np.sum's pairwise order.
+REFERENCE_DISTS = dict(ALL_DISTS, gamma9=nm.GammaErlang(9, 2.0 / 3.0))
 
 
 def _params(dist, i0=5, t_end=25.0, tau=0.35):
@@ -81,9 +87,9 @@ def test_ensemble_deterministic_and_single_run_identity(small_graph):
     np.testing.assert_array_equal(m1.I, single.I)
 
 
-@pytest.mark.parametrize("law", sorted(ALL_DISTS))
+@pytest.mark.parametrize("law", sorted(REFERENCE_DISTS))
 def test_run_matches_reference_event_loop(small_graph, law):
-    dist = ALL_DISTS[law]
+    dist = REFERENCE_DISTS[law]
     for tau in (0.05, 0.35, 2.0):
         for seed in range(4):
             assert_matches_reference(small_graph, _params(dist, tau=tau), seed)
@@ -93,6 +99,57 @@ def test_run_matches_reference_event_loop(small_graph, law):
         assert_matches_reference(small_graph, _params(dist, t_end=12.3), 5, dt_out)
     assert_matches_reference(small_graph, _params(dist, i0=3), 6, initial_nodes=[17, 2, 150])
     assert_matches_reference(_star(), _params(dist, i0=1, tau=4.0), 7, initial_nodes=[0])
+    assert_matches_reference(nm.generate_regular(10, 0, seed=1), _params(dist, i0=3), 8)
+    # Large enough that the bulk stream is drawn in several calls.
+    assert_matches_reference(nm.generate_regular(1000, 15, seed=21), _params(dist), 9)
+
+
+@pytest.mark.parametrize("law", sorted(REFERENCE_DISTS))
+def test_runs_on_one_generator_match_reference_runs(small_graph, law):
+    # A caller's generator ends each run where the reference loop leaves it,
+    # so successive runs on one generator match successive reference runs.
+    for p, pinned in ((_params(REFERENCE_DISTS[law], tau=1.0), None),
+                      (_params(REFERENCE_DISTS[law], i0=2), [4, 9]),
+                      (_params(REFERENCE_DISTS[law], i0=0), None)):
+        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(3):
+            traj = nm.run_single(small_graph, p, rng, initial_nodes=pinned)
+            series, meta = reference_run_single(small_graph, p, ref_rng, initial_nodes=pinned)
+            for name, expected in series.items():
+                np.testing.assert_array_equal(traj.series(name), expected, err_msg=name)
+            assert traj.meta == meta
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# SHA-256 of the S, I, R, SI, SS arrays (little-endian float64, in that order)
+# of fig-1 ensemble runs k, recorded before the simulator drew its variates in
+# bulk: run k is graph 12 + 7919 k under stream k of SeedSequence(11).
+EXP, GAMMA, UNIFORM = "exp:rate=0.6667", "gamma:shape=3,rate=2", "uniform:a=1,b=2"
+FIG1_RUN_DIGESTS = {
+    (EXP, 0): "0ad6760ca2a596624452f57ada2414e1a0d9f76ee8df75f42d42d07a6ac9f10b",
+    (EXP, 1): "f2b26a73f07e397f513cc55b22419bb25414be72bef1784826353f2706d1ed10",
+    (EXP, 50): "cb5ea44d42ca4be9493e8aa6262a362c24c66edada4537ae4999227e50bf5fba",
+    (EXP, 99): "25358dc1dc6d495bda998d09afe32060747f07ae978cfa7782788dac103c6611",
+    (GAMMA, 0): "984f33c96b8552850e67293788749d3a8f3189902ad2ea90db138159e063e0f4",
+    (GAMMA, 1): "43c438b3ad270746a439dc4eda8ebd027659fb2e172f3b2cc57998fbce4f9d43",
+    (GAMMA, 50): "54c63d8ab00660a4aa2c0e7b12b0584be97a938d3f8bb885237d62761f427887",
+    (GAMMA, 99): "d34fafa045db62ce9c9f20a8a7f324c47af290c8284ff196731938f041d6128c",
+    (UNIFORM, 0): "81aa5ee04b55e0af06ee722560ecb3d34512b3f3a9b747f38162ab569edc76d0",
+    (UNIFORM, 1): "becfe79953b71069e63a3c1e99860b566d8637af82368d45bf15b8abb53786eb",
+    (UNIFORM, 50): "fa878e239ecb390c33c0541c2c82b83aacbcba56db0b24aeb06270bca5b6f8b1",
+    (UNIFORM, 99): "9ce13d2a532145db1be6fb6a2f18271255e84c642686d4013ae08660ccc5d2f5",
+}
+
+
+@pytest.mark.parametrize("spec, k", sorted(FIG1_RUN_DIGESTS))
+def test_fig1_runs_are_stable(spec, k):
+    p = nm.EpidemicParams(0.35, nm.parse_distribution(spec), initial_infected=5, t_end=25.0)
+    graph = nm.generate_regular(1000, 15, 12 + 7919 * k)
+    traj = nm.run_single(graph, p, np.random.SeedSequence(11).spawn(100)[k], 0.1)
+    digest = hashlib.sha256()
+    for name in SERIES_NAMES:
+        digest.update(np.ascontiguousarray(traj.series(name), dtype="<f8").tobytes())
+    assert digest.hexdigest() == FIG1_RUN_DIGESTS[spec, k]
 
 
 def test_events_on_grid_points_count_at_that_point(small_graph):
@@ -230,6 +287,34 @@ def test_event_sim_matches_gillespie_oracle_quick(small_graph):
     ]
     result = stats.ks_2samp(event_sizes, oracle_sizes)
     assert result.pvalue > 0.01
+
+
+# Power target for the percolation check: a two-sided Welch test at
+# alpha = 0.01 / 4 (four laws) detects a 0.25-SD shift in mean final size with
+# power 0.9 given 2 (z_{1 - alpha/2} + z_{0.9})^2 / 0.25^2 runs per side,
+# 594 after rounding up.
+PERCOLATION_ALPHA = 0.01 / 4
+PERCOLATION_RUNS = math.ceil(
+    2 * (stats.norm.ppf(1 - PERCOLATION_ALPHA / 2) + stats.norm.ppf(0.9)) ** 2 / 0.25**2
+)
+
+
+@pytest.mark.parametrize("law", sorted(ALL_DISTS))
+def test_final_sizes_match_percolation_oracle(law):
+    # A sub-saturated epidemic (minor and major outbreaks) on a small graph,
+    # with a horizon that every run ends well before.
+    dist, tau, i0, t_end = ALL_DISTS[law], 0.5, 3, 200.0
+    graph = nm.generate_regular(300, 4, seed=2007)
+    p = nm.EpidemicParams(tau=tau, dist=dist, initial_infected=i0, t_end=t_end)
+    runs = [nm.run_single(graph, p, stream, dt_out=t_end)
+            for stream in np.random.SeedSequence(2007).spawn(PERCOLATION_RUNS)]
+    assert max(run.meta["last_recovery_time"] for run in runs) < t_end / 2
+    sizes = [run.meta["total_infections"] for run in runs]
+    rng = np.random.default_rng(36113)
+    oracle = [percolation_final_size(graph, tau, dist, i0, rng) for _ in range(PERCOLATION_RUNS)]
+    assert 0.1 * graph.num_nodes < np.mean(sizes) < 0.95 * graph.num_nodes
+    welch = stats.ttest_ind(sizes, oracle, equal_var=False)
+    assert welch.pvalue > PERCOLATION_ALPHA, (law, np.mean(sizes), np.mean(oracle))
 
 
 def test_initial_infected_bounds(small_graph):

@@ -58,8 +58,9 @@ def test_peak_and_final_size_helpers():
 
 
 def test_epidemic_params_validation():
-    with pytest.raises(ValueError):
-        nm.EpidemicParams(tau=0.0, dist=nm.Exponential(1.0))
+    for tau in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            nm.EpidemicParams(tau=tau, dist=nm.Exponential(1.0))
     with pytest.raises(ValueError):
         nm.EpidemicParams(tau=0.3, dist=nm.Exponential(1.0), initial_infected=-1)
     for t_end in (0.0, float("inf"), float("nan")):
