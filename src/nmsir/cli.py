@@ -5,7 +5,8 @@ overridden on the command line with ``--set section.key=value`` (repeatable),
 and the dedicated flags ``--seed``/``--out`` take final precedence.  Unknown
 keys are rejected.  All outputs are CSV files whose ``# meta:`` line echoes
 the exact configuration (seeds included), so any result file can be
-reproduced byte-for-byte from its own header.
+reproduced byte-for-byte from its own header.  A command that fails writes
+no output.
 
 Exit codes: 0 success, 2 configuration/validation error or a failed solve
 (solver error or floating-point overflow), 3 acceptance threshold failure in
@@ -15,7 +16,6 @@ compare mode.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -34,7 +34,7 @@ from .reference import (
     solve_markovian_pairwise,
     solve_uniform_delay_pairwise,
 )
-from .trajectory import EpidemicParams, SolverConfig, Trajectory, format_meta
+from .trajectory import EpidemicParams, SolverConfig, Trajectory, write_csv
 
 __all__ = ["ConfigError", "ExperimentConfig", "build_config", "main"]
 
@@ -90,14 +90,14 @@ class ExperimentConfig:
             raise ConfigError("epidemic.tau must be nonnegative and finite")
         if not 0 <= self.epidemic_initial_infected <= self.network_num_nodes:
             raise ConfigError("epidemic.I0 must lie in [0, N]")
-        if self.epidemic_t_end <= 0:
-            raise ConfigError("epidemic.t_end must be positive")
+        if not 0 < self.epidemic_t_end < math.inf:
+            raise ConfigError("epidemic.t_end must be positive and finite")
         if self.simulation_runs < 1:
             raise ConfigError("simulation.runs must be >= 1")
-        if self.simulation_dt_out <= 0:
-            raise ConfigError("simulation.dt_out must be positive")
-        if self.solver_h <= 0:
-            raise ConfigError("solver.h must be positive")
+        if not 0 < self.simulation_dt_out < math.inf:
+            raise ConfigError("simulation.dt_out must be positive and finite")
+        if not 0 < self.solver_h < math.inf:
+            raise ConfigError("solver.h must be positive and finite")
         parse_distribution(self.epidemic_dist)
         for spec in self.distribution_list():
             parse_distribution(spec)
@@ -278,8 +278,6 @@ def cmd_solve(cfg: ExperimentConfig, model: str) -> int:
 
 def cmd_analytics(cfg: ExperimentConfig) -> int:
     specs = cfg.distribution_list() or [cfg.epidemic_dist]
-    if not specs:
-        raise ConfigError("no distributions configured for analytics")
     n, N = cfg.network_degree, cfg.network_num_nodes
     s0 = N - cfg.epidemic_initial_infected
     tau = cfg.epidemic_tau
@@ -308,34 +306,36 @@ def cmd_analytics(cfg: ExperimentConfig) -> int:
         print("  ".join(cells))
 
     path = _out_path(cfg, "analytics.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_meta(_meta_with_config(cfg, command="analytics")) + "\n")
-        writer = csv.writer(fh)  # the kind column may itself contain commas
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
+    write_csv(path, _meta_with_config(cfg, command="analytics"), header, rows)
     print(f"wrote {path}")
     return 0
 
 
+_SUMMARY_HEADER = ["dist", "method", "peak", "peak_time", "final_size",
+                   "peak_rel_err", "final_size_rel_err"]
+
+
 def _compare_one(cfg: ExperimentConfig, spec: str, ensemble: tuple[Trajectory, Trajectory]):
+    """One law's metrics per method, its gate results and its curve columns."""
     mean, std = ensemble
     pw = solve_model(cfg, "pairwise", spec)
     mf = solve_model(cfg, "meanfield", spec)
     N = cfg.network_num_nodes
-
-    def metrics(traj: Trajectory):
+    sim_peak, sim_final = mean.peak_infected()[1], mean.final_size(N)
+    rows = {}
+    for method, traj in (("simulation", mean), ("pairwise", pw), ("meanfield", mf)):
         peak_time, peak = traj.peak_infected()
-        return {"peak": peak, "peak_time": peak_time, "final_size": traj.final_size(N)}
-
-    rows = {"simulation": metrics(mean), "pairwise": metrics(pw), "meanfield": metrics(mf)}
-    sim = rows["simulation"]
-    for model in ("pairwise", "meanfield"):
-        m = rows[model]
-        m["peak_rel_err"] = abs(m["peak"] - sim["peak"]) / max(sim["peak"], 1e-12)
-        m["final_size_rel_err"] = abs(m["final_size"] - sim["final_size"]) / max(
-            sim["final_size"], 1e-12
-        )
+        final = traj.final_size(N)
+        rows[method] = {
+            "peak": peak, "peak_time": peak_time, "final_size": final,
+            "peak_rel_err": abs(peak - sim_peak) / max(sim_peak, 1e-12),
+            "final_size_rel_err": abs(final - sim_final) / max(sim_final, 1e-12),
+        }
+    checks = {
+        "peak_within_10pct": rows["pairwise"]["peak_rel_err"] < PEAK_REL_TOL,
+        "final_size_within_5pct": rows["pairwise"]["final_size_rel_err"] < FINAL_SIZE_REL_TOL,
+        "meanfield_overshoots": rows["meanfield"]["final_size"] > sim_final,
+    }
     curves = {
         "t": mean.t,
         "I_sim": mean.I,
@@ -346,70 +346,49 @@ def _compare_one(cfg: ExperimentConfig, spec: str, ensemble: tuple[Trajectory, T
         "S_pairwise": np.interp(mean.t, pw.t, pw.S),
         "S_meanfield": np.interp(mean.t, mf.t, mf.S),
     }
-    return rows, curves
+    return rows, checks, curves
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
     specs = cfg.distribution_list() or [cfg.epidemic_dist]
-    all_ok = True
-    summary_lines = []
-    attack_by_spec = []
+    # Every law's ensemble first, on shared graphs; then the solves.  Every
+    # result and file name is in memory before the first file is written, so
+    # a compare that fails writes nothing.
+    ensembles = _ensembles(cfg, [_epidemic_params(cfg, spec) for spec in specs])
+    results = [_compare_one(cfg, spec, ens) for spec, ens in zip(specs, ensembles)]
+    meta = _meta_with_config(cfg, command="compare")
+    all_ok = all(all(checks.values()) for _, checks, _ in results)
+    summary, curve_files, report = [], [], []
+    for idx, (spec, (rows, checks, curves)) in enumerate(zip(specs, results)):
+        tag = parse_distribution(spec).kind
+        columns = zip(*(curve.tolist() for curve in curves.values()))
+        curve_files.append(
+            (f"compare_{idx}_{tag}.csv", tag, {**meta, "dist": spec}, list(curves), columns)
+        )
+        for method, m in rows.items():
+            summary.append([spec, method] + [m[k] for k in _SUMMARY_HEADER[2:]])
+        sim, pw, mf = rows["simulation"], rows["pairwise"], rows["meanfield"]
+        report.append(
+            f"[{spec}] sim peak {sim['peak']:.1f} @ t={sim['peak_time']:.2f}, "
+            f"final size {sim['final_size']:.1f}; "
+            f"pairwise peak err {pw['peak_rel_err']:.2%}, "
+            f"final err {pw['final_size_rel_err']:.2%}; "
+            f"meanfield peak err {mf['peak_rel_err']:.2%}, "
+            f"final err {mf['final_size_rel_err']:.2%} "
+            f"-> {'OK' if all(checks.values()) else 'FAIL'} "
+            + ",".join(k for k, v in checks.items() if not v)
+        )
+
+    for name, _, curve_meta, header, columns in curve_files:
+        write_csv(_out_path(cfg, name), curve_meta, header, columns)
     summary_path = _out_path(cfg, "compare_summary.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        meta = _meta_with_config(cfg, command="compare")
-        fh.write(format_meta(meta) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["dist", "method", "peak", "peak_time", "final_size",
-             "peak_rel_err", "final_size_rel_err"]
-        )
-        # Every law's ensemble first, on shared graphs; the solves follow.
-        ensembles = _ensembles(cfg, [_epidemic_params(cfg, spec) for spec in specs])
-        for idx, (spec, ensemble) in enumerate(zip(specs, ensembles)):
-            rows, curves = _compare_one(cfg, spec, ensemble)
-            tag = parse_distribution(spec).kind
-            curve_path = _out_path(cfg, f"compare_{idx}_{tag}.csv")
-            with open(curve_path, "w", encoding="utf-8") as cfh:
-                cfh.write(format_meta({**meta, "dist": spec}) + "\n")
-                names = list(curves)
-                cfh.write(",".join(names) + "\n")
-                for vals in zip(*(curves[k] for k in names)):
-                    cfh.write(",".join(repr(float(v)) for v in vals) + "\n")
-            sim = rows["simulation"]
-            attack_by_spec.append((spec, sim["final_size"]))
-            for method in ("simulation", "pairwise", "meanfield"):
-                m = rows[method]
-                writer.writerow(
-                    [spec, method, repr(m["peak"]), repr(m["peak_time"]),
-                     repr(m["final_size"]), repr(m.get("peak_rel_err", 0.0)),
-                     repr(m.get("final_size_rel_err", 0.0))]
-                )
-            pw, mf = rows["pairwise"], rows["meanfield"]
-            checks = {
-                "peak_within_10pct": pw["peak_rel_err"] < PEAK_REL_TOL,
-                "final_size_within_5pct": pw["final_size_rel_err"] < FINAL_SIZE_REL_TOL,
-                "meanfield_overshoots": mf["final_size"] > sim["final_size"],
-            }
-            ok = all(checks.values())
-            all_ok = all_ok and ok
-            summary_lines.append(
-                f"[{spec}] sim peak {sim['peak']:.1f} @ t={sim['peak_time']:.2f}, "
-                f"final size {sim['final_size']:.1f}; "
-                f"pairwise peak err {pw['peak_rel_err']:.2%}, "
-                f"final err {pw['final_size_rel_err']:.2%}; "
-                f"meanfield peak err {mf['peak_rel_err']:.2%}, "
-                f"final err {mf['final_size_rel_err']:.2%} "
-                f"-> {'OK' if ok else 'FAIL'} "
-                + ",".join(k for k, v in checks.items() if not v)
-            )
-    for line in summary_lines:
+    write_csv(summary_path, meta, _SUMMARY_HEADER, summary)
+    for line in report:
         print(line)
-    if len(attack_by_spec) > 1:
-        order = sorted(attack_by_spec, key=lambda kv: -kv[1])
-        print(
-            "attack-rate ordering (largest first): "
-            + " > ".join(spec for spec, _ in order)
-        )
+    if len(specs) > 1:
+        finals = [rows["simulation"]["final_size"] for rows, _, _ in results]
+        order = sorted(zip(specs, finals), key=lambda kv: -kv[1])
+        print("attack-rate ordering (largest first): " + " > ".join(s for s, _ in order))
     print(f"wrote {summary_path}")
     if cfg.compare_gnuplot:
         gp = _out_path(cfg, "compare.gp")
@@ -417,9 +396,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             fh.write("set datafile separator ','\nset key autotitle columnhead\n")
             fh.write("set xlabel 't'\nset ylabel 'prevalence [I]'\n")
             plots = []
-            for idx, spec in enumerate(specs):
-                tag = parse_distribution(spec).kind
-                name = f"{cfg.outputs_prefix}compare_{idx}_{tag}.csv"
+            for name, tag, *_ in curve_files:
+                name = cfg.outputs_prefix + name
                 plots += [
                     f"'{name}' using 1:2 with points title '{tag} sim'",
                     f"'{name}' using 1:4 with lines title '{tag} pairwise'",

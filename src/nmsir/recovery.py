@@ -160,6 +160,7 @@ class Exponential(RecoveryDistribution):
     kind: ClassVar[str] = "exp"
 
     def __post_init__(self):
+        object.__setattr__(self, "rate", float(self.rate))
         if not 0.0 < self.rate < math.inf:
             raise ValueError("Exponential rate must be positive and finite")
 
@@ -206,6 +207,7 @@ class FixedDuration(RecoveryDistribution):
     kind: ClassVar[str] = "fixed"
 
     def __post_init__(self):
+        object.__setattr__(self, "sigma", float(self.sigma))
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("FixedDuration sigma must be positive and finite")
 
@@ -277,6 +279,7 @@ class GammaErlang(RecoveryDistribution):
         if not (math.isfinite(self.shape) and int(self.shape) == self.shape >= 1):
             raise ValueError("GammaErlang shape must be a positive integer")
         object.__setattr__(self, "shape", int(self.shape))
+        object.__setattr__(self, "gamma", float(self.gamma))
         if not 0.0 < self.gamma < math.inf:
             raise ValueError("GammaErlang gamma must be positive and finite")
 
@@ -362,6 +365,8 @@ class UniformInterval(RecoveryDistribution):
     _SERIES_TAU: ClassVar[float] = 1e-12
 
     def __post_init__(self):
+        object.__setattr__(self, "lower", float(self.lower))
+        object.__setattr__(self, "upper", float(self.upper))
         if not 0.0 < self.lower < self.upper < math.inf:
             raise ValueError("UniformInterval requires 0 < lower < upper < inf")
 

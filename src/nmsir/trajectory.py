@@ -1,11 +1,14 @@
 """Core value types shared by the simulator, the solvers and the CLI.
 
 A :class:`Trajectory` is a uniform time grid carrying the node series [S],
-[I], [R] and the ordered link series [SI], [SS].  It serialises to CSV with
-the header ``t,S,I,R,SI,SS`` and a single ``# meta:`` comment line that
-echoes every parameter needed to reproduce the run.  Floats are written with
-shortest round-trip precision, so write -> read -> write is byte-stable.
-Every CSV the package writes records its meta with :func:`format_meta`.
+[I], [R] and the ordered link series [SI], [SS], written with the header
+``t,S,I,R,SI,SS``.  Every CSV file the package writes goes through
+:func:`write_csv`: one ``# meta:`` line (:func:`format_meta`) echoing every
+parameter needed to reproduce the run, the header, then the rows.  Numbers
+are written as ``repr(float(x))``, the shortest round trip, so write -> read
+-> write is byte-stable; text cells are quoted only when they hold a comma,
+a double quote or a line break, as spec strings such as
+``gamma:shape=3,rate=2.0`` do.  Every line ends in ``\n``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .recovery import RecoveryDistribution
 
 __all__ = [
     "SERIES_NAMES", "EpidemicParams", "SolverConfig", "SolverError", "Trajectory",
-    "format_meta", "parse_meta",
+    "format_meta", "parse_meta", "write_csv",
 ]
 
 SERIES_NAMES = ("S", "I", "R", "SI", "SS")
@@ -65,8 +68,8 @@ class SolverConfig:
     initial_age_density: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError("step size h must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError("step size h must be positive and finite")
 
     @property
     def newborn(self) -> bool:
@@ -74,8 +77,8 @@ class SolverConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -103,6 +106,27 @@ def parse_meta(line: str) -> dict[str, str]:
         if sep:
             meta[unquote(key)] = unquote(value)
     return meta
+
+
+def _cell(x) -> str:
+    if not isinstance(x, str):
+        return repr(float(x))
+    if any(c in x for c in ',"\r\n'):
+        return '"' + x.replace('"', '""') + '"'
+    return x
+
+
+def write_csv(path, meta: dict, header, rows) -> None:
+    """The meta line (if ``meta`` is non-empty), the header, then ``rows`` of
+    sequences; a ``str`` cell is written as text, any other as ``repr(float(x))``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if meta:
+            fh.write(format_meta(meta) + "\n")
+        fh.write(",".join(map(_cell, header)) + "\n")
+        for row in rows:
+            # All-number rows (every trajectory row) skip the per-cell type test.
+            cells = map(_cell, row) if str in map(type, row) else map(repr, map(float, row))
+            fh.write(",".join(cells) + "\n")
 
 
 @dataclass
@@ -133,9 +157,6 @@ class Trajectory:
             raise KeyError(name)
         return getattr(self, name)
 
-    def columns(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in SERIES_NAMES}
-
     def peak_infected(self) -> tuple[float, float]:
         """(time, value) of the prevalence maximum on the grid."""
         k = int(np.argmax(self.I))
@@ -148,14 +169,9 @@ class Trajectory:
         return float(num_nodes) - float(self.S[-1])
 
     def to_csv(self, path, column_suffix: str = "") -> None:
-        names = [name + column_suffix for name in SERIES_NAMES]
-        with open(path, "w", encoding="utf-8") as fh:
-            if self.meta:
-                fh.write(format_meta(self.meta) + "\n")
-            fh.write("t," + ",".join(names) + "\n")
-            cols = [self.t] + [getattr(self, name) for name in SERIES_NAMES]
-            for row in zip(*cols):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        header = ["t"] + [name + column_suffix for name in SERIES_NAMES]
+        cols = [self.t] + [getattr(self, name) for name in SERIES_NAMES]
+        write_csv(path, self.meta, header, zip(*(c.tolist() for c in cols)))
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":

@@ -94,6 +94,12 @@ NON_FINITE_OVERRIDES = [
     "epidemic.dist=gamma:shape=inf,rate=2",
     "epidemic.dist=uniform:a=1,b=inf",
     "epidemic.dist=uniform:a=nan,b=2",
+    "epidemic.t_end=nan",
+    "epidemic.t_end=inf",
+    "simulation.dt_out=nan",
+    "simulation.dt_out=inf",
+    "solver.h=nan",
+    "solver.h=inf",
 ]
 
 
@@ -352,3 +358,59 @@ def test_solve_meta_round_trips_spaced_dist(tmp_path):
     traj = Trajectory.from_csv(tmp_path / "solve_pairwise.csv")
     cfg = config_from_meta(traj.meta)
     assert cfg.epidemic_dist == "gamma:shape=3,rate=2.0"
+
+
+def test_failed_compare_writes_nothing(tmp_path, capsys):
+    # The pairwise corrector diverges at this step size, after every
+    # ensemble has run.
+    argv = ["compare", *SMALL, "--set", "solver.h=0.5", "--set", "epidemic.tau=3"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+TWO_LAWS = "compare.distributions=exp:rate=0.6667;gamma:shape=3,rate=2"
+META_RUNS = {
+    "simulate": ["simulate", *SMALL, "--set", "simulation.save_runs=true"],
+    "solve": ["solve", "--set", "epidemic.t_end=2"],
+    "analytics": ["analytics", "--set", TWO_LAWS],
+    "compare": ["compare", *SMALL, "--set", TWO_LAWS, "--set", "compare.enforce=false"],
+}
+META_FILES = {
+    "simulate": ["sim_mean.csv", "sim_std.csv", "sim_run_000.csv", "sim_run_001.csv",
+                 "sim_run_002.csv"],
+    "solve": ["solve_pairwise.csv"],
+    "analytics": ["analytics.csv"],
+    "compare": ["compare_summary.csv", "compare_0_exp.csv", "compare_1_gamma.csv"],
+}
+
+
+@pytest.fixture(scope="module")
+def meta_outputs(tmp_path_factory):
+    """Each META_RUNS command run once: command -> (output dir, expected meta config)."""
+    runs = {}
+    for command, argv in META_RUNS.items():
+        out = tmp_path_factory.mktemp(command)
+        assert main(argv + ["--out", str(out)]) == 0
+        cfg = build_config(dict(arg.split("=", 1) for arg in argv if "=" in arg))
+        expected = {k: v for k, v in cfg.flatten().items() if not k.startswith("outputs.")}
+        runs[command] = out, expected
+    return runs
+
+
+def test_meta_files_are_every_file_written(meta_outputs):
+    for command, (out, _) in meta_outputs.items():
+        assert sorted(p.name for p in out.iterdir()) == sorted(META_FILES[command])
+
+
+@pytest.mark.parametrize(
+    "command,name", [(c, n) for c, names in META_FILES.items() for n in names]
+)
+def test_every_output_file_rebuilds_its_run(meta_outputs, command, name):
+    out, expected = meta_outputs[command]
+    data = (out / name).read_bytes()
+    assert b"\r" not in data
+    first = data.decode("utf-8").split("\n", 1)[0]
+    assert first.startswith("# meta:")
+    rebuilt = config_from_meta(parse_meta(first)).flatten()
+    assert {k: v for k, v in rebuilt.items() if not k.startswith("outputs.")} == expected

@@ -246,6 +246,21 @@ def test_parse_distribution_round_trip():
         assert again == dist
 
 
+@pytest.mark.parametrize("make", [
+    lambda: nm.Exponential(np.float64(0.5)),
+    lambda: nm.FixedDuration(np.float64(1.5)),
+    lambda: nm.GammaErlang(np.int64(3), np.float64(2.0 / 3.0)),
+    lambda: nm.UniformInterval(*np.linspace(1.0, 2.0, 2)),
+], ids=["exp", "fixed", "gamma", "uniform"])
+def test_numpy_scalar_parameters_round_trip(make):
+    # Parameters are stored as Python floats: no "np.float64(...)" in the
+    # spec string, and scalar draws are floats.
+    dist = make()
+    assert "np." not in dist.spec_string()
+    assert nm.parse_distribution(dist.spec_string()) == dist
+    assert type(dist.sample(np.random.default_rng(1))) is float
+
+
 @pytest.mark.parametrize(
     "bad",
     [

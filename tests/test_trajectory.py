@@ -1,10 +1,12 @@
 """Trajectory CSV round trips and parameter-record validation."""
 
+import csv
+
 import numpy as np
 import pytest
 
 import nmsir as nm
-from nmsir.trajectory import Trajectory
+from nmsir.trajectory import Trajectory, write_csv
 
 
 def _toy_trajectory():
@@ -69,6 +71,35 @@ def test_epidemic_params_validation():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        nm.SolverConfig(h=0.0)
+    for h in (0.0, -1e-3, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            nm.SolverConfig(h=h)
     assert nm.SolverConfig().newborn
+
+
+def test_write_csv_literal_bytes(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(
+        path, {"command": "analytics", "tau": np.float64(0.35)}, ["kind", "mean", "n"],
+        [["gamma:shape=3,rate=2.0", np.float64(1.5), 3], ['say "hi"', 0.1, 2.5]],
+    )
+    assert path.read_bytes() == (
+        b"# meta: command=analytics tau=0.35\n"
+        b"kind,mean,n\n"
+        b'"gamma:shape=3,rate=2.0",1.5,3.0\n'
+        b'"say ""hi""",0.1,2.5\n'
+    )
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[2:]] == ["gamma:shape=3,rate=2.0", 'say "hi"']
+
+
+def test_numpy_scalar_params_write_plain_meta(tmp_path):
+    params = nm.EpidemicParams(
+        tau=np.float64(0.35), dist=nm.Exponential(np.float64(0.5)), t_end=np.float64(1.0)
+    )
+    path = tmp_path / "solve.csv"
+    nm.solve_pairwise(params, num_nodes=100, degree=4).to_csv(path)
+    meta_line = path.read_text().splitlines()[0]
+    assert "tau=0.35 " in meta_line and "dist=exp:rate=0.5 " in meta_line
+    assert "np." not in meta_line
