@@ -4,7 +4,7 @@ Library layout:
 
 * :mod:`nmsir.recovery`   -- infectious-period distributions
 * :mod:`nmsir.network`    -- regular random graphs and pair counting
-* :mod:`nmsir.simulate`   -- exact event-driven stochastic simulation
+* :mod:`nmsir.simulate`   -- exact stochastic simulation (first-passage percolation)
 * :mod:`nmsir.solvers`    -- renewal-form mean-field and pairwise solvers
 * :mod:`nmsir.reference`  -- closed-form special-case solvers (cross-checks)
 * :mod:`nmsir.analysis`   -- reproduction numbers and final-size relations

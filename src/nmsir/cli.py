@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -98,6 +99,8 @@ class ExperimentConfig:
             raise ConfigError("simulation.dt_out must be positive and finite")
         if not 0 < self.solver_h < math.inf:
             raise ConfigError("solver.h must be positive and finite")
+        if any(sep in self.outputs_prefix for sep in filter(None, ("/", os.sep, os.altsep))):
+            raise ConfigError("outputs.prefix must not contain a path separator; use --out")
         parse_distribution(self.epidemic_dist)
         for spec in self.distribution_list():
             parse_distribution(spec)

@@ -29,8 +29,6 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import ClassVar
 
 import numpy as np
@@ -55,24 +53,6 @@ def _validated_age(a):
 
 def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values) if scalar else values
-
-
-def _sum_in_numpy_order(terms):
-    """Sum ``terms`` (floats, or equal-length arrays summed elementwise) in the
-    order ``np.sum`` adds a contiguous 1-D array: left to right from 0.0 below
-    8 terms, eight interleaved partial sums up to 128, halves beyond that."""
-    n = len(terms)
-    if n < 8:
-        return reduce(add, terms, 0.0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum_in_numpy_order(terms[:half]) + _sum_in_numpy_order(terms[half:])
-    tail = n - n % 8
-    r = list(terms[:8])
-    for i in range(8, tail, 8):
-        r = [a + b for a, b in zip(r, terms[i:i + 8])]
-    head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return reduce(add, terms[tail:], head)
 
 
 class RecoveryDistribution(abc.ABC):
@@ -114,20 +94,6 @@ class RecoveryDistribution(abc.ABC):
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, size=None):
         """Draw infectious periods from a caller-owned generator."""
-
-    def exponential_stages(self) -> int | None:
-        """K when ``sample(rng)`` consumes K standard exponentials and nothing
-        else (see :meth:`periods_from_stages`), otherwise None."""
-        return None
-
-    def periods_from_stages(self, stages: np.ndarray) -> np.ndarray:
-        """Scalar draws read off a stream of standard exponentials.
-
-        ``periods[p]`` is bit for bit what ``sample(rng)`` returns when the
-        generator's next K standard exponentials are ``stages[p:p + K]``,
-        with K = :meth:`exponential_stages`; ``p`` runs up to ``len(stages) - K``.
-        """
-        raise NotImplementedError(f"{self.kind} draws are not standard-exponential stages")
 
     def has_point_mass(self) -> tuple[bool, float | None]:
         """(True, location) when the law is a point mass, else (False, None)."""
@@ -189,12 +155,6 @@ class Exponential(RecoveryDistribution):
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
 
-    def exponential_stages(self):
-        return 1
-
-    def periods_from_stages(self, stages):
-        return stages * (1.0 / self.rate)
-
     def spec_string(self):
         return f"exp:rate={self.rate!r}"
 
@@ -245,12 +205,6 @@ class FixedDuration(RecoveryDistribution):
         if size is None:
             return self.sigma
         return np.full(size, self.sigma)
-
-    def exponential_stages(self):
-        return 0
-
-    def periods_from_stages(self, stages):
-        return np.full(len(stages) + 1, self.sigma, dtype=float)
 
     def has_point_mass(self):
         return (True, self.sigma)
@@ -335,19 +289,9 @@ class GammaErlang(RecoveryDistribution):
     def sample(self, rng, size=None):
         # Sum of K exponential stages; keeps the stage interpretation exact.
         if size is None:
-            # np.sum's order, so a scalar draw equals the same draw taken
-            # through the array path and through periods_from_stages.
-            return _sum_in_numpy_order(rng.exponential(1.0 / self.rate, size=self.shape).tolist())
+            return float(rng.exponential(1.0 / self.rate, size=self.shape).sum())
         stage_shape = (self.shape,) + tuple(np.atleast_1d(size))
         return rng.exponential(1.0 / self.rate, size=stage_shape).sum(axis=0)
-
-    def exponential_stages(self):
-        return self.shape
-
-    def periods_from_stages(self, stages):
-        scaled, k = stages * (1.0 / self.rate), self.shape
-        count = max(len(scaled) - k + 1, 0)
-        return _sum_in_numpy_order([scaled[i:i + count] for i in range(k)])
 
     def spec_string(self):
         return f"gamma:shape={self.shape},rate={self.rate!r}"
@@ -398,9 +342,6 @@ class UniformInterval(RecoveryDistribution):
         return self.width**2 / 12.0
 
     def sample(self, rng, size=None):
-        if size is None:
-            # The word and the arithmetic of rng.uniform, without its overhead.
-            return self.lower + self.width * rng.random()
         return rng.uniform(self.lower, self.upper, size=size)
 
     def support_upper(self):

@@ -24,8 +24,9 @@ and RK4 stages are tuples, and the node history is one flat ``array('d')``
 of states and one of derivatives, read in place by the lookup and wrapped as
 an ndarray only at the end.  Every operation keeps the order of the numpy
 march kept as an oracle in the tests, so the series are bit-identical to it.
-A step that fails in arithmetic, or a state that is not finite, raises
-``SolverError`` with the time it happened.
+A step that fails in arithmetic, a state that is not finite, or a count
+below -1e-6 N (a step too coarse to resolve the epidemic, not rounding)
+raises ``SolverError`` with the time it happened.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from operator import add
 import numpy as np
 
 from .recovery import Exponential, FixedDuration, GammaErlang, UniformInterval
-from .trajectory import EpidemicParams, SolverError, Trajectory, _SolveSetup
+from .trajectory import SERIES_NAMES, EpidemicParams, SolverError, Trajectory, _SolveSetup
 
 __all__ = [
     "solve_markovian_pairwise",
@@ -48,6 +49,24 @@ __all__ = [
     "solve_gamma_chain",
     "solve_uniform_delay_pairwise",
 ]
+
+
+# Counts may dip below zero by rounding only; this fraction of N is the floor.
+_NEGATIVE_FLOOR = 1e-6
+
+
+def _trajectory(run: _SolveSetup, *series, extra=None) -> Trajectory:
+    """``run.trajectory``, or ``SolverError`` if a count falls below the floor."""
+    traj = run.trajectory(*series, extra=extra)
+    for name in SERIES_NAMES:
+        values = traj.series(name)
+        low = np.flatnonzero(values < -_NEGATIVE_FLOOR * run.N)
+        if low.size:
+            raise SolverError(
+                f"reference {name} fell to {values[low[0]]:.3g} at t={traj.t[low[0]]:.6g}, "
+                f"below -{_NEGATIVE_FLOOR:g} N; reduce the step size h={run.h}"
+            )
+    return traj
 
 
 def _node_index(value: float, h: float, name: str) -> int:
@@ -161,7 +180,7 @@ def solve_markovian_pairwise(
         )
 
     S, SS, I, SI = _march_delay_rk4(rhs, run.pair_state(), h, run.steps).T
-    return run.trajectory(S, I, SI, SS)
+    return _trajectory(run, S, I, SI, SS)
 
 
 def solve_markovian_meanfield(
@@ -185,7 +204,7 @@ def solve_markovian_meanfield(
         return (-coupling * S * I, coupling * S * I - gamma * I)
 
     S, I = _march_delay_rk4(rhs, [run.S0, run.I0], h, run.steps).T
-    return run.trajectory(S, I)
+    return _trajectory(run, S, I)
 
 
 def solve_fixed_delay_pairwise(
@@ -233,7 +252,7 @@ def solve_fixed_delay_pairwise(
 
     jumps = {j_sigma: recover_newborns} if j_sigma <= run.steps else None
     S, SS, I, SI, phi = _march_delay_rk4(rhs, u0, h, run.steps, jumps).T
-    return run.trajectory(S, I, SI, SS, extra={"Phi": phi})
+    return _trajectory(run, S, I, SI, SS, extra={"Phi": phi})
 
 
 def solve_fixed_delay_meanfield(
@@ -265,7 +284,7 @@ def solve_fixed_delay_meanfield(
 
     jumps = {j_sigma: recover_newborns} if j_sigma <= run.steps else None
     S, I = _march_delay_rk4(rhs, [run.S0, run.I0], h, run.steps, jumps).T
-    return run.trajectory(S, I)
+    return _trajectory(run, S, I)
 
 
 def solve_gamma_chain(
@@ -314,8 +333,8 @@ def solve_gamma_chain(
     U = _march_delay_rk4(rhs, u0, h, run.steps)
     I_stages = U[:, 2 : 2 + K].T
     SI_stages = U[:, 2 + K :].T
-    return run.trajectory(
-        U[:, 0], I_stages.sum(axis=0), SI_stages.sum(axis=0), U[:, 1],
+    return _trajectory(
+        run, U[:, 0], I_stages.sum(axis=0), SI_stages.sum(axis=0), U[:, 1],
         extra={"I_stages": I_stages, "SI_stages": SI_stages},
     )
 
@@ -374,4 +393,4 @@ def solve_uniform_delay_pairwise(
 
     U = _march_delay_rk4(rhs, run.pair_state() + [0.0, 0.0], h, run.steps)
     S, SS, I, SI, phi, _ = U.T
-    return run.trajectory(S, I, SI, SS, extra={"Phi": phi})
+    return _trajectory(run, S, I, SI, SS, extra={"Phi": phi})

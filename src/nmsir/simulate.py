@@ -1,33 +1,30 @@
-"""Exact event-driven simulation of SIR epidemics with arbitrary recovery laws.
+"""Exact simulation of SIR epidemics with arbitrary recovery laws.
 
 Transmission along each S-I link is Markovian with rate ``tau``; the
 infectious period of each node is drawn from the configured recovery
-distribution.  When a node becomes infected it consumes one block of
-variates: its infectious period, then one candidate transmission time (an
-Exp(tau) delay) per neighbor.  When the law draws its period as K standard
-exponentials (exponential, Erlang and fixed laws, K = 1, K and 0), every
-block is a run of standard exponentials, so a few calls draw the blocks of
-the whole run and each infection reads its own at its offset; the uniform law
-interleaves two distributions and draws block by block.  Either way the
-stream is consumed in the same order, and a caller's generator is left where
-block-by-block draws would leave it.
+distribution.  Because transmission is memoryless and each period is drawn
+once, a run is a first-passage percolation (Kenah & Robins 2007, Phys. Rev. E
+76:036113): draw one period T_u per node and one Exp(tau) delay d_uv per
+directed edge, and keep u->v iff d_uv < T_u.  A node's infection time is then
+its shortest-path distance from the seeds over the kept edges, weighted by
+the delays, and it recovers T_v later.  A run draws, in this order, the seeds
+(unless they are pinned), the N periods, and the delays of the ``graph.edges``
+rows as u->v and then as v->u.
 
-A candidate is kept only if it falls before the source's recovery and within
-the horizon, and before the target's earliest kept candidate; this does not
-change the law of the process, because transmission is memoryless and only a
-target's earliest candidate can infect it.  Until a node is infected,
-``infected_at`` holds its earliest kept candidate (a lazy decrease-key), and
-a popped candidate is live iff its time still equals that entry; the pops
-that infect, and so the order of the draws, are those of a loop that queues
-every candidate aimed at a susceptible node.
+The distances come from a vectorised Bellman-Ford relaxation: the kept edges
+are sorted by target once, and each sweep takes every target's minimum over
+its in-edges with one ``np.minimum.reduceat``, until no target improves.
+Arrivals after ``t_end`` are dropped.  The number of sweeps grows with the
+hop depth of the infection tree, which is O(N) on a ring, so after
+``_MAX_SWEEPS`` sweeps a Dijkstra pass over the same weights finishes the
+job; both give the same times bit for bit, the least left-to-right sum of
+delays along any path.
 
-Recoveries are never queued: a kept candidate always pops while its source is
-still infectious, so the event loop only records each node's infection and
-recovery time.  The output grid is then filled from those per-node times: a
-grid point counts every infection and recovery at or before it, an edge is an
-S-I link from its first endpoint's infection until that endpoint recovers or
-the other one is infected, and an S-S link until either endpoint is infected.
-Link counts use the ordered convention ([SS] counts each link twice).
+The output grid is then filled from the per-node times: a grid point counts
+every infection and recovery at or before it, an edge is an S-I link from its
+first endpoint's infection until that endpoint recovers or the other one is
+infected, and an S-S link until either endpoint is infected.  Link counts use
+the ordered convention ([SS] counts each link twice).
 
 An ensemble runs several laws in one pass over the run index: run k of every
 law uses graph k and RNG stream k, so each graph is built once whatever the
@@ -38,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -46,6 +43,59 @@ from .network import RegularGraph, generate_regular
 from .trajectory import SERIES_NAMES, EpidemicParams, Trajectory
 
 __all__ = ["run_single", "run_ensemble", "run_ensembles"]
+
+# Relaxation sweeps before the Dijkstra finish takes over.  Fig-1 runs
+# (N = 1000, n = 15, tau = 0.35) converge in at most about 20.
+_MAX_SWEEPS = 64
+
+
+def _finish_by_heap(times, source, target, weight):
+    """Dijkstra from the current upper bounds ``times`` over the given edges.
+
+    Each finite entry is the length of a real path, so the result is the
+    least path length that a relaxation run to convergence reaches.
+    """
+    order = np.argsort(source)
+    starts = np.searchsorted(source[order], np.arange(len(times) + 1)).tolist()
+    targets, weights = target[order].tolist(), weight[order].tolist()
+    best = times.tolist()
+    heap = [(t, node) for node, t in enumerate(best) if t < math.inf]
+    heapify(heap)
+    while heap:
+        t, node = heappop(heap)
+        if t > best[node]:
+            continue
+        for k in range(starts[node], starts[node + 1]):
+            cand, other = t + weights[k], targets[k]
+            if cand < best[other]:
+                best[other] = cand
+                heappush(heap, (cand, other))
+    return np.array(best)
+
+
+def _first_passage(times, source, target, weight, max_sweeps):
+    """Least path lengths from the finite entries of ``times`` (updated in place).
+
+    Returns (times, sweeps, heap_finish): the relaxation stops when a sweep
+    improves no target, and hands over to :func:`_finish_by_heap` if
+    ``max_sweeps`` sweeps did not get there.
+    """
+    order = np.argsort(target)
+    source, target, weight = source[order], target[order], weight[order]
+    heads = np.flatnonzero(np.diff(target, prepend=-1))
+    targets = target[heads]
+    current = times[targets]
+    sweeps = 0
+    while heads.size:
+        if sweeps == max_sweeps:
+            return _finish_by_heap(times, source, target, weight), sweeps, True
+        sweeps += 1
+        cand = np.minimum.reduceat(times[source] + weight, heads)
+        better = np.flatnonzero(cand < current)
+        if not better.size:
+            break
+        current[better] = times[targets[better]] = cand[better]
+    return times, sweeps, False
 
 
 def run_single(
@@ -60,8 +110,9 @@ def run_single(
     ``seed`` may be an int, a ``SeedSequence`` or a ``Generator``; equal seeds
     give bit-identical trajectories.  Initial infecteds are drawn uniformly
     without replacement unless ``initial_nodes`` pins them explicitly, as
-    distinct node ids in ``[0, N)``.  The event counts (heap pushes, pops,
-    stale pops, infections) are returned in ``extra["diag"]``.
+    distinct node ids in ``[0, N)``.  What the relaxation cost (sweeps, kept
+    edges, infections, and whether the Dijkstra finish ran) is returned in
+    ``extra["diag"]``.
     """
     if params.initial_infected > graph.num_nodes:
         raise ValueError("initial_infected exceeds the number of nodes")
@@ -69,17 +120,7 @@ def run_single(
         raise ValueError(f"dt_out must be positive and finite, got {dt_out}")
     rng = np.random.default_rng(seed)
     num_nodes = graph.num_nodes
-    adjacency = graph.neighbors
-    dist, t_end, scale = params.dist, params.t_end, 1.0 / params.tau
-
-    inf = math.inf
-    infected_at = [inf] * num_nodes
-    recovers_at = [inf] * num_nodes
-    infection_times: list[float] = []  # nondecreasing: events pop in time order
-    # t_cand <= t_end is t_cand < past_end, so one comparison with
-    # min(recovery, past_end) keeps a candidate before the source recovers
-    # and within the horizon.
-    past_end = math.nextafter(t_end, inf)
+    dist, t_end = params.dist, params.t_end
 
     if initial_nodes is not None:
         seeds = [int(node) for node in initial_nodes]
@@ -88,71 +129,29 @@ def run_single(
         if not all(0 <= node < num_nodes for node in seeds):
             raise ValueError(f"initial_nodes must lie in [0, {num_nodes})")
     elif params.initial_infected:
-        seeds = rng.choice(num_nodes, size=params.initial_infected, replace=False).tolist()
+        seeds = rng.choice(num_nodes, size=params.initial_infected, replace=False)
     else:
         seeds = []
-    # The seeds are queued at t = 0 ahead of every candidate, in seed order.
-    heap = [(0.0, k - len(seeds), node) for k, node in enumerate(seeds)]
-    for node in seeds:
-        infected_at[node] = 0.0
+    periods = np.asarray(dist.sample(rng, size=num_nodes), dtype=float)
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    source, target = np.concatenate((u, v)), np.concatenate((v, u))
+    delays = rng.exponential(1.0 / params.tau, size=source.size)
+    kept = np.flatnonzero(delays < periods[source])
 
-    # When the law's periods are K standard-exponential stages, every block is
-    # a run of one standard-exponential stream, and infection j reads its
-    # block at offset ``pos``.  The stream is drawn in a few calls, each at
-    # least doubling it; a call that would pass half of ``most`` (enough for
-    # every node to be infected) draws all of it.  Memoryviews yield Python
-    # floats without building a list of every value.
-    num_stages = dist.exponential_stages()
-    if num_stages is not None:
-        state = rng.bit_generator.state
-        most = num_stages * num_nodes + sum(map(len, adjacency))
-        # Nothing drawn yet; a fixed period still reads off the empty stream.
-        stages, drawn = np.empty(0), 0
-        periods, scaled = memoryview(dist.periods_from_stages(stages)), memoryview(stages)
-    sample, exponential = dist.sample, rng.exponential
-    pos = pushes = stale = 0
-    while heap:
-        t, _, node = heappop(heap)
-        if t != infected_at[node]:
-            stale += 1
-            continue
-        infection_times.append(t)
-        nbrs = adjacency[node]
-        if num_stages is None:
-            rec_at = t + sample(rng)
-            delays = exponential(scale, size=len(nbrs)).tolist()
-        else:
-            end = pos + num_stages + len(nbrs)
-            if end > drawn:
-                drawn = max(2 * drawn, end, 8192)
-                drawn = most if 2 * drawn > most else drawn
-                stages = np.concatenate((stages, rng.standard_exponential(drawn - len(stages))))
-                periods = memoryview(dist.periods_from_stages(stages))
-                scaled = memoryview(stages * scale)
-            rec_at = t + periods[pos]
-            delays = scaled[end - len(nbrs):end]
-            pos = end
-        recovers_at[node] = rec_at
-        limit = rec_at if rec_at < past_end else past_end
-        for other, delay in zip(nbrs, delays):
-            t_cand = t + delay
-            if t_cand < limit and t_cand < infected_at[other]:
-                infected_at[other] = t_cand
-                heappush(heap, (t_cand, pushes, other))
-                pushes += 1
-    pops = pushes  # candidates only (not the seeds): the heap is drained
-    if num_stages is not None and isinstance(seed, np.random.Generator):
-        # Leave a caller's generator where block-by-block draws would have.
-        rng.bit_generator.state = state
-        rng.standard_exponential(pos)
+    a = np.full(num_nodes, math.inf)
+    a[np.asarray(seeds, dtype=np.intp)] = 0.0
+    a, sweeps, heap_finish = _first_passage(
+        a, source[kept], target[kept], delays[kept], _MAX_SWEEPS
+    )
+    a[a > t_end] = math.inf
+    r = a + periods
 
     n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
     grid = np.arange(n_out) * dt_out
-    a, r = np.array(infected_at), np.array(recovers_at)
+    infection_times = np.sort(a)
     ever = np.searchsorted(infection_times, grid, side="right")
     recovery_times = np.sort(r)
     recovered = np.searchsorted(recovery_times, grid, side="right")
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
     first = np.minimum(a[u], a[v])
     last = np.maximum(a[u], a[v])
     first_rec = np.where(a[u] <= a[v], r[u], r[v])
@@ -162,7 +161,7 @@ def run_single(
                    - np.bincount(si_to, minlength=n_out + 1))[:n_out]
     ss = 2 * (len(u) - np.searchsorted(np.sort(first), grid, side="right"))
 
-    total = len(infection_times)
+    total = int(np.count_nonzero(a < math.inf))
     meta = {
         "source": "simulation",
         "N": num_nodes,
@@ -173,11 +172,12 @@ def run_single(
         "t_end": params.t_end,
         "dt_out": dt_out,
         "final_size": float(total),
-        "last_infection_time": infection_times[-1] if total else 0.0,
+        "last_infection_time": float(infection_times[total - 1]) if total else 0.0,
         "last_recovery_time": float(recovery_times[total - 1]) if total else 0.0,
         "total_infections": total,
     }
-    diag = {"pushes": pushes, "pops": pops, "stale_pops": stale, "infections": total}
+    diag = {"sweeps": sweeps, "kept_edges": kept.size,
+            "infections": total, "heap_finish": heap_finish}
     return Trajectory(
         grid, (num_nodes - ever).astype(float), (ever - recovered).astype(float),
         recovered.astype(float), si.astype(float), ss.astype(float), meta, {"diag": diag},

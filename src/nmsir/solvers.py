@@ -111,43 +111,6 @@ def _survival_grids(dist: RecoveryDistribution, h: float, steps: int):
     return xi_quad, xi_point, xi_pre
 
 
-def _boundary_profile(
-    dist: RecoveryDistribution,
-    h: float,
-    steps: int,
-    initial_infected: float,
-    config: SolverConfig,
-    xi_point: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Initial-infected contribution b(t) on the grid and its total mass.
-
-    Newborn seeding gives b(t) = [I]0 xi(t).  A tabulated age density
-    phi(a) gives b(t) = int phi(s) xi(s + t)/xi(s) ds, admissible only for
-    laws whose survival never vanishes.  Returns the right-continuous
-    (post-jump) node values.
-    """
-    if config.newborn:
-        return initial_infected * xi_point, float(initial_infected)
-    if math.isfinite(dist.support_upper()):
-        raise ValueError(
-            "a tabulated initial age density requires a recovery law with "
-            "everywhere-positive survival (exponential or gamma)"
-        )
-    ages, density = config.initial_age_density
-    ages = np.asarray(ages, dtype=float)
-    density = np.asarray(density, dtype=float)
-    if ages.ndim != 1 or ages.shape != density.shape or ages.size < 2:
-        raise ValueError("initial_age_density must be two matching 1-d arrays")
-    if np.any(density < 0.0) or np.any(np.diff(ages) <= 0.0):
-        raise ValueError("initial age density must be nonnegative on an increasing grid")
-    xi_at = np.asarray(dist.survival(ages))
-    grid = np.arange(steps + 1) * h
-    shifted = np.asarray(dist.survival(ages[None, :] + grid[:, None]))
-    profile = np.trapezoid(density[None, :] * shifted / xi_at[None, :], ages, axis=1)
-    mass = float(np.trapezoid(density, ages))
-    return profile, mass
-
-
 def _corrector_converged(delta: float, delta_prev: float, xs: float, ys: float) -> bool:
     """Geometric estimate of the remaining fixed-point error vs ``_CORRECTOR_TOL``.
 
@@ -328,7 +291,6 @@ class _Renewal(NamedTuple):
 
 def _solve_renewal(
     run: _SolveSetup,
-    config: SolverConfig,
     *,
     deriv_x,
     state_factor,
@@ -343,8 +305,9 @@ def _solve_renewal(
     h, steps = run.h, run.steps
     dist, snap_notes = _snap_support(run.params.dist, h)
     xi_quad, xi_point, xi_pre = _survival_grids(dist, h, steps)
-    b_infected, I0_eff = _boundary_profile(dist, h, steps, run.I0, config, xi_point)
-    newborn_atom = config.newborn and dist.has_point_mass()[0]
+    # The initial infecteds are newborn: their profile is I0 xi(t).
+    b_infected = run.I0 * xi_point
+    atom = dist.has_point_mass()[0]
     window = _window_nodes(dist, h, steps)
 
     x, y, phi, y_hist = _march_renewal(
@@ -353,14 +316,14 @@ def _solve_renewal(
         exponent_rate=exponent_rate,
         xi_quad=xi_quad,
         boundary=boundary_scale * b_infected,
-        boundary_pre=boundary_scale * I0_eff * xi_pre if newborn_atom else None,
-        boundary_hist=boundary_scale * I0_eff * xi_quad if newborn_atom else None,
+        boundary_pre=boundary_scale * run.I0 * xi_pre if atom else None,
+        boundary_hist=boundary_scale * run.I0 * xi_quad if atom else None,
         x0=run.S0,
         h=h,
         steps=steps,
         window=window,
     )
-    run.meta.update(dist=dist.spec_string(), I0=I0_eff)
+    run.meta["dist"] = dist.spec_string()
     if snap_notes:
         run.meta["grid_snap"] = ";".join(snap_notes)
     return _Renewal(x, y, phi, y_hist, xi_quad, b_infected, window)
@@ -386,7 +349,7 @@ def solve_meanfield(
 
     coupling = params.tau * run.n / run.N
     sol = _solve_renewal(
-        run, config,
+        run,
         deriv_x=lambda s, i: -coupling * s * i,
         state_factor=lambda s, i: coupling * s * i,
         exponent_rate=None,
@@ -423,7 +386,7 @@ def solve_pairwise(
     # gave nan: an iterate with [S] <= 0 yields nan, and the corrector reports
     # the step as not contracting.
     sol = _solve_renewal(
-        run, config,
+        run,
         deriv_x=lambda s, si: -tau * si,
         state_factor=lambda s, si: tau * kappa * s**alpha * si if s >= 0.0 else math.nan,
         exponent_rate=lambda s, si: link_ratio * si / s + tau if s else math.nan,

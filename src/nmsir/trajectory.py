@@ -54,26 +54,19 @@ class EpidemicParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size and initial ages for the renewal-equation solvers.
+    """Step size for the renewal-equation solvers.
 
-    The seeding and the horizon come from :class:`EpidemicParams`.  The
-    memory term costs O(steps) per step and O(steps^2) overall, so
-    ``t_end/h`` should stay in the 1e4-1e5 range on a desktop.  When
-    ``initial_age_density`` is None all initial infecteds are newborn (age
-    zero at t=0); a tabulated ``(ages, density)`` pair is accepted only for
-    recovery laws whose survival never vanishes.
+    The seeding and the horizon come from :class:`EpidemicParams`; the
+    initial infecteds are newborn (age zero at t=0).  The memory term costs
+    O(steps) per step and O(steps^2) overall, so ``t_end/h`` should stay in
+    the 1e4-1e5 range on a desktop.
     """
 
     h: float = 1e-2
-    initial_age_density: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if not 0.0 < self.h < math.inf:
             raise ValueError("step size h must be positive and finite")
-
-    @property
-    def newborn(self) -> bool:
-        return self.initial_age_density is None
 
 
 def _format_value(value) -> str:

@@ -2,18 +2,20 @@
 
 Nothing here may import from the modules it checks beyond plain data types:
 the Gillespie simulator below is a from-scratch rejection-free direct method
-for the Markovian SIR special case, used to cross-validate the event-driven
-simulator, and the pair counter is a brute-force double loop.  The
-percolation oracle checks the simulator's final sizes for every recovery law
-without times or a heap.
+for the Markovian SIR special case, used to cross-validate the simulator,
+and the pair counter is a brute-force double loop.  The percolation oracle
+checks the simulator's final sizes for every recovery law without times or a
+heap.
 
-The reference graph generator and event loop at the end are the plain-Python
-implementations that the vectorised ``network`` and ``simulate`` code
-replaced.  They draw from the generator in the same order, so the fast code
-must reproduce their output bit for bit.  Likewise the numpy RK4 march last
-in this file is the one the float-only march of ``reference`` replaced; it
-performs every operation in the same order, so the closed-form references
-must come out identical on either march.
+The reference graph generator at the end is the plain-Python implementation
+that the vectorised ``network`` code replaced; it draws from the generator in
+the same order, so the fast code must reproduce its output bit for bit.  The
+reference event loop after it is the event-driven simulator that the
+percolation construction of ``simulate`` replaced.  It shares neither code
+nor draw order with it, so the two are compared in distribution.  Likewise
+the numpy RK4 march last in this file is the one the float-only march of
+``reference`` replaced; it performs every operation in the same order, so
+the closed-form references must come out identical on either march.
 """
 
 from __future__ import annotations

@@ -85,6 +85,20 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_prefix_with_path_separator_exits_2(tmp_path, capsys):
+    # A prefix names files inside --out; a directory in it is rejected up
+    # front instead of failing at the first write.
+    for prefix in ("sub/", "a/b_"):
+        with pytest.raises(cli.ConfigError, match="outputs.prefix"):
+            build_config({"outputs.prefix": prefix})
+        for command in ("analytics", "simulate"):
+            argv = [command, *SMALL, "--set", f"outputs.prefix={prefix}", "--out", str(tmp_path)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: outputs.prefix") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 NON_FINITE_OVERRIDES = [
     "epidemic.tau=nan",
     "epidemic.tau=inf",

@@ -1,5 +1,6 @@
-"""Property tests: the vectorised graph generator and event loop reproduce the
-plain-Python reference implementations bit for bit."""
+"""Property tests: the vectorised graph generator reproduces the plain-Python
+reference bit for bit, and every simulator run keeps the invariants of an SIR
+epidemic on its graph."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import nmsir as nm  # noqa: E402
 
-from conftest import ALL_DISTS, assert_matches_reference  # noqa: E402
+from conftest import ALL_DISTS  # noqa: E402
 from oracles import reference_regular_graph  # noqa: E402
 
 
@@ -59,5 +60,23 @@ def _run_args(draw):
 
 @settings(max_examples=150)
 @given(_run_args())
-def test_run_single_matches_reference(args):
-    assert_matches_reference(*args)
+def test_run_single_keeps_sir_invariants(args):
+    graph, params, seed, dt_out, pinned = args
+    traj = nm.run_single(graph, params, seed, dt_out, pinned)
+    N = graph.num_nodes
+    np.testing.assert_array_equal(traj.S + traj.I + traj.R, np.full(len(traj.t), N))
+    assert np.all(np.diff(traj.S) <= 0)
+    assert np.all(np.diff(traj.R) >= 0)
+    assert all(np.all(traj.series(name) >= 0) for name in ("S", "I", "R", "SI", "SS"))
+    # t = 0 shows the seed state: the pinned nodes, or the first draw.
+    if pinned is None:
+        pinned = np.random.default_rng(seed).choice(
+            N, size=params.initial_infected, replace=False
+        ) if params.initial_infected else []
+    states = np.full(N, nm.SUSCEPTIBLE)
+    states[np.asarray(pinned, dtype=int)] = nm.INFECTED
+    ss, si, _ = nm.count_pairs(graph, states)
+    assert (traj.S[0], traj.I[0], traj.R[0]) == (N - len(pinned), len(pinned), 0)
+    assert (traj.SS[0], traj.SI[0]) == (ss, si)
+    # The grid may stop short of t_end; the count covers the whole horizon.
+    assert N >= traj.meta["total_infections"] >= N - traj.S[-1] >= len(pinned)

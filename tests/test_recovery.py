@@ -335,9 +335,9 @@ def test_sampling_ks_below_one_percent_critical(dist):
 
 @pytest.mark.parametrize("shape", [*range(1, 13), 127, 128, 129, 200])
 def test_gamma_scalar_draw_equals_array_draw(shape):
-    # A scalar draw sums its stages as plain floats; it must equal, bit for
-    # bit, the same stages summed by numpy (np.sum's order changes at 8 and
-    # again above 128).
+    # A scalar draw is the sum of one array of stages, and equals, bit for
+    # bit, the same stages drawn through the array path (np.sum's order
+    # changes at 8 and again above 128).
     dist = nm.GammaErlang(shape, 0.7)
     for seed in range(20):
         scalar_rng, array_rng, vector_rng = (np.random.default_rng(seed) for _ in range(3))
@@ -349,8 +349,7 @@ def test_gamma_scalar_draw_equals_array_draw(shape):
 
 
 def test_uniform_scalar_draw_equals_uniform_call():
-    # The scalar draw consumes the word rng.uniform consumes and does its
-    # arithmetic, so both give the same float and leave equal states.
+    # The scalar draw is rng.uniform's: the same float, and equal states.
     picks = np.random.default_rng(5)
     for seed in range(2000):
         lower = float(picks.uniform(1e-6, 10.0) * 10.0 ** picks.integers(-3, 4))
@@ -361,32 +360,3 @@ def test_uniform_scalar_draw_equals_uniform_call():
             assert type(draw) is float
             assert draw == ref.uniform(dist.lower, dist.upper)
         assert rng.bit_generator.state == ref.bit_generator.state
-
-
-@pytest.mark.parametrize("dist", [
-    nm.Exponential(2.0 / 3.0),
-    nm.FixedDuration(1.5),
-    *(nm.GammaErlang(k, 0.7) for k in (1, 3, 7, 8, 9, 16, 130)),
-], ids=lambda d: d.spec_string())
-def test_periods_from_stages_equal_scalar_draws(dist):
-    # Period p read off one bulk call equals the scalar draw made when the
-    # generator stands at standard exponential p, at every offset.
-    k = dist.exponential_stages()
-    for seed in range(5):
-        stages = np.random.default_rng(seed).standard_exponential(40 + 3 * k)
-        periods = dist.periods_from_stages(stages)
-        assert len(periods) == len(stages) - k + 1
-        rng = np.random.default_rng(seed)
-        for p in range(len(stages) - k + 1):
-            probe = np.random.Generator(type(rng.bit_generator)())
-            probe.bit_generator.state = rng.bit_generator.state
-            draw = dist.sample(probe)
-            assert periods[p] == draw
-            rng.standard_exponential()
-
-
-def test_uniform_draws_are_not_stages():
-    dist = nm.UniformInterval(1.0, 2.0)
-    assert dist.exponential_stages() is None
-    with pytest.raises(NotImplementedError):
-        dist.periods_from_stages(np.ones(3))

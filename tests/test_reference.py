@@ -297,12 +297,12 @@ _REFERENCES = [
 
 
 def test_references_end_finite_or_raise_solver_error():
-    # Steps far too large for tau blow the RK4 march up; a reference must
-    # then raise SolverError naming the time, never return NaN or inf series
-    # or leak an OverflowError from the scalar arithmetic.  Seeding every
-    # node is the one ValueError here.
+    # Steps far too large for tau blow the RK4 march up or drive a count
+    # negative; a reference must then raise SolverError naming the time,
+    # never return NaN, inf or negative series or leak an OverflowError from
+    # the scalar arithmetic.  Seeding every node is the one ValueError here.
     assert nm.SolverError is nm.solvers.SolverError is nm.trajectory.SolverError
-    failures = 0
+    failures = negative = 0
     for solver, dist in _REFERENCES:
         for tau in (0.35, 1.0, 2.0, 5.0, 10.0, 50.0):
             for h in (0.01, 0.05, 0.1, 0.25, 0.5):
@@ -313,10 +313,18 @@ def test_references_end_finite_or_raise_solver_error():
                     except nm.SolverError as exc:
                         assert "t=" in str(exc)
                         failures += 1
+                        negative += "below -1e-06 N" in str(exc)
                         continue
                     except ValueError:
                         assert i0 == N
                         continue
                     for name in SERIES_NAMES:
-                        assert np.all(np.isfinite(traj.series(name))), (solver, tau, h, i0)
-    assert failures > 0
+                        values = traj.series(name)
+                        assert np.all(np.isfinite(values)), (solver, tau, h, i0)
+                        assert values.min() >= -1e-6 * N, (solver, name, tau, h, i0)
+    assert failures > negative > 0
+    # At tau = 1 and h = 0.1 the fixed-delay mean-field [I] dips far below 0.
+    params = nm.EpidemicParams(tau=1.0, dist=nm.FixedDuration(1.5), initial_infected=1,
+                               t_end=10.0)
+    with pytest.raises(nm.SolverError, match="reference I fell to"):
+        nm.solve_fixed_delay_meanfield(params, num_nodes=N, degree=DEG, h=0.1)

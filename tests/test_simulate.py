@@ -1,6 +1,5 @@
-"""Event-driven simulator: conservation, determinism, exactness sanity."""
+"""Simulator: conservation, determinism, exactness sanity."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -11,11 +10,10 @@ import nmsir as nm
 from nmsir.network import RegularGraph
 from nmsir.trajectory import SERIES_NAMES
 
-from conftest import ALL_DISTS, assert_matches_reference
-from oracles import gillespie_final_size, percolation_final_size, reference_run_single
+from nmsir import simulate
 
-# Erlang with K >= 8 stages sums them in np.sum's pairwise order.
-REFERENCE_DISTS = dict(ALL_DISTS, gamma9=nm.GammaErlang(9, 2.0 / 3.0))
+from conftest import ALL_DISTS
+from oracles import gillespie_final_size, percolation_final_size, reference_run_single
 
 
 def _params(dist, i0=5, t_end=25.0, tau=0.35):
@@ -87,80 +85,16 @@ def test_ensemble_deterministic_and_single_run_identity(small_graph):
     np.testing.assert_array_equal(m1.I, single.I)
 
 
-@pytest.mark.parametrize("law", sorted(REFERENCE_DISTS))
-def test_run_matches_reference_event_loop(small_graph, law):
-    dist = REFERENCE_DISTS[law]
-    for tau in (0.05, 0.35, 2.0):
-        for seed in range(4):
-            assert_matches_reference(small_graph, _params(dist, tau=tau), seed)
-    for i0 in (0, 1, small_graph.num_nodes):
-        assert_matches_reference(small_graph, _params(dist, i0=i0, t_end=8.0), 3)
-    for dt_out in (0.05, 0.25, 1.0, 7.0):
-        assert_matches_reference(small_graph, _params(dist, t_end=12.3), 5, dt_out)
-    assert_matches_reference(small_graph, _params(dist, i0=3), 6, initial_nodes=[17, 2, 150])
-    assert_matches_reference(_star(), _params(dist, i0=1, tau=4.0), 7, initial_nodes=[0])
-    assert_matches_reference(nm.generate_regular(10, 0, seed=1), _params(dist, i0=3), 8)
-    # Large enough that the bulk stream is drawn in several calls.
-    assert_matches_reference(nm.generate_regular(1000, 15, seed=21), _params(dist), 9)
-
-
-@pytest.mark.parametrize("law", sorted(REFERENCE_DISTS))
-def test_runs_on_one_generator_match_reference_runs(small_graph, law):
-    # A caller's generator ends each run where the reference loop leaves it,
-    # so successive runs on one generator match successive reference runs.
-    for p, pinned in ((_params(REFERENCE_DISTS[law], tau=1.0), None),
-                      (_params(REFERENCE_DISTS[law], i0=2), [4, 9]),
-                      (_params(REFERENCE_DISTS[law], i0=0), None)):
-        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
-        for _ in range(3):
-            traj = nm.run_single(small_graph, p, rng, initial_nodes=pinned)
-            series, meta = reference_run_single(small_graph, p, ref_rng, initial_nodes=pinned)
-            for name, expected in series.items():
-                np.testing.assert_array_equal(traj.series(name), expected, err_msg=name)
-            assert traj.meta == meta
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-# SHA-256 of the S, I, R, SI, SS arrays (little-endian float64, in that order)
-# of fig-1 ensemble runs k, recorded before the simulator drew its variates in
-# bulk: run k is graph 12 + 7919 k under stream k of SeedSequence(11).
-EXP, GAMMA, UNIFORM = "exp:rate=0.6667", "gamma:shape=3,rate=2", "uniform:a=1,b=2"
-FIG1_RUN_DIGESTS = {
-    (EXP, 0): "0ad6760ca2a596624452f57ada2414e1a0d9f76ee8df75f42d42d07a6ac9f10b",
-    (EXP, 1): "f2b26a73f07e397f513cc55b22419bb25414be72bef1784826353f2706d1ed10",
-    (EXP, 50): "cb5ea44d42ca4be9493e8aa6262a362c24c66edada4537ae4999227e50bf5fba",
-    (EXP, 99): "25358dc1dc6d495bda998d09afe32060747f07ae978cfa7782788dac103c6611",
-    (GAMMA, 0): "984f33c96b8552850e67293788749d3a8f3189902ad2ea90db138159e063e0f4",
-    (GAMMA, 1): "43c438b3ad270746a439dc4eda8ebd027659fb2e172f3b2cc57998fbce4f9d43",
-    (GAMMA, 50): "54c63d8ab00660a4aa2c0e7b12b0584be97a938d3f8bb885237d62761f427887",
-    (GAMMA, 99): "d34fafa045db62ce9c9f20a8a7f324c47af290c8284ff196731938f041d6128c",
-    (UNIFORM, 0): "81aa5ee04b55e0af06ee722560ecb3d34512b3f3a9b747f38162ab569edc76d0",
-    (UNIFORM, 1): "becfe79953b71069e63a3c1e99860b566d8637af82368d45bf15b8abb53786eb",
-    (UNIFORM, 50): "fa878e239ecb390c33c0541c2c82b83aacbcba56db0b24aeb06270bca5b6f8b1",
-    (UNIFORM, 99): "9ce13d2a532145db1be6fb6a2f18271255e84c642686d4013ae08660ccc5d2f5",
-}
-
-
-@pytest.mark.parametrize("spec, k", sorted(FIG1_RUN_DIGESTS))
-def test_fig1_runs_are_stable(spec, k):
-    p = nm.EpidemicParams(0.35, nm.parse_distribution(spec), initial_infected=5, t_end=25.0)
-    graph = nm.generate_regular(1000, 15, 12 + 7919 * k)
-    traj = nm.run_single(graph, p, np.random.SeedSequence(11).spawn(100)[k], 0.1)
-    digest = hashlib.sha256()
-    for name in SERIES_NAMES:
-        digest.update(np.ascontiguousarray(traj.series(name), dtype="<f8").tobytes())
-    assert digest.hexdigest() == FIG1_RUN_DIGESTS[spec, k]
-
-
 def test_events_on_grid_points_count_at_that_point(small_graph):
-    # The seeds recover at exactly t=1.5, which both grids hit exactly.
+    # The seeds recover at exactly t=1.5, which both grids hit exactly, and
+    # nothing else can recover by then.
     p = _params(nm.FixedDuration(1.5), i0=5, tau=0.2)
     for dt_out in (0.5, 0.25):
-        traj = assert_matches_reference(small_graph, p, 11, dt_out)
+        traj = nm.run_single(small_graph, p, 11, dt_out)
         at = int(round(1.5 / dt_out))
         assert traj.t[at] == 1.5
         assert traj.R[at - 1] == 0.0
-        assert traj.R[at] >= 5.0
+        assert traj.R[at] == 5.0
 
 
 def test_diagnostics_account_for_every_event(small_graph):
@@ -169,11 +103,59 @@ def test_diagnostics_account_for_every_event(small_graph):
             p = _params(dist, i0=i0, tau=1.0)
             traj = nm.run_single(small_graph, p, 2, initial_nodes=pinned)
             diag = traj.extra["diag"]
-            assert diag["stale_pops"] > 0, law
-            assert diag["pops"] == diag["pushes"], law
-            assert diag["infections"] == i0 + diag["pops"] - diag["stale_pops"], law
             assert diag["infections"] == traj.meta["total_infections"], law
+            assert 0 < diag["kept_edges"] <= small_graph.num_nodes * small_graph.degree, law
+            assert not diag["heap_finish"], law
+            assert 1 <= diag["sweeps"] <= simulate._MAX_SWEEPS, law
             assert "diag" not in traj.meta
+
+
+def _ring(num_nodes):
+    nodes = np.arange(num_nodes)
+    return RegularGraph(
+        num_nodes=num_nodes,
+        degree=2,
+        neighbors=tuple(tuple(sorted(((i - 1) % num_nodes, (i + 1) % num_nodes)))
+                        for i in range(num_nodes)),
+        seed=None,
+        _edges=np.sort(np.column_stack((nodes, (nodes + 1) % num_nodes)), axis=1),
+    )
+
+
+def test_sweep_cap_hands_over_to_an_exact_heap_finish(monkeypatch):
+    # A ring seeded at one node is infected hop by hop, so the relaxation
+    # needs about N/2 sweeps and hits the cap; the Dijkstra finish must give
+    # the times of the relaxation run to convergence, bit for bit.
+    cap, ring = simulate._MAX_SWEEPS, _ring(400)
+    rng = np.random.default_rng(7)
+    u, v = ring.edges[:, 0], ring.edges[:, 1]
+    source, target = np.concatenate((u, v)), np.concatenate((v, u))
+    weight = rng.exponential(0.5, size=source.size)
+    keep = rng.random(source.size) < 0.995
+    start = np.full(ring.num_nodes, math.inf)
+    start[0] = 0.0
+    relaxed, sweeps, heap = simulate._first_passage(
+        start.copy(), source[keep], target[keep], weight[keep], max_sweeps=10**6
+    )
+    assert sweeps > cap and not heap
+    for max_sweeps in (0, 1, cap):
+        finished, sweeps, heap = simulate._first_passage(
+            start.copy(), source[keep], target[keep], weight[keep], max_sweeps=max_sweeps
+        )
+        assert heap and sweeps == max_sweeps
+        assert np.array_equal(finished, relaxed)
+
+    p = nm.EpidemicParams(tau=20.0, dist=nm.FixedDuration(1.5), initial_infected=1, t_end=100.0)
+    capped = nm.run_single(ring, p, 3, dt_out=0.5)
+    assert capped.extra["diag"]["heap_finish"]
+    assert capped.extra["diag"]["sweeps"] == cap
+    monkeypatch.setattr(simulate, "_MAX_SWEEPS", 10**6)
+    uncapped = nm.run_single(ring, p, 3, dt_out=0.5)
+    assert not uncapped.extra["diag"]["heap_finish"]
+    assert uncapped.extra["diag"]["sweeps"] > cap
+    for name in SERIES_NAMES:
+        assert np.array_equal(capped.series(name), uncapped.series(name)), name
+    assert capped.meta == uncapped.meta
 
 
 def test_repeated_initial_node_rejected(small_graph):
@@ -187,17 +169,6 @@ def test_initial_nodes_outside_the_graph_rejected():
     for nodes in ([-1, 19], [25], [0, 20]):
         with pytest.raises(ValueError, match="initial_nodes"):
             nm.run_single(graph, p, 0, initial_nodes=nodes)
-
-
-def test_queue_keeps_only_candidates_that_beat_the_earliest(fig1_dists):
-    # Fig-1-shaped runs: a candidate is queued only if it precedes the
-    # target's earliest queued one, so fewer pops are stale than infect.
-    graph = nm.generate_regular(1000, 15, seed=21)
-    for law, dist in dict(fig1_dists, fixed=nm.FixedDuration(1.5)).items():
-        for seed in range(3):
-            diag = nm.run_single(graph, _params(dist), seed).extra["diag"]
-            assert diag["infections"] > 500, law
-            assert diag["stale_pops"] < diag["infections"], (law, seed, diag)
 
 
 def _assert_same_ensemble(together, alone):
@@ -315,6 +286,53 @@ def test_final_sizes_match_percolation_oracle(law):
     assert 0.1 * graph.num_nodes < np.mean(sizes) < 0.95 * graph.num_nodes
     welch = stats.ttest_ind(sizes, oracle, equal_var=False)
     assert welch.pvalue > PERCOLATION_ALPHA, (law, np.mean(sizes), np.mean(oracle))
+
+
+# Power target for the check against the reference event loop: five
+# statistics per law (final size, I(t) at three times before the peak, and
+# the peak time) and four laws make 20 comparisons, so each two-sided Welch
+# test runs at alpha = 0.01 / 20.  It detects a 0.35-SD shift in a mean with
+# power 0.9 given 2 (z_{1 - alpha/2} + z_{0.9})^2 / 0.35^2 runs per side,
+# 371 after rounding up.
+REFERENCE_ALPHA = 0.01 / 20
+REFERENCE_RUNS = math.ceil(
+    2 * (stats.norm.ppf(1 - REFERENCE_ALPHA / 2) + stats.norm.ppf(0.9)) ** 2 / 0.35**2
+)
+REFERENCE_TIMES = (1.0, 2.0, 3.0)
+
+
+def _reference_statistics(runs_i, final_sizes, dt_out):
+    """Columns: final size, I at each of REFERENCE_TIMES, peak time."""
+    runs_i = np.asarray(runs_i)
+    at = [int(round(t / dt_out)) for t in REFERENCE_TIMES]
+    return np.column_stack([final_sizes, runs_i[:, at], runs_i.argmax(axis=1) * dt_out])
+
+
+@pytest.mark.parametrize("law", sorted(ALL_DISTS))
+def test_run_matches_reference_event_loop(law):
+    # A sub-saturated epidemic (minor and major outbreaks) on a small graph:
+    # the percolation construction and the event loop with recovery events
+    # in its heap, which share no code, must agree in distribution.
+    dist, dt_out = ALL_DISTS[law], 0.25
+    graph = nm.generate_regular(200, 4, seed=2007)
+    p = nm.EpidemicParams(tau=0.5, dist=dist, initial_infected=3, t_end=40.0)
+    ours = [nm.run_single(graph, p, stream, dt_out)
+            for stream in np.random.SeedSequence(113).spawn(REFERENCE_RUNS)]
+    theirs = [reference_run_single(graph, p, stream, dt_out)
+              for stream in np.random.SeedSequence(36113).spawn(REFERENCE_RUNS)]
+    ours = _reference_statistics(
+        [run.I for run in ours], [run.meta["total_infections"] for run in ours], dt_out
+    )
+    theirs = _reference_statistics(
+        [series["I"] for series, _ in theirs], [meta["total_infections"] for _, meta in theirs],
+        dt_out,
+    )
+    mean_i = theirs[:, 1:4].mean(axis=0)
+    assert 0.1 * graph.num_nodes < ours[:, 0].mean() < 0.95 * graph.num_nodes
+    assert REFERENCE_TIMES[-1] < theirs[:, 4].mean() and np.all(np.diff(mean_i) > 0)
+    for k, name in enumerate(["final size", *(f"I({t:g})" for t in REFERENCE_TIMES), "peak"]):
+        welch = stats.ttest_ind(ours[:, k], theirs[:, k], equal_var=False)
+        assert welch.pvalue > REFERENCE_ALPHA, (law, name, ours[:, k].mean(), theirs[:, k].mean())
 
 
 def test_initial_infected_bounds(small_graph):

@@ -1,10 +1,7 @@
 """Renewal-equation solvers vs closed-form references and generic-core checks."""
 
-import math
-
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 import nmsir as nm
 from nmsir import solvers
@@ -284,82 +281,6 @@ def test_support_below_half_step_rejected():
     p = _params(nm.FixedDuration(0.004), t_end=5.0)
     with pytest.raises(ValueError):
         nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.01))
-
-
-def test_tabulated_age_density_matches_newborn_for_exponential():
-    # Memorylessness: any initial age profile with the same mass is
-    # indistinguishable from newborn seeding under an exponential law.
-    dist = nm.Exponential(2 / 3)
-    p = _params(dist, t_end=10.0)
-    ages = np.linspace(0.0, 40.0, 4001)
-    density = 5.0 * (2 / 3) * np.exp(-(2 / 3) * ages)
-    cfg = nm.SolverConfig(h=0.01, initial_age_density=(ages, density))
-    tab = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=cfg)
-    newborn = nm.solve_pairwise(
-        p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.01)
-    )
-    assert rel_sup_diff(tab.I, newborn.I) < 1e-3
-
-
-def test_tabulated_age_density_matches_stage_seeded_chain():
-    # Erlang law with aged initial infecteds: an infected of age a occupies
-    # stage j with probability (ra)^(j-1)/(j-1)! e^(-ra) / xi(a), so a stage
-    # chain seeded with those occupancies is an independent oracle for the
-    # generic solver's tabulated-age boundary machinery.
-    shape, gamma = 3, 2.0 / 3.0
-    dist = nm.GammaErlang(shape, gamma)
-    r = dist.rate
-    i0_total, tau = 5.0, 0.35
-    n, Nf = float(DEG), float(N)
-    s0 = Nf - i0_total
-
-    ages = np.linspace(0.0, 12.0, 2401)
-    density = ages * np.exp(-ages)
-    density *= i0_total / np.trapezoid(density, ages)
-
-    p = nm.EpidemicParams(tau=tau, dist=dist, initial_infected=5, t_end=12.0)
-    cfg = nm.SolverConfig(h=5e-3, initial_age_density=(ages, density))
-    general = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=cfg)
-
-    xi = np.asarray(dist.survival(ages))
-    stage_mass = [
-        np.trapezoid(density * (r * ages) ** j * np.exp(-r * ages) / math.factorial(j) / xi, ages)
-        for j in range(shape)
-    ]
-    assert sum(stage_mass) == pytest.approx(i0_total, rel=1e-6)
-
-    link = tau * (n - 1.0) / n
-
-    def chain(t, u):
-        S, SS = u[0], u[1]
-        i_st = u[2 : 2 + shape]
-        si_st = u[2 + shape :]
-        si = si_st.sum()
-        c = link * si / S
-        du = np.empty_like(u)
-        du[0] = -tau * si
-        du[1] = -2.0 * c * SS
-        du[2] = tau * si - r * i_st[0]
-        du[3:2 + shape] = r * (i_st[:-1] - i_st[1:])
-        loss = c + tau + r
-        du[2 + shape] = c * SS - loss * si_st[0]
-        du[3 + shape:] = r * si_st[:-1] - loss * si_st[1:]
-        return du
-
-    u0 = np.concatenate(
-        [[s0, (n / Nf) * s0 * s0], stage_mass, (n / Nf) * s0 * np.asarray(stage_mass)]
-    )
-    sol = solve_ivp(chain, (0.0, 12.0), u0, t_eval=general.t, rtol=1e-10, atol=1e-10)
-    i_chain = sol.y[2 : 2 + shape].sum(axis=0)
-    assert rel_sup_diff(general.I, i_chain) < 2e-3
-
-
-def test_tabulated_age_density_rejected_for_bounded_support():
-    p = _params(nm.FixedDuration(1.5), t_end=5.0)
-    ages = np.linspace(0, 1, 11)
-    cfg = nm.SolverConfig(h=0.01, initial_age_density=(ages, np.ones(11)))
-    with pytest.raises(ValueError, match="survival"):
-        nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=cfg)
 
 
 # -- stepping core ------------------------------------------------------------------

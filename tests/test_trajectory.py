@@ -74,7 +74,6 @@ def test_solver_config_validation():
     for h in (0.0, -1e-3, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             nm.SolverConfig(h=h)
-    assert nm.SolverConfig().newborn
 
 
 def test_write_csv_literal_bytes(tmp_path):
