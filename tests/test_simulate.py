@@ -7,10 +7,9 @@ import pytest
 from scipy import stats
 
 import nmsir as nm
+from nmsir import simulate
 from nmsir.network import RegularGraph
 from nmsir.trajectory import SERIES_NAMES
-
-from nmsir import simulate
 
 from conftest import ALL_DISTS
 from oracles import gillespie_final_size, percolation_final_size, reference_run_single
