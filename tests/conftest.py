@@ -7,6 +7,8 @@ import pytest
 
 import nmsir as nm
 
+from oracles import reference_percolation_run
+
 try:
     from hypothesis import settings
 except ImportError:
@@ -56,3 +58,13 @@ def small_graph():
 def rel_sup_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Sup-norm of the difference, normalised by the sup of the reference."""
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def assert_matches_reference(graph, params, seed, dt_out=0.1, initial_nodes=None):
+    """Series and meta equal those of the plain-Python percolation run."""
+    traj = nm.run_single(graph, params, seed, dt_out, initial_nodes)
+    series, meta = reference_percolation_run(graph, params, seed, dt_out, initial_nodes)
+    for name, expected in series.items():
+        np.testing.assert_array_equal(traj.series(name), expected, err_msg=name)
+    assert traj.meta == meta
+    return traj

@@ -12,7 +12,10 @@ that the vectorised ``network`` code replaced; it draws from the generator in
 the same order, so the fast code must reproduce its output bit for bit.  The
 reference event loop after it is the event-driven simulator that the
 percolation construction of ``simulate`` replaced.  It shares neither code
-nor draw order with it, so the two are compared in distribution.  Likewise
+nor draw order with it, so the two are compared in distribution.  The
+percolation run after that rebuilds a run from the draw order ``simulate``
+documents, with a plain Dijkstra and per-grid-point state counts, so the
+simulator must reproduce it bit for bit.  Likewise
 the numpy RK4 march last in this file is the one the float-only march of
 ``reference`` replaced; it performs every operation in the same order, so
 the closed-form references must come out identical on either march.
@@ -299,6 +302,85 @@ def reference_run_single(graph: RegularGraph, params, seed, dt_out=0.1, initial_
         "last_infection_time": last_infection,
         "last_recovery_time": last_recovery,
         "total_infections": total_infections,
+    }
+    return out, meta
+
+
+def reference_percolation_run(graph: RegularGraph, params, seed, dt_out=0.1,
+                              initial_nodes=None):
+    """(series, meta) of one run built the way ``simulate`` documents it.
+
+    Draws, in order, the seeds (unless pinned), one period per node and one
+    Exp(tau) delay per directed edge (the ``graph.edges`` rows as u->v, then
+    as v->u), keeps u->v iff its delay is below u's period, and takes each
+    node's infection time as its distance from the seeds by a plain-Python
+    Dijkstra.  Each grid point then counts node states directly: a node is
+    infected from its infection time until its recovery, and the ordered
+    pair counts are taken over the edge list.
+    """
+    rng = np.random.default_rng(seed)
+    num_nodes = graph.num_nodes
+    if initial_nodes is not None:
+        seeds = [int(node) for node in initial_nodes]
+    elif params.initial_infected:
+        seeds = rng.choice(num_nodes, size=params.initial_infected, replace=False).tolist()
+    else:
+        seeds = []
+    periods = np.asarray(params.dist.sample(rng, size=num_nodes), dtype=float)
+    u, v = graph.edges[:, 0].tolist(), graph.edges[:, 1].tolist()
+    delays = rng.exponential(1.0 / params.tau, size=2 * len(u)).tolist()
+
+    out_edges: list[list[tuple[int, float]]] = [[] for _ in range(num_nodes)]
+    for (a, b), delay in zip(list(zip(u, v)) + list(zip(v, u)), delays):
+        if delay < periods[a]:
+            out_edges[a].append((b, delay))
+    best = [np.inf] * num_nodes
+    for node in seeds:
+        best[node] = 0.0
+    heap = [(0.0, node) for node in seeds]
+    done = [False] * num_nodes
+    while heap:
+        t, node = heapq.heappop(heap)
+        if done[node]:
+            continue
+        done[node] = True
+        for other, delay in out_edges[node]:
+            if t + delay < best[other]:
+                best[other] = t + delay
+                heapq.heappush(heap, (t + delay, other))
+
+    infected_at = np.array(best)
+    infected_at[infected_at > params.t_end] = np.inf
+    recovered_at = infected_at + periods
+    n_out = int(np.floor(params.t_end / dt_out + 1e-9)) + 1
+    grid = (np.arange(n_out) * dt_out)[:, None]
+    susceptible = infected_at > grid
+    infected = (infected_at <= grid) & (recovered_at > grid)
+    ends = graph.edges.T
+    ss = 2 * np.sum(susceptible[:, ends[0]] & susceptible[:, ends[1]], axis=1)
+    si = np.sum(susceptible[:, ends[0]] & infected[:, ends[1]]
+                | infected[:, ends[0]] & susceptible[:, ends[1]], axis=1)
+    out = {
+        "S": susceptible.sum(axis=1).astype(float),
+        "I": infected.sum(axis=1).astype(float),
+        "R": (recovered_at <= grid).sum(axis=1).astype(float),
+        "SI": si.astype(float),
+        "SS": ss.astype(float),
+    }
+    ever = np.isfinite(infected_at)
+    meta = {
+        "source": "simulation",
+        "N": num_nodes,
+        "n": graph.degree,
+        "tau": params.tau,
+        "dist": params.dist.spec_string(),
+        "I0": params.initial_infected,
+        "t_end": params.t_end,
+        "dt_out": dt_out,
+        "final_size": float(ever.sum()),
+        "last_infection_time": float(infected_at[ever].max()) if ever.any() else 0.0,
+        "last_recovery_time": float(recovered_at[ever].max()) if ever.any() else 0.0,
+        "total_infections": int(ever.sum()),
     }
     return out, meta
 

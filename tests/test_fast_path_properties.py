@@ -1,6 +1,6 @@
-"""Property tests: the vectorised graph generator reproduces the plain-Python
-reference bit for bit, and every simulator run keeps the invariants of an SIR
-epidemic on its graph."""
+"""Property tests: the vectorised graph generator and simulator reproduce the
+plain-Python reference implementations bit for bit, and every simulator run
+keeps the invariants of an SIR epidemic on its graph."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import nmsir as nm  # noqa: E402
 
-from conftest import ALL_DISTS  # noqa: E402
+from conftest import ALL_DISTS, assert_matches_reference  # noqa: E402
 from oracles import reference_regular_graph  # noqa: E402
 
 
@@ -60,9 +60,9 @@ def _run_args(draw):
 
 @settings(max_examples=150)
 @given(_run_args())
-def test_run_single_keeps_sir_invariants(args):
+def test_run_single_matches_reference(args):
     graph, params, seed, dt_out, pinned = args
-    traj = nm.run_single(graph, params, seed, dt_out, pinned)
+    traj = assert_matches_reference(*args)
     N = graph.num_nodes
     np.testing.assert_array_equal(traj.S + traj.I + traj.R, np.full(len(traj.t), N))
     assert np.all(np.diff(traj.S) <= 0)

@@ -360,3 +360,41 @@ def test_uniform_scalar_draw_equals_uniform_call():
             assert type(draw) is float
             assert draw == ref.uniform(dist.lower, dist.upper)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("dist", [
+    nm.Exponential(2.0 / 3.0),
+    nm.FixedDuration(1.5),
+    *(nm.GammaErlang(k, 0.7) for k in (1, 3, 7, 8, 9, 16, 130)),
+], ids=lambda d: d.spec_string())
+def test_periods_from_stages_equal_scalar_draws(dist):
+    # Each period is K exponential stages of rate dist.rate (K = 0 for a fixed
+    # duration, 1 for the exponential).  An array of n periods reads K * n
+    # stages, period p summing stages p, n + p, ... in that order; a scalar
+    # draw reads the next K stages and sums them as numpy does.
+    k = {nm.FixedDuration: 0, nm.Exponential: 1}.get(type(dist), getattr(dist, "shape", None))
+    scale = 1.0 / dist.rate if k else None
+    n = 40
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        periods = dist.sample(rng, size=n)
+        expected = np.full(n, dist.mean())
+        if k:
+            stages = ref.exponential(scale, size=(k, n))
+            expected = stages[0]
+            for row in stages[1:]:
+                expected = expected + row
+        np.testing.assert_array_equal(periods, expected)
+        for _ in range(n):
+            draw = dist.sample(rng)
+            assert draw == (ref.exponential(scale, size=k).sum() if k else dist.mean())
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_uniform_draws_are_not_stages():
+    # A uniform period is one rng.uniform word, in arrays as in scalars.
+    dist = nm.UniformInterval(1.0, 2.0)
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(dist.sample(rng, size=40), ref.uniform(1.0, 2.0, size=40))
+        assert rng.bit_generator.state == ref.bit_generator.state

@@ -11,8 +11,16 @@ from nmsir import simulate
 from nmsir.network import RegularGraph
 from nmsir.trajectory import SERIES_NAMES
 
-from conftest import ALL_DISTS
-from oracles import gillespie_final_size, percolation_final_size, reference_run_single
+from conftest import ALL_DISTS, assert_matches_reference
+from oracles import (
+    gillespie_final_size,
+    percolation_final_size,
+    reference_percolation_run,
+    reference_run_single,
+)
+
+# Erlang with K >= 8 stages sums them in np.sum's pairwise order.
+REFERENCE_DISTS = dict(ALL_DISTS, gamma9=nm.GammaErlang(9, 2.0 / 3.0))
 
 
 def _params(dist, i0=5, t_end=25.0, tau=0.35):
@@ -82,6 +90,45 @@ def test_ensemble_deterministic_and_single_run_identity(small_graph):
         small_graph, p, np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
     )
     np.testing.assert_array_equal(m1.I, single.I)
+
+
+@pytest.mark.parametrize("law", sorted(REFERENCE_DISTS))
+def test_runs_on_one_generator_match_reference_runs(small_graph, law):
+    # A caller's generator advances by exactly the documented draws, so
+    # successive runs on one generator match successive reference runs.
+    for p, pinned in ((_params(REFERENCE_DISTS[law], tau=1.0), None),
+                      (_params(REFERENCE_DISTS[law], i0=2), [4, 9]),
+                      (_params(REFERENCE_DISTS[law], i0=0), None)):
+        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(3):
+            traj = nm.run_single(small_graph, p, rng, initial_nodes=pinned)
+            series, meta = reference_percolation_run(small_graph, p, ref_rng, initial_nodes=pinned)
+            for name, expected in series.items():
+                np.testing.assert_array_equal(traj.series(name), expected, err_msg=name)
+            assert traj.meta == meta
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# Fig-1 ensemble runs k: graph 12 + 7919 k under stream k of SeedSequence(11).
+EXP, GAMMA, UNIFORM = "exp:rate=0.6667", "gamma:shape=3,rate=2", "uniform:a=1,b=2"
+FIG1_RUNS = [(spec, k) for spec in (EXP, GAMMA, UNIFORM) for k in (0, 1, 50, 99)]
+
+
+@pytest.mark.parametrize("spec, k", sorted(FIG1_RUNS))
+def test_fig1_runs_are_stable(spec, k):
+    # A fig-1 run is the reference percolation run of its stream, comes out
+    # the same from a Generator on that stream, and needs no heap finish.
+    p = nm.EpidemicParams(0.35, nm.parse_distribution(spec), initial_infected=5, t_end=25.0)
+    graph = nm.generate_regular(1000, 15, 12 + 7919 * k)
+    stream = np.random.SeedSequence(11).spawn(100)[k]
+    traj = assert_matches_reference(graph, p, stream, 0.1)
+    again = nm.run_single(graph, p, np.random.default_rng(stream), 0.1)
+    for name in SERIES_NAMES:
+        np.testing.assert_array_equal(again.series(name), traj.series(name), err_msg=name)
+    assert again.meta == traj.meta and again.extra == traj.extra
+    diag = traj.extra["diag"]
+    assert diag["infections"] > 100 and not diag["heap_finish"]
+    assert diag["sweeps"] <= simulate._MAX_SWEEPS
 
 
 def test_events_on_grid_points_count_at_that_point(small_graph):
@@ -168,6 +215,40 @@ def test_initial_nodes_outside_the_graph_rejected():
     for nodes in ([-1, 19], [25], [0, 20]):
         with pytest.raises(ValueError, match="initial_nodes"):
             nm.run_single(graph, p, 0, initial_nodes=nodes)
+
+
+def test_queue_keeps_only_candidates_that_beat_the_earliest(fig1_dists, monkeypatch):
+    # Fig-1-shaped runs finished by the heap alone: a candidate is queued
+    # only if it precedes the target's earliest queued one, so fewer pops
+    # are stale than infect, and the times stay those of the reference.
+    graph = nm.generate_regular(1000, 15, seed=21)
+    pushes, pops = [], []
+    real_push, real_pop = simulate.heappush, simulate.heappop
+
+    def push(heap, item):
+        pushes.append(item)
+        real_push(heap, item)
+
+    def pop(heap):
+        pops.append(real_pop(heap))
+        return pops[-1]
+
+    monkeypatch.setattr(simulate, "_MAX_SWEEPS", 0)
+    monkeypatch.setattr(simulate, "heappush", push)
+    monkeypatch.setattr(simulate, "heappop", pop)
+    for law, dist in dict(fig1_dists, fixed=nm.FixedDuration(1.5)).items():
+        for seed in range(3):
+            pushes.clear()
+            pops.clear()
+            diag = assert_matches_reference(graph, _params(dist), seed).extra["diag"]
+            assert diag["heap_finish"] and diag["sweeps"] == 0, law
+            earliest = {}
+            for t, node in pushes:
+                assert t < earliest.get(node, math.inf), (law, seed, node)
+                earliest[node] = t
+            settled = len({node for _, node in pops})
+            assert settled >= diag["infections"] > 500, law
+            assert len(pops) - settled < diag["infections"], (law, seed, diag)
 
 
 def _assert_same_ensemble(together, alone):
@@ -289,11 +370,10 @@ def test_final_sizes_match_percolation_oracle(law):
 
 # Power target for the check against the reference event loop: five
 # statistics per law (final size, I(t) at three times before the peak, and
-# the peak time) and four laws make 20 comparisons, so each two-sided Welch
-# test runs at alpha = 0.01 / 20.  It detects a 0.35-SD shift in a mean with
-# power 0.9 given 2 (z_{1 - alpha/2} + z_{0.9})^2 / 0.35^2 runs per side,
-# 371 after rounding up.
-REFERENCE_ALPHA = 0.01 / 20
+# the peak time) and five laws make 25 comparisons, so each two-sided Welch
+# test runs at alpha = 0.01 / 25.  It detects a 0.35-SD shift in a mean with
+# power 0.9 given 2 (z_{1 - alpha/2} + z_{0.9})^2 / 0.35^2 runs per side.
+REFERENCE_ALPHA = 0.01 / 25
 REFERENCE_RUNS = math.ceil(
     2 * (stats.norm.ppf(1 - REFERENCE_ALPHA / 2) + stats.norm.ppf(0.9)) ** 2 / 0.35**2
 )
@@ -307,12 +387,12 @@ def _reference_statistics(runs_i, final_sizes, dt_out):
     return np.column_stack([final_sizes, runs_i[:, at], runs_i.argmax(axis=1) * dt_out])
 
 
-@pytest.mark.parametrize("law", sorted(ALL_DISTS))
+@pytest.mark.parametrize("law", sorted(REFERENCE_DISTS))
 def test_run_matches_reference_event_loop(law):
     # A sub-saturated epidemic (minor and major outbreaks) on a small graph:
     # the percolation construction and the event loop with recovery events
     # in its heap, which share no code, must agree in distribution.
-    dist, dt_out = ALL_DISTS[law], 0.25
+    dist, dt_out = REFERENCE_DISTS[law], 0.25
     graph = nm.generate_regular(200, 4, seed=2007)
     p = nm.EpidemicParams(tau=0.5, dist=dist, initial_infected=3, t_end=40.0)
     ours = [nm.run_single(graph, p, stream, dt_out)
