@@ -1,7 +1,7 @@
 """Regular random graphs and ordered pair counting.
 
 Generates the kind of network used in all experiments (N nodes, every node
-with exactly n neighbors), verifies its structural invariants, and shows the
+with exactly n neighbours), verifies its structural invariants, and shows the
 ordered pair-counting convention that the deterministic models are written
 in: every undirected link is counted in both directions, so an all-susceptible
 network carries [SS] = N*n, and one S-I link contributes one ordered (S, I)
@@ -18,7 +18,7 @@ N, DEGREE, SEED = 1000, 15, 1
 
 graph = generate_regular(N, DEGREE, seed=SEED)
 graph.validate()
-degrees = {len(nbrs) for nbrs in graph.neighbors}
+degrees = set(np.bincount(graph.edges.ravel(), minlength=N).tolist())
 print(f"generated {N} nodes, degree set {degrees}, {graph.edges.shape[0]} edges")
 
 # All susceptible: [SS] counts both orientations of every link.
@@ -40,5 +40,5 @@ out.mkdir(exist_ok=True)
 path = out / "regular_graph_edges.txt"
 save_edge_list(graph, path)
 again = load_edge_list(path)
-assert again.neighbors == graph.neighbors
+assert np.array_equal(again.edges, graph.edges)
 print(f"edge list round-trip OK -> {path}")

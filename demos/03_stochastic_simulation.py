@@ -1,15 +1,16 @@
-"""Exact event-driven simulation with a non-exponential infectious period.
+"""Exact simulation with a non-exponential infectious period.
 
 Runs a single realisation and a 100-run ensemble of an SIR epidemic whose
 infectious period is uniform on [1, 2] (transmission stays Markovian), and
-writes the ensemble mean to CSV.  The simulator draws each node's recovery
-time the moment it is infected and one candidate transmission time per
-neighbor, validating candidates lazily when they pop.
+writes the ensemble mean to CSV.  The simulator draws one infectious period
+per node and one Exp(tau) transmission delay per directed edge, keeps the
+edges whose delay is shorter than their source's period, and takes each
+node's infection time as its shortest-path distance from the seeds.
 """
 
 from pathlib import Path
 
-from nmsir import EpidemicParams, UniformInterval, generate_regular, run_ensemble, run_single
+from nmsir import EpidemicParams, UniformInterval, generate_regular, run_ensembles, run_single
 
 N, DEGREE = 1000, 15
 params = EpidemicParams(
@@ -25,15 +26,15 @@ print(
     f"t={one.meta['last_recovery_time']:.2f}"
 )
 
-mean, std = run_ensemble(
-    params,
+mean, std = run_ensembles(
+    [params],
     num_nodes=N,
     degree=DEGREE,
     runs=100,
     base_seed=11,
     graph_seed=12,
     fresh_graph_per_run=True,
-)
+)[0]
 t_peak, peak = mean.peak_infected()
 k = int(mean.I.argmax())
 print(
@@ -48,8 +49,8 @@ std.to_csv(out / "sim_uniform_std.csv", column_suffix="_std")
 print(f"wrote {out / 'sim_uniform_mean.csv'}")
 
 # Determinism: the same seeds reproduce the ensemble bit for bit.
-mean2, _ = run_ensemble(
-    params, num_nodes=N, degree=DEGREE, runs=100, base_seed=11, graph_seed=12
-)
+mean2, _ = run_ensembles(
+    [params], num_nodes=N, degree=DEGREE, runs=100, base_seed=11, graph_seed=12
+)[0]
 assert (mean.I == mean2.I).all()
 print("equal seeds give bit-identical ensembles")

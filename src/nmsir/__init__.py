@@ -44,7 +44,7 @@ from .reference import (
     solve_markovian_pairwise,
     solve_uniform_delay_pairwise,
 )
-from .simulate import run_ensemble, run_ensembles, run_single
+from .simulate import run_ensembles, run_single
 from .solvers import (
     SolverError,
     StepContractionError,
@@ -79,7 +79,6 @@ __all__ = [
     "load_edge_list",
     "parse_distribution",
     "reproduction_numbers",
-    "run_ensemble",
     "run_ensembles",
     "run_single",
     "save_edge_list",

@@ -9,10 +9,11 @@ Pair counts use the ordered convention: every undirected link is counted in
 both directions, so an all-susceptible n-regular network has ``[SS] = N*n``
 and one S-I link contributes exactly one ordered (S, I) pair.
 
-Graphs are immutable after construction (the adjacency is a tuple of tuples
-and the edge array is read-only); shared read access from concurrent
-simulation workers is safe.  Edge lists read from files must describe a
-simple regular graph: repeated edges and unequal degrees are rejected.
+A graph is its edge array alone: one row ``(i, j)`` with i < j per link.
+Graphs are immutable after construction (the edge array is a read-only
+copy), so shared read access from concurrent simulation workers is safe.
+Edge lists read from files must describe a simple regular graph: repeated
+edges and unequal degrees are rejected.
 """
 
 from __future__ import annotations
@@ -38,43 +39,40 @@ SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 _MAX_RESTARTS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularGraph:
-    """An n-regular simple undirected graph on ``num_nodes`` nodes."""
+    """An n-regular simple undirected graph on ``num_nodes`` nodes.
+
+    ``edges`` is stored as a read-only int64 array of shape (N*n/2, 2) whose
+    rows ``(i, j)`` have i < j.  Graphs compare and hash by identity.
+    """
 
     num_nodes: int
     degree: int
-    neighbors: tuple  # tuple of sorted tuples, one per node
+    edges: np.ndarray = field(repr=False)
     seed: int | None = None
-    _edges: np.ndarray = field(repr=False, default=None)  # (m, 2) with i < j
 
     def __post_init__(self):
-        if self._edges is not None:
-            edges = np.asarray(self._edges, dtype=np.int64).view()
-            edges.flags.writeable = False
-            object.__setattr__(self, "_edges", edges)
-
-    @property
-    def edges(self) -> np.ndarray:
-        """Read-only undirected edge array of shape (N*n/2, 2) with i < j rows."""
-        return self._edges
+        edges = np.array(self.edges, dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must have shape (m, 2), got {edges.shape}")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     def validate(self) -> None:
-        """Check regularity, symmetry, and absence of loops/parallel edges."""
-        seen = set()
-        for i, nbrs in enumerate(self.neighbors):
-            if len(nbrs) != self.degree:
-                raise AssertionError(f"node {i} has degree {len(nbrs)} != {self.degree}")
-            if len(set(nbrs)) != len(nbrs):
-                raise AssertionError(f"node {i} has a parallel edge")
-            for j in nbrs:
-                if j == i:
-                    raise AssertionError(f"node {i} has a self-loop")
-                if i not in self.neighbors[j]:
-                    raise AssertionError(f"edge {i}-{j} not symmetric")
-                seen.add((min(i, j), max(i, j)))
-        if 2 * len(seen) != self.num_nodes * self.degree:
-            raise AssertionError("edge count inconsistent with N*n")
+        """Check the row order and range, that no row repeats, and every degree."""
+        i, j = self.edges[:, 0], self.edges[:, 1]
+        if not np.all((0 <= i) & (i < j) & (j < self.num_nodes)):
+            raise AssertionError(f"edge rows must satisfy 0 <= i < j < {self.num_nodes}")
+        if np.unique(i * self.num_nodes + j).size != i.size:
+            raise AssertionError("an edge is listed more than once")
+        if not np.all(_degrees(self.edges, self.num_nodes) == self.degree):
+            raise AssertionError(f"not every node has degree {self.degree}")
+
+
+def _degrees(edges: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Number of edge rows that touch each node."""
+    return np.bincount(edges.ravel(), minlength=num_nodes)
 
 
 def _pair_stubs(num_nodes: int, degree: int, rng: np.random.Generator):
@@ -110,18 +108,7 @@ def _pair_stubs(num_nodes: int, degree: int, rng: np.random.Generator):
 
 def _from_keys(num_nodes: int, degree: int, keys: np.ndarray, seed: int | None) -> RegularGraph:
     """Assemble a graph from sorted, distinct edge keys ``i*N + j`` with i < j."""
-    lo, hi = np.divmod(keys, num_nodes)
-    # Sorting both orientations groups each node's neighbours, in order.
-    heads, tails = np.divmod(np.sort(np.concatenate((keys, hi * num_nodes + lo))), num_nodes)
-    bounds = np.searchsorted(heads, np.arange(num_nodes + 1)).tolist()
-    flat = tails.tolist()
-    return RegularGraph(
-        num_nodes=num_nodes,
-        degree=degree,
-        neighbors=tuple(tuple(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])),
-        seed=seed,
-        _edges=np.column_stack((lo, hi)),
-    )
+    return RegularGraph(num_nodes, degree, np.column_stack(np.divmod(keys, num_nodes)), seed)
 
 
 def generate_regular(num_nodes: int, degree: int, seed: int) -> RegularGraph:
@@ -208,6 +195,6 @@ def load_edge_list(path) -> RegularGraph:
         i, j = divmod(int(keys[repeats[0]]), num_nodes)
         raise ValueError(f"edge {i} {j} is listed more than once")
     graph = _from_keys(num_nodes, degree, keys, None if seed < 0 else seed)
-    if any(len(nbrs) != degree for nbrs in graph.neighbors):
+    if not np.all(_degrees(graph.edges, num_nodes) == degree):
         raise ValueError("edge list does not describe a regular graph")
     return graph

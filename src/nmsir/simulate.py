@@ -14,17 +14,19 @@ rows as u->v and then as v->u.
 The distances come from a vectorised Bellman-Ford relaxation: the kept edges
 are sorted by target once, and each sweep takes every target's minimum over
 its in-edges with one ``np.minimum.reduceat``, until no target improves.
-Arrivals after ``t_end`` are dropped.  The number of sweeps grows with the
-hop depth of the infection tree, which is O(N) on a ring, so after
-``_MAX_SWEEPS`` sweeps a Dijkstra pass over the same weights finishes the
-job; both give the same times bit for bit, the least left-to-right sum of
-delays along any path.
+The number of sweeps grows with the hop depth of the infection tree, which
+is O(N) on a ring, so after ``_MAX_SWEEPS`` sweeps a Dijkstra pass over the
+same weights finishes the job; both give the same times bit for bit, the
+least left-to-right sum of delays along any path.
 
-The output grid is then filled from the per-node times: a grid point counts
-every infection and recovery at or before it, an edge is an S-I link from its
+The run ends at the last grid point (or at ``t_end``, should rounding put
+that point past it): later arrivals are dropped, so the final size and the
+last event times in the meta describe the run that the series show.  The
+output grid is filled from the per-node times: a grid point counts every
+infection and recovery at or before it, an edge is an S-I link from its
 first endpoint's infection until that endpoint recovers or the other one is
-infected, and an S-S link until either endpoint is infected.  Link counts use
-the ordered convention ([SS] counts each link twice).
+infected, and an S-S link until either endpoint is infected.  Link counts
+use the ordered convention ([SS] counts each link twice).
 
 An ensemble runs several laws in one pass over the run index: run k of every
 law uses graph k and RNG stream k, so each graph is built once whatever the
@@ -42,7 +44,7 @@ import numpy as np
 from .network import RegularGraph, generate_regular
 from .trajectory import SERIES_NAMES, EpidemicParams, Trajectory
 
-__all__ = ["run_single", "run_ensemble", "run_ensembles"]
+__all__ = ["run_single", "run_ensembles"]
 
 # Relaxation sweeps before the Dijkstra finish takes over.  Fig-1 runs
 # (N = 1000, n = 15, tau = 0.35) converge in at most about 20.
@@ -143,11 +145,11 @@ def run_single(
     a, sweeps, heap_finish = _first_passage(
         a, source[kept], target[kept], delays[kept], _MAX_SWEEPS
     )
-    a[a > t_end] = math.inf
-    r = a + periods
-
     n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
     grid = np.arange(n_out) * dt_out
+    a[a > min(t_end, grid[-1])] = math.inf
+    r = a + periods
+
     infection_times = np.sort(a)
     ever = np.searchsorted(infection_times, grid, side="right")
     recovery_times = np.sort(r)
@@ -196,11 +198,18 @@ def run_ensembles(
     graph: RegularGraph | None = None,
     dt_out: float = 0.1,
 ) -> list[tuple[Trajectory, Trajectory]]:
-    """:func:`run_ensemble` for several laws at once, one (mean, std) per law.
+    """Run independent realisations of each law; one pointwise (mean, std) per law.
 
-    The run index is the outer loop: graph k is built once and run k of every
-    law uses it, with stream k of ``base_seed``, so each law's ensemble is
-    bit-identical to a :func:`run_ensemble` call for that law alone.
+    Per-run RNG streams are spawned from ``base_seed``, and per-run graph
+    seeds from ``graph_seed`` when ``fresh_graph_per_run`` is set; a fixed
+    ``graph`` may be supplied instead.  Two calls with equal seeds produce
+    bit-identical output.  The run index is the outer loop: graph k is built
+    once and run k of every law uses it, with stream k of ``base_seed``, so
+    each law's ensemble is bit-identical to a one-law call for that law alone.
+    Standard deviations are population (ddof=0), so a single run reports zero
+    spread.  The per-run trajectories, in run order, are kept in the mean's
+    ``extra["runs"]``; their series are row views of one ``(runs, len(t))``
+    array per series, and they share one grid.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -256,33 +265,3 @@ def run_ensembles(
         )
         results.append((mean, std))
     return results
-
-
-def run_ensemble(
-    params: EpidemicParams,
-    *,
-    num_nodes: int,
-    degree: int,
-    runs: int,
-    base_seed: int,
-    graph_seed: int = 1,
-    fresh_graph_per_run: bool = True,
-    graph: RegularGraph | None = None,
-    dt_out: float = 0.1,
-) -> tuple[Trajectory, Trajectory]:
-    """Run independent realisations; return pointwise (mean, std) trajectories.
-
-    Per-run RNG streams are spawned from ``base_seed``, and per-run graph
-    seeds from ``graph_seed`` when ``fresh_graph_per_run`` is set; a fixed
-    ``graph`` may be supplied instead.  Two calls with equal seeds produce
-    bit-identical output.  Standard deviations are population (ddof=0), so a
-    single run reports zero spread.  The per-run trajectories, in run order,
-    are kept in the mean's ``extra["runs"]``; their series are row views of
-    one ``(runs, len(t))`` array per series, and they share one grid.
-    """
-    (result,) = run_ensembles(
-        [params], num_nodes=num_nodes, degree=degree, runs=runs, base_seed=base_seed,
-        graph_seed=graph_seed, fresh_graph_per_run=fresh_graph_per_run, graph=graph,
-        dt_out=dt_out,
-    )
-    return result

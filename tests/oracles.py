@@ -32,11 +32,20 @@ from scipy.sparse.csgraph import breadth_first_order
 from nmsir.network import INFECTED, RECOVERED, SUSCEPTIBLE, RegularGraph
 
 
+def _adjacency(graph: RegularGraph) -> list[list[int]]:
+    """Each node's neighbours in increasing order, read from ``graph.edges``."""
+    adjacency: list[list[int]] = [[] for _ in range(graph.num_nodes)]
+    for i, j in graph.edges.tolist():
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    return [sorted(nbrs) for nbrs in adjacency]
+
+
 def brute_force_pair_counts(graph: RegularGraph, states) -> tuple[int, int, int]:
     """Ordered ([SS], [SI], [II]) by enumerating every directed pair."""
     st = list(states)
     ss = si = ii = 0
-    for i, nbrs in enumerate(graph.neighbors):
+    for i, nbrs in enumerate(_adjacency(graph)):
         for j in nbrs:
             if st[i] == SUSCEPTIBLE and st[j] == SUSCEPTIBLE:
                 ss += 1
@@ -62,7 +71,7 @@ def gillespie_final_size(
     """
     num_nodes = graph.num_nodes
     state = [SUSCEPTIBLE] * num_nodes
-    adjacency = [list(nbrs) for nbrs in graph.neighbors]
+    adjacency = _adjacency(graph)
 
     # Sampleable set of directed (infected -> susceptible) links.
     links: list[tuple[int, int]] = []
@@ -179,10 +188,9 @@ def _reference_pair_stubs(num_nodes: int, degree: int, rng: np.random.Generator)
 
 
 def reference_regular_graph(num_nodes: int, degree: int, seed: int, max_restarts: int = 200):
-    """(neighbors, edges) of ``generate_regular(num_nodes, degree, seed)``.
+    """The edges of ``generate_regular(num_nodes, degree, seed)``.
 
-    ``neighbors`` is a tuple of sorted tuples, ``edges`` the (m, 2) int64
-    array of sorted (i, j) rows with i < j.
+    Returns the (m, 2) int64 array of sorted (i, j) rows with i < j.
     """
     rng = np.random.default_rng(seed)
     for _ in range(max_restarts):
@@ -191,12 +199,7 @@ def reference_regular_graph(num_nodes: int, degree: int, seed: int, max_restarts
             break
     else:
         raise RuntimeError("no simple pairing found")
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-    return neighbors, np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    return np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
 
 
 def reference_run_single(graph: RegularGraph, params, seed, dt_out=0.1, initial_nodes=None):
@@ -208,7 +211,7 @@ def reference_run_single(graph: RegularGraph, params, seed, dt_out=0.1, initial_
     """
     rng = np.random.default_rng(seed)
     num_nodes = graph.num_nodes
-    adjacency = [list(nbrs) for nbrs in graph.neighbors]
+    adjacency = _adjacency(graph)
     dist, t_end, scale = params.dist, params.t_end, 1.0 / params.tau
 
     n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
@@ -349,11 +352,12 @@ def reference_percolation_run(graph: RegularGraph, params, seed, dt_out=0.1,
                 best[other] = t + delay
                 heapq.heappush(heap, (t + delay, other))
 
-    infected_at = np.array(best)
-    infected_at[infected_at > params.t_end] = np.inf
-    recovered_at = infected_at + periods
     n_out = int(np.floor(params.t_end / dt_out + 1e-9)) + 1
     grid = (np.arange(n_out) * dt_out)[:, None]
+    # The run ends at the last grid point, or at t_end if that comes first.
+    infected_at = np.array(best)
+    infected_at[infected_at > min(params.t_end, grid[-1, 0])] = np.inf
+    recovered_at = infected_at + periods
     susceptible = infected_at > grid
     infected = (infected_at <= grid) & (recovered_at > grid)
     ends = graph.edges.T

@@ -285,7 +285,7 @@ def test_criterion_8_simulator_vs_gillespie():
     ok = result.pvalue > 0.01
     _log(
         8,
-        "event-driven simulator vs Gillespie oracle",
+        "percolation simulator vs Gillespie oracle",
         ok,
         f"two-sample KS on {runs}+{runs} final sizes: D={result.statistic:.4f}, "
         f"p={result.pvalue:.3f} (reject below 0.01)",

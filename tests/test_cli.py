@@ -294,11 +294,11 @@ def test_compare_ensembles_equal_ensembles_run_alone(tmp_path, capsys, fresh):
     capsys.readouterr()
     cfg = build_config(dict(arg.split("=", 1) for arg in argv if "=" in arg))
     for idx, spec in enumerate(specs.split(";")):
-        mean, std = nm.run_ensemble(
-            cli._epidemic_params(cfg, spec), num_nodes=200, degree=8, runs=3,
+        mean, std = nm.run_ensembles(
+            [cli._epidemic_params(cfg, spec)], num_nodes=200, degree=8, runs=3,
             base_seed=5, graph_seed=cfg.network_graph_seed,
             fresh_graph_per_run=fresh == "true", dt_out=cfg.simulation_dt_out,
-        )
+        )[0]
         kind = nm.parse_distribution(spec).kind
         with open(tmp_path / f"compare_{idx}_{kind}.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))

@@ -32,9 +32,7 @@ def test_generate_regular_matches_reference(args):
         with pytest.raises(RuntimeError):
             nm.generate_regular(*args)
         return
-    g = nm.generate_regular(*args)
-    assert g.neighbors == expected[0]
-    np.testing.assert_array_equal(g.edges, expected[1])
+    np.testing.assert_array_equal(nm.generate_regular(*args).edges, expected)
 
 
 @st.composite
@@ -78,5 +76,5 @@ def test_run_single_matches_reference(args):
     ss, si, _ = nm.count_pairs(graph, states)
     assert (traj.S[0], traj.I[0], traj.R[0]) == (N - len(pinned), len(pinned), 0)
     assert (traj.SS[0], traj.SI[0]) == (ss, si)
-    # The grid may stop short of t_end; the count covers the whole horizon.
-    assert N >= traj.meta["total_infections"] >= N - traj.S[-1] >= len(pinned)
+    # The meta counts the infections that the series show, and no others.
+    assert traj.meta["total_infections"] == N - traj.S[-1] >= len(pinned)

@@ -24,7 +24,47 @@ FIG1_EDGE_DIGESTS = {
 def test_k4_is_unique_three_regular_graph():
     g = nm.generate_regular(4, 3, seed=0)
     g.validate()
-    assert g.neighbors == ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+    np.testing.assert_array_equal(g.edges, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+
+
+# K4 with one defect each; validate() must reject every one.
+K4_EDGES = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+BROKEN_K4 = {
+    "loop": [[0, 0], *K4_EDGES[1:]],
+    "reversed row": [[1, 0], *K4_EDGES[1:]],
+    "node id >= N": [*K4_EDGES[:-1], [2, 4]],
+    "repeated row": [*K4_EDGES[:-1], [1, 3]],
+    "wrong degree": K4_EDGES[:-1],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BROKEN_K4))
+def test_validate_rejects_each_defect(defect):
+    nm.RegularGraph(4, 3, K4_EDGES).validate()
+    with pytest.raises(AssertionError):
+        nm.RegularGraph(4, 3, BROKEN_K4[defect]).validate()
+
+
+def test_graph_needs_its_edges():
+    with pytest.raises(TypeError):
+        nm.RegularGraph(4, 3)
+    with pytest.raises(ValueError, match="shape"):
+        nm.RegularGraph(4, 3, [0, 1, 2, 3])
+
+
+def test_graphs_compare_and_hash_by_identity():
+    a = nm.generate_regular(20, 3, 1)
+    b = nm.generate_regular(20, 3, 1)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_graph_keeps_a_read_only_copy_of_its_edges():
+    edges = np.array(K4_EDGES)
+    g = nm.RegularGraph(4, 3, edges)
+    edges[0] = [2, 3]
+    g.validate()
+    assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
 
 
 def test_odd_stub_count_rejected():
@@ -40,7 +80,7 @@ def test_degree_at_least_num_nodes_rejected():
 def test_generated_graph_passes_invariants():
     g = nm.generate_regular(1000, 15, seed=1)
     g.validate()
-    degrees = np.array([len(nbrs) for nbrs in g.neighbors])
+    degrees = np.bincount(g.edges.ravel(), minlength=1000)
     assert np.all(degrees == 15)  # degree histogram is a point mass
     assert g.edges.shape == (1000 * 15 // 2, 2)
 
@@ -49,8 +89,8 @@ def test_generation_deterministic_per_seed():
     a = nm.generate_regular(120, 7, seed=9)
     b = nm.generate_regular(120, 7, seed=9)
     c = nm.generate_regular(120, 7, seed=10)
-    assert a.neighbors == b.neighbors
-    assert a.neighbors != c.neighbors
+    np.testing.assert_array_equal(a.edges, b.edges)
+    assert not np.array_equal(a.edges, c.edges)
 
 
 @pytest.mark.parametrize(
@@ -59,8 +99,7 @@ def test_generation_deterministic_per_seed():
 def test_generation_matches_reference_pairing(num_nodes, degree):
     for seed in range(5):
         g = nm.generate_regular(num_nodes, degree, seed)
-        neighbors, edges = reference_regular_graph(num_nodes, degree, seed)
-        assert g.neighbors == neighbors
+        edges = reference_regular_graph(num_nodes, degree, seed)
         assert g.edges.dtype == edges.dtype
         np.testing.assert_array_equal(g.edges, edges)
 
@@ -135,7 +174,7 @@ def test_edge_list_round_trip(tmp_path, small_graph):
     assert text[0] == f"# {small_graph.num_nodes} {small_graph.degree} {small_graph.seed}"
     loaded = nm.load_edge_list(path)
     loaded.validate()
-    assert loaded.neighbors == small_graph.neighbors
+    np.testing.assert_array_equal(loaded.edges, small_graph.edges)
     assert loaded.seed == small_graph.seed
 
 

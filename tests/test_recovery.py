@@ -348,20 +348,6 @@ def test_gamma_scalar_draw_equals_array_draw(shape):
             assert draw == dist.sample(vector_rng, size=1)[0]
 
 
-def test_uniform_scalar_draw_equals_uniform_call():
-    # The scalar draw is rng.uniform's: the same float, and equal states.
-    picks = np.random.default_rng(5)
-    for seed in range(2000):
-        lower = float(picks.uniform(1e-6, 10.0) * 10.0 ** picks.integers(-3, 4))
-        dist = nm.UniformInterval(lower, lower + float(picks.exponential(2.0)) + 1e-9)
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(5):
-            draw = dist.sample(rng)
-            assert type(draw) is float
-            assert draw == ref.uniform(dist.lower, dist.upper)
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-
 @pytest.mark.parametrize("dist", [
     nm.Exponential(2.0 / 3.0),
     nm.FixedDuration(1.5),

@@ -28,13 +28,7 @@ def _params(dist, i0=5, t_end=25.0, tau=0.35):
 
 
 def _star():
-    return RegularGraph(
-        num_nodes=4,
-        degree=3,
-        neighbors=((1, 2, 3), (0,), (0,), (0,)),
-        seed=None,
-        _edges=np.array([[0, 1], [0, 2], [0, 3]]),
-    )
+    return RegularGraph(num_nodes=4, degree=3, edges=[[0, 1], [0, 2], [0, 3]])
 
 
 def test_no_initial_infecteds_constant_trajectory(small_graph):
@@ -77,12 +71,12 @@ def test_deterministic_given_seed(small_graph):
 
 def test_ensemble_deterministic_and_single_run_identity(small_graph):
     p = _params(nm.Exponential(2 / 3))
-    m1, s1 = nm.run_ensemble(
-        p, num_nodes=0, degree=0, runs=1, base_seed=5, graph=small_graph
-    )
-    m2, s2 = nm.run_ensemble(
-        p, num_nodes=0, degree=0, runs=1, base_seed=5, graph=small_graph
-    )
+    m1, s1 = nm.run_ensembles(
+        [p], num_nodes=0, degree=0, runs=1, base_seed=5, graph=small_graph
+    )[0]
+    m2, s2 = nm.run_ensembles(
+        [p], num_nodes=0, degree=0, runs=1, base_seed=5, graph=small_graph
+    )[0]
     for name in ("S", "I", "R", "SI", "SS"):
         np.testing.assert_array_equal(m1.series(name), m2.series(name))
         np.testing.assert_array_equal(s1.series(name), np.zeros(len(s1.t)))
@@ -143,6 +137,17 @@ def test_events_on_grid_points_count_at_that_point(small_graph):
         assert traj.R[at] == 5.0
 
 
+def test_meta_counts_only_what_the_grid_shows():
+    # t_end = 3.05 puts the last grid point at 3.0; infections in (3.0, 3.05]
+    # appear in no series, so the meta must not count them either.
+    graph = nm.generate_regular(1000, 15, 21)
+    p = nm.EpidemicParams(0.35, nm.parse_distribution(EXP), initial_infected=5, t_end=3.05)
+    traj = assert_matches_reference(graph, p, 0, 0.1)
+    assert traj.t[-1] < 3.05
+    assert traj.meta["total_infections"] == traj.meta["final_size"] == 1000 - traj.S[-1]
+    assert traj.meta["last_infection_time"] <= traj.t[-1]
+
+
 def test_diagnostics_account_for_every_event(small_graph):
     for law, dist in ALL_DISTS.items():
         for i0, pinned in ((5, None), (3, [4, 9, 1])):
@@ -158,14 +163,8 @@ def test_diagnostics_account_for_every_event(small_graph):
 
 def _ring(num_nodes):
     nodes = np.arange(num_nodes)
-    return RegularGraph(
-        num_nodes=num_nodes,
-        degree=2,
-        neighbors=tuple(tuple(sorted(((i - 1) % num_nodes, (i + 1) % num_nodes)))
-                        for i in range(num_nodes)),
-        seed=None,
-        _edges=np.sort(np.column_stack((nodes, (nodes + 1) % num_nodes)), axis=1),
-    )
+    edges = np.sort(np.column_stack((nodes, (nodes + 1) % num_nodes)), axis=1)
+    return RegularGraph(num_nodes=num_nodes, degree=2, edges=edges)
 
 
 def test_sweep_cap_hands_over_to_an_exact_heap_finish(monkeypatch):
@@ -281,7 +280,7 @@ def test_ensembles_run_together_match_ensembles_run_alone(all_dists, fresh):
     common = dict(num_nodes=200, degree=8, runs=5, base_seed=9, graph_seed=4,
                   fresh_graph_per_run=fresh, dt_out=0.25)
     together = nm.run_ensembles(laws, **common)
-    alone = [nm.run_ensemble(p, **common) for p in laws]
+    alone = [nm.run_ensembles([p], **common)[0] for p in laws]
     _assert_same_ensemble(together, alone)
     # Run k of every law is graph k under stream k of the base seed.
     streams = np.random.SeedSequence(9).spawn(5)
@@ -295,7 +294,7 @@ def test_ensembles_run_together_match_ensembles_run_alone(all_dists, fresh):
     graph = nm.generate_regular(150, 6, seed=2)
     common.update(graph=graph, num_nodes=0, degree=0)
     _assert_same_ensemble(
-        nm.run_ensembles(laws, **common), [nm.run_ensemble(p, **common) for p in laws]
+        nm.run_ensembles(laws, **common), [nm.run_ensembles([p], **common)[0] for p in laws]
     )
 
 
@@ -420,8 +419,8 @@ def test_initial_infected_bounds(small_graph):
             small_graph, _params(nm.Exponential(1.0), i0=10**6), seed=0
         )
     with pytest.raises(ValueError):
-        nm.run_ensemble(
-            _params(nm.Exponential(1.0)),
+        nm.run_ensembles(
+            [_params(nm.Exponential(1.0))],
             num_nodes=0,
             degree=0,
             runs=0,
@@ -437,6 +436,6 @@ def test_output_step_must_be_positive_and_finite(small_graph):
         with pytest.raises(ValueError, match="dt_out"):
             nm.run_single(small_graph, p, seed=0, dt_out=dt_out)
         with pytest.raises(ValueError, match="dt_out"):
-            nm.run_ensemble(
-                p, num_nodes=200, degree=8, runs=2, base_seed=1, dt_out=dt_out
+            nm.run_ensembles(
+                [p], num_nodes=200, degree=8, runs=2, base_seed=1, dt_out=dt_out
             )
