@@ -42,16 +42,11 @@ _TINY = math.ulp(0.0)  # the smallest positive double
 
 @dataclass(frozen=True)
 class ReproductionReport:
-    """Both reproduction numbers plus the inputs they were computed from."""
+    """Both reproduction numbers and L[f](tau), the Laplace transform behind r0p."""
 
     r0: float
     r0p: float
     laplace_at_tau: float
-    tau: float
-    degree: float
-    num_nodes: float
-    s0: float
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -83,16 +78,7 @@ def reproduction_numbers(
     laplace = dist.laplace_pdf(tau)
     r0 = tau * (degree / num_nodes) * s0 * dist.mean()
     r0p = ((degree - 1.0) / num_nodes) * s0 * (1.0 - laplace)
-    return ReproductionReport(
-        r0=r0,
-        r0p=r0p,
-        laplace_at_tau=laplace,
-        tau=tau,
-        degree=degree,
-        num_nodes=num_nodes,
-        s0=s0,
-        kind=dist.spec_string(),
-    )
+    return ReproductionReport(r0=r0, r0p=r0p, laplace_at_tau=laplace)
 
 
 def _bisect(g, lo: float, hi: float) -> float:

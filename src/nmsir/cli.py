@@ -184,9 +184,16 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def config_from_meta(meta: dict[str, str]) -> ExperimentConfig:
-    """Rebuild the configuration echoed in a CSV ``# meta:`` line."""
+    """Rebuild the configuration echoed in a CSV ``# meta:`` line.
+
+    A line that echoes no configuration key, as ``Trajectory.to_csv`` called
+    from the library writes, raises ``ConfigError``.
+    """
     table = ExperimentConfig.key_map()
-    return build_config({k: v for k, v in meta.items() if k in table})
+    pairs = {k: v for k, v in meta.items() if k in table}
+    if not pairs:
+        raise ConfigError("the meta line holds no configuration key to rebuild a run from")
+    return build_config(pairs)
 
 
 # -- command implementations ----------------------------------------------

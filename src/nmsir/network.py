@@ -60,19 +60,18 @@ class RegularGraph:
         object.__setattr__(self, "edges", edges)
 
     def validate(self) -> None:
-        """Check the row order and range, that no row repeats, and every degree."""
+        """Check the row order and range, that no row repeats, and every degree.
+
+        Raises ``ValueError``: the edges may come from outside the package,
+        as in :func:`load_edge_list`.
+        """
         i, j = self.edges[:, 0], self.edges[:, 1]
         if not np.all((0 <= i) & (i < j) & (j < self.num_nodes)):
-            raise AssertionError(f"edge rows must satisfy 0 <= i < j < {self.num_nodes}")
+            raise ValueError(f"edge rows must satisfy 0 <= i < j < {self.num_nodes}")
         if np.unique(i * self.num_nodes + j).size != i.size:
-            raise AssertionError("an edge is listed more than once")
-        if not np.all(_degrees(self.edges, self.num_nodes) == self.degree):
-            raise AssertionError(f"not every node has degree {self.degree}")
-
-
-def _degrees(edges: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Number of edge rows that touch each node."""
-    return np.bincount(edges.ravel(), minlength=num_nodes)
+            raise ValueError("an edge is listed more than once")
+        if not np.all(np.bincount(self.edges.ravel(), minlength=self.num_nodes) == self.degree):
+            raise ValueError(f"not every node has degree {self.degree}; the graph is not regular")
 
 
 def _pair_stubs(num_nodes: int, degree: int, rng: np.random.Generator):
@@ -170,7 +169,7 @@ def save_edge_list(graph: RegularGraph, path) -> None:
 
 
 def load_edge_list(path) -> RegularGraph:
-    """Read a graph written by :func:`save_edge_list`."""
+    """Read a graph written by :func:`save_edge_list`; it must pass ``validate()``."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
@@ -179,22 +178,11 @@ def load_edge_list(path) -> RegularGraph:
         if len(parts) != 3:
             raise ValueError(f"malformed edge-list header {header!r}")
         num_nodes, degree, seed = int(parts[0]), int(parts[1]), int(parts[2])
-        keys = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i_s, j_s = line.split()
-            i, j = int(i_s), int(j_s)
-            if not (0 <= i < j < num_nodes):
-                raise ValueError(f"bad edge line {line!r}")
-            keys.append(i * num_nodes + j)
-    keys = np.sort(np.array(keys, dtype=np.int64))
-    repeats = np.flatnonzero(keys[1:] == keys[:-1])
-    if repeats.size:
-        i, j = divmod(int(keys[repeats[0]]), num_nodes)
-        raise ValueError(f"edge {i} {j} is listed more than once")
-    graph = _from_keys(num_nodes, degree, keys, None if seed < 0 else seed)
-    if not np.all(_degrees(graph.edges, num_nodes) == degree):
-        raise ValueError("edge list does not describe a regular graph")
+        rows = [line.split() for line in fh if line.strip()]
+    if any(len(row) != 2 for row in rows):
+        raise ValueError("every edge line must hold two node ids")
+    edges = np.array(rows, dtype=np.int64).reshape(len(rows), 2)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    graph = RegularGraph(num_nodes, degree, edges, None if seed < 0 else seed)
+    graph.validate()
     return graph

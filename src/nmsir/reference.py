@@ -69,6 +69,22 @@ def _trajectory(run: _SolveSetup, *series, extra=None) -> Trajectory:
     return traj
 
 
+def _setup(model: str, law: type, params: EpidemicParams, num_nodes, degree, h) -> _SolveSetup:
+    """The grid, initial counts and meta of a reference solve for recovery ``law``."""
+    if not isinstance(params.dist, law):
+        raise ValueError(
+            f"{model} reference requires a {law.__name__} recovery law, "
+            f"got {type(params.dist).__name__}"
+        )
+    return _SolveSetup(model, params, num_nodes=num_nodes, degree=degree, h=h)
+
+
+def _pair_rates(tau: float, link: float, S: float, SS: float, SI: float):
+    """c = link [SI]/[S] and d[S], d[SS], d[I], d[SI] of the pairwise model without recovery."""
+    c = link * SI / S
+    return c, -tau * SI, -2.0 * c * SS, tau * SI, c * SS - c * SI - tau * SI
+
+
 def _node_index(value: float, h: float, name: str) -> int:
     j = int(round(value / h))
     if j < 1:
@@ -84,8 +100,9 @@ def _march_delay_rk4(rhs, u0, h: float, steps: int, jumps: dict | None = None):
     ``rhs(t, u, lookup, t0)`` receives the step's starting node time ``t0``
     for branch decisions; states, derivatives and lookups are sequences of
     floats.  ``jumps`` maps node index -> fn(u) -> u, applied after the step
-    landing on that node; the pre-jump state and left-limit derivative stay
-    available to interpolation of the preceding panel.  Delayed arguments
+    landing on that node (nodes past ``steps`` are never reached); the
+    pre-jump state and left-limit derivative stay available to
+    interpolation of the preceding panel.  Delayed arguments
     must trail the current time by at least one step.  Returns the node
     states as a (steps+1, m) array; an ``ArithmeticError`` in a step or a
     non-finite state raises ``SolverError``.
@@ -162,22 +179,15 @@ def solve_markovian_pairwise(
     h: float = 1e-3,
 ) -> Trajectory:
     """Classic four-equation Markovian pairwise SIR (exponential recovery)."""
-    if not isinstance(params.dist, Exponential):
-        raise ValueError("markovian reference requires an exponential recovery law")
+    run = _setup("special:markovian", Exponential, params, num_nodes, degree, h)
     gamma = params.dist.rate
-    run = _SolveSetup("special:markovian", params, num_nodes=num_nodes, degree=degree, h=h)
     tau, n = params.tau, run.n
     link = tau * (n - 1.0) / n
 
     def rhs(t, u, lookup, t0):
         S, SS, I, SI = u
-        c = link * SI / S
-        return (
-            -tau * SI,
-            -2.0 * c * SS,
-            tau * SI - gamma * I,
-            c * SS - c * SI - tau * SI - gamma * SI,
-        )
+        _, dS, dSS, dI, dSI = _pair_rates(tau, link, S, SS, SI)
+        return (dS, dSS, dI - gamma * I, dSI - gamma * SI)
 
     S, SS, I, SI = _march_delay_rk4(rhs, run.pair_state(), h, run.steps).T
     return _trajectory(run, S, I, SI, SS)
@@ -191,12 +201,8 @@ def solve_markovian_meanfield(
     h: float = 1e-3,
 ) -> Trajectory:
     """Classical mean-field SIR ODE with rate tau*n/N (exponential recovery)."""
-    if not isinstance(params.dist, Exponential):
-        raise ValueError("markovian reference requires an exponential recovery law")
+    run = _setup("special:markovian_meanfield", Exponential, params, num_nodes, degree, h)
     gamma = params.dist.rate
-    run = _SolveSetup(
-        "special:markovian_meanfield", params, num_nodes=num_nodes, degree=degree, h=h
-    )
     coupling = params.tau * run.n / run.N
 
     def rhs(t, u, lookup, t0):
@@ -221,10 +227,8 @@ def solve_fixed_delay_pairwise(
     its surviving initial links); past sigma the delayed removal terms are
     active, weighted by the accumulated exponential factor.
     """
-    if not isinstance(params.dist, FixedDuration):
-        raise ValueError("fixed-delay reference requires a fixed-duration recovery law")
+    run = _setup("special:fixed", FixedDuration, params, num_nodes, degree, h)
     sigma = params.dist.sigma
-    run = _SolveSetup("special:fixed", params, num_nodes=num_nodes, degree=degree, h=h)
     j_sigma = _node_index(sigma, h, "sigma")
     tau, n = params.tau, run.n
     link = tau * (n - 1.0) / n
@@ -234,11 +238,7 @@ def solve_fixed_delay_pairwise(
 
     def rhs(t, u, lookup, t0):
         S, SS, I, SI, phi = u
-        c = link * SI / S
-        dS = -tau * SI
-        dSS = -2.0 * c * SS
-        dI = tau * SI
-        dSI = c * SS - c * SI - tau * SI
+        c, dS, dSS, dI, dSI = _pair_rates(tau, link, S, SS, SI)
         dphi = c + tau
         if t0 > sigma - half:
             Sd, SSd, Id, SId, phid = lookup(t - sigma)
@@ -250,8 +250,7 @@ def solve_fixed_delay_pairwise(
         S, SS, I, SI, phi = u
         return (S, SS, I - run.I0, SI - SI0 * math.exp(-phi), phi)
 
-    jumps = {j_sigma: recover_newborns} if j_sigma <= run.steps else None
-    S, SS, I, SI, phi = _march_delay_rk4(rhs, u0, h, run.steps, jumps).T
+    S, SS, I, SI, phi = _march_delay_rk4(rhs, u0, h, run.steps, {j_sigma: recover_newborns}).T
     return _trajectory(run, S, I, SI, SS, extra={"Phi": phi})
 
 
@@ -263,10 +262,8 @@ def solve_fixed_delay_meanfield(
     h: float = 1e-3,
 ) -> Trajectory:
     """Mean-field model with a fixed infectious period (delayed removal)."""
-    if not isinstance(params.dist, FixedDuration):
-        raise ValueError("fixed-delay reference requires a fixed-duration recovery law")
+    run = _setup("special:fixed_meanfield", FixedDuration, params, num_nodes, degree, h)
     sigma = params.dist.sigma
-    run = _SolveSetup("special:fixed_meanfield", params, num_nodes=num_nodes, degree=degree, h=h)
     j_sigma = _node_index(sigma, h, "sigma")
     coupling = params.tau * run.n / run.N
     half = 0.5 * h
@@ -282,8 +279,7 @@ def solve_fixed_delay_meanfield(
     def recover_newborns(u):
         return (u[0], u[1] - run.I0)
 
-    jumps = {j_sigma: recover_newborns} if j_sigma <= run.steps else None
-    S, I = _march_delay_rk4(rhs, [run.S0, run.I0], h, run.steps, jumps).T
+    S, I = _march_delay_rk4(rhs, [run.S0, run.I0], h, run.steps, {j_sigma: recover_newborns}).T
     return _trajectory(run, S, I)
 
 
@@ -301,11 +297,9 @@ def solve_gamma_chain(
     [I] and [SI] series solve the general model with the Erlang kernel.
     Stage-resolved series are exposed in ``extra``.
     """
-    if not isinstance(params.dist, GammaErlang):
-        raise ValueError("gamma-chain reference requires an Erlang recovery law")
+    run = _setup("special:gamma", GammaErlang, params, num_nodes, degree, h)
     K = params.dist.shape
     stage_rate = params.dist.rate  # K * gamma
-    run = _SolveSetup("special:gamma", params, num_nodes=num_nodes, degree=degree, h=h)
     run.meta["K"] = K
     tau, n = params.tau, run.n
     link = tau * (n - 1.0) / n
@@ -358,10 +352,8 @@ def solve_uniform_delay_pairwise(
     is the indicator-gated constant flux on [A, B], handled branch-wise (three
     regimes t < A, A <= t <= B, t > B with breakpoints on grid nodes).
     """
-    if not isinstance(params.dist, UniformInterval):
-        raise ValueError("uniform-delay reference requires a uniform recovery law")
+    run = _setup("special:uniform", UniformInterval, params, num_nodes, degree, h)
     A, B = params.dist.lower, params.dist.upper
-    run = _SolveSetup("special:uniform", params, num_nodes=num_nodes, degree=degree, h=h)
     _node_index(A, h, "a")
     _node_index(B, h, "b")
     tau, n = params.tau, run.n
@@ -374,11 +366,7 @@ def solve_uniform_delay_pairwise(
     # State layout: [S, SS, I, SI, Phi, V]
     def rhs(t, u, lookup, t0):
         S, SS, I, SI, phi, V = u
-        c = link * SI / S
-        dS = -tau * SI
-        dSS = -2.0 * c * SS
-        dI = tau * SI
-        dSI = c * SS - c * SI - tau * SI
+        c, dS, dSS, dI, dSI = _pair_rates(tau, link, S, SS, SI)
         dphi = c + tau
         dV = c * SS - dphi * V
         if t0 > A - half:

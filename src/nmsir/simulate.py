@@ -202,10 +202,12 @@ def run_ensembles(
 
     Per-run RNG streams are spawned from ``base_seed``, and per-run graph
     seeds from ``graph_seed`` when ``fresh_graph_per_run`` is set; a fixed
-    ``graph`` may be supplied instead.  Two calls with equal seeds produce
-    bit-identical output.  The run index is the outer loop: graph k is built
-    once and run k of every law uses it, with stream k of ``base_seed``, so
-    each law's ensemble is bit-identical to a one-law call for that law alone.
+    ``graph`` may be supplied instead, and the meta then records its shape
+    and seed, with ``fresh_graph_per_run`` false.  Two calls with equal seeds
+    produce bit-identical output.  The run index is the outer loop: graph k
+    is built once and run k of every law uses it, with stream k of
+    ``base_seed``, so each law's ensemble is bit-identical to a one-law call
+    for that law alone.
     Standard deviations are population (ddof=0), so a single run reports zero
     spread.  The per-run trajectories, in run order, are kept in the mean's
     ``extra["runs"]``; their series are row views of one ``(runs, len(t))``
@@ -218,6 +220,7 @@ def run_ensembles(
         graph = generate_regular(num_nodes, degree, graph_seed)
     if graph is not None:
         num_nodes, degree = graph.num_nodes, graph.degree
+        graph_seed, fresh_graph_per_run = graph.seed, False
 
     # Per law: one (runs, len(t)) array per series, filled row by row.
     stacks: list[dict[str, np.ndarray]] = [{} for _ in laws]

@@ -50,7 +50,7 @@ __all__ = [
 
 
 class StepContractionError(SolverError):
-    """Fixed-point corrector did not converge; the step size is too large."""
+    """A renewal step failed to converge or overflowed; the step size is too large."""
 
 
 # Sweeps the corrector may run in all while it still contracts; a step that
@@ -90,25 +90,22 @@ def _snap_support(dist: RecoveryDistribution, h: float):
 
 
 def _survival_grids(dist: RecoveryDistribution, h: float, steps: int):
-    """Survival samples on the age grid: quadrature, pointwise, left-limit.
+    """Survival samples on the age grid, quadrature and pointwise, and the jump node.
 
     The quadrature variant replaces the value at a point-mass jump node by the
     midpoint of the one-sided limits, which makes the composite trapezoid act
-    as a piecewise rule on the two smooth sides of the jump; the left-limit
-    variant carries the pre-jump value there.  All three agree for laws with
-    continuous survival.
+    as a piecewise rule on the two smooth sides of the jump.  The jump node is
+    the grid index of the atom (None for laws with continuous survival, where
+    both variants agree); it may lie past the grid.
     """
     ages = np.arange(steps + 1) * h
     xi_point = np.asarray(dist.survival(ages))
     xi_quad = xi_point.copy()
-    xi_pre = xi_point.copy()
     atom, location = dist.has_point_mass()
-    if atom:
-        j = int(round(location / h))
-        if j <= steps:
-            xi_quad[j] = 0.5
-            xi_pre[j] = 1.0
-    return xi_quad, xi_point, xi_pre
+    jump = int(round(location / h)) if atom else None
+    if jump is not None and jump <= steps:
+        xi_quad[jump] = 0.5
+    return xi_quad, xi_point, jump
 
 
 def _corrector_converged(delta: float, delta_prev: float, xs: float, ys: float) -> bool:
@@ -136,8 +133,7 @@ def _march_renewal(
     exponent_rate,
     xi_quad: np.ndarray,
     boundary: np.ndarray,
-    boundary_pre: np.ndarray | None = None,
-    boundary_hist: np.ndarray | None = None,
+    jump: int | None = None,
     x0: float,
     h: float,
     steps: int,
@@ -158,94 +154,99 @@ def _march_renewal(
 
     Each step runs two corrector sweeps, the fewest that give
     :func:`_corrector_converged` a contraction ratio q, then keeps sweeping
-    until that test passes with x (a count) nonnegative, up to
+    until that test passes with x and y (both counts) nonnegative, up to
     ``_MAX_CORRECTOR_SWEEPS``.  Only the test decides: a ratio q >= 1 on an
     early sweep may come from the predictor rather than the iteration, and
-    the sign of an unconverged x alternates from sweep to sweep.
-    ``StepContractionError`` means a non-finite residual or that cap.
+    the sign of an unconverged count alternates from sweep to sweep.  The
+    tolerance scales with the larger unknown, so a small y could pass it
+    negative, and x = [S] would then rise.  ``StepContractionError`` means a
+    non-finite residual, that cap, or an ``ArithmeticError`` in the step.
 
-    When the boundary term drops discontinuously (newborn infecteds under a
+    When the boundary term drops at node ``jump`` (newborn infecteds under a
     point-mass recovery law all leave at sigma, making y itself jump there),
-    three node conventions keep the trapezoid second order: the step landing
-    on the jump iterates on the left limit (``boundary_pre``), the committed
-    series carries the right limit (``boundary``), and the history buffer
-    carries the jump midpoint (``boundary_hist``), exactly mirroring the
-    kernel treatment.  For continuous boundaries all three coincide.
+    the step landing on the jump iterates on the left limit, which is the
+    boundary one node earlier (a point mass survives with probability 1
+    before its atom); the committed series carries the right limit and the
+    history buffer their midpoint, mirroring the kernel treatment, so the
+    trapezoid stays second order.
     """
     # Per-step work runs on Python floats and lists, because numpy scalar
     # arithmetic costs several times more per operation; numpy is kept for
     # the O(k) history dot product, over a contiguous reversed kernel.
     damped = exponent_rate is not None
-    b_out = boundary.tolist()
-    b_pre = b_out if boundary_pre is None else boundary_pre.tolist()
-    b_hist = b_out if boundary_hist is None else boundary_hist.tolist()
+    b = boundary.tolist()
     xi = xi_quad.tolist()
     xi_rev = xi_quad[::-1].copy()
     xi0 = xi[0]
-    m = steps
-    hist_weight = np.empty(m + 1)
+    hist_weight = np.empty(steps + 1)
 
-    xk, yk, phik = float(x0), b_out[0], 0.0
+    xk, yk, phik = float(x0), b[0], 0.0
     y_prev = yk
-    x, y, phi, y_hist = [xk], [yk], [phik], [b_hist[0]]
-    hist_weight[0] = w0 = state_factor(xk, b_hist[0])
+    x, y, phi, y_hist = [xk], [yk], [phik], [yk]
+    hist_weight[0] = w0 = state_factor(xk, yk)
     phi_ref, damp_ref = 0.0, 1.0
 
-    for k in range(m):
-        lo = 0 if window is None else max(0, k + 1 - window)
-        hist = h * float(np.dot(hist_weight[lo : k + 1], xi_rev[m - k - 1 + lo : m]))
-        if lo == 0:
-            hist -= 0.5 * h * w0 * xi[k + 1]
+    try:
+        for k in range(steps):
+            lo = 0 if window is None else max(0, k + 1 - window)
+            hist = h * float(np.dot(hist_weight[lo : k + 1], xi_rev[steps - k - 1 + lo : steps]))
+            if lo == 0:
+                hist -= 0.5 * h * w0 * xi[k + 1]
 
-        fk = deriv_x(xk, yk)
-        gk = exponent_rate(xk, yk) if damped else 0.0
-        xs = xk + h * fk
-        # Linear extrapolation predictor keeps the corrector well inside its
-        # contraction budget; the bootstrap step has no history to
-        # extrapolate from.
-        ys = yk + (yk - y_prev) if k else yk
-        phis = phik + h * gk
-        scale_hist = scale_out = 1.0
-        delta = delta_prev = math.inf
-        sweeps = 0
-        while True:
-            if damped:
-                phis = phik + 0.5 * h * (gk + exponent_rate(xs, ys))
-                scale_hist = math.exp(phi_ref - phis)
-                scale_out = scale_hist * damp_ref
-            mem = scale_hist * hist + 0.5 * h * state_factor(xs, ys) * xi0
-            y_new = mem + scale_out * b_pre[k + 1]
-            x_new = xk + 0.5 * h * (fk + deriv_x(xs, y_new))
-            delta_prev = delta
-            delta = abs(y_new - ys) + abs(x_new - xs)
-            xs, ys = x_new, y_new
-            sweeps += 1
-            if sweeps == 1:
-                continue
-            if xs >= 0.0 and _corrector_converged(delta, delta_prev, xs, ys):
-                break
-            if not math.isfinite(delta) or sweeps >= _MAX_CORRECTOR_SWEEPS:
-                q = delta / delta_prev if delta_prev > 0.0 else math.inf
-                raise StepContractionError(
-                    f"corrector did not converge at t={(k + 1) * h:.6g}: residual "
-                    f"{delta:.3e}, ratio q={q:.3g}, x={xs:.6g} after {sweeps} sweeps; "
-                    f"reduce the step size h={h}"
-                )
-        b_left = b_pre[k + 1]
-        y_prev = yk
-        xk, yk, phik = xs, ys + scale_out * (b_out[k + 1] - b_left), phis
-        yh = ys + scale_out * (b_hist[k + 1] - b_left)
-        x.append(xk)
-        y.append(yk)
-        phi.append(phik)
-        y_hist.append(yh)
-        if phis - phi_ref > _PHI_RESCALE:
-            hist_weight[: k + 1] *= math.exp(phi_ref - phis)
-            w0 = float(hist_weight[0])
-            phi_ref, damp_ref = phis, math.exp(-phis)
-        hist_weight[k + 1] = state_factor(xs, yh) * (
-            math.exp(phis - phi_ref) if damped else 1.0
-        )
+            at_jump = k + 1 == jump
+            b_left = b[k] if at_jump else b[k + 1]
+            fk = deriv_x(xk, yk)
+            gk = exponent_rate(xk, yk) if damped else 0.0
+            xs = xk + h * fk
+            # Linear extrapolation predictor keeps the corrector well inside its
+            # contraction budget; the bootstrap step has no history to
+            # extrapolate from.
+            ys = yk + (yk - y_prev) if k else yk
+            phis = phik + h * gk
+            scale_hist = scale_out = 1.0
+            delta = delta_prev = math.inf
+            sweeps = 0
+            while True:
+                if damped:
+                    phis = phik + 0.5 * h * (gk + exponent_rate(xs, ys))
+                    scale_hist = math.exp(phi_ref - phis)
+                    scale_out = scale_hist * damp_ref
+                mem = scale_hist * hist + 0.5 * h * state_factor(xs, ys) * xi0
+                y_new = mem + scale_out * b_left
+                x_new = xk + 0.5 * h * (fk + deriv_x(xs, y_new))
+                delta_prev = delta
+                delta = abs(y_new - ys) + abs(x_new - xs)
+                xs, ys = x_new, y_new
+                sweeps += 1
+                if sweeps == 1:
+                    continue
+                if xs >= 0.0 and ys >= 0.0 and _corrector_converged(delta, delta_prev, xs, ys):
+                    break
+                if not math.isfinite(delta) or sweeps >= _MAX_CORRECTOR_SWEEPS:
+                    q = delta / delta_prev if delta_prev > 0.0 else math.inf
+                    raise StepContractionError(
+                        f"corrector did not converge at t={(k + 1) * h:.6g}: residual "
+                        f"{delta:.3e}, ratio q={q:.3g}, x={xs:.6g} after {sweeps} sweeps; "
+                        f"reduce the step size h={h}"
+                    )
+            y_prev = yk
+            xk, yk, phik = xs, ys + scale_out * (b[k + 1] - b_left), phis
+            yh = ys + scale_out * (0.5 * (b_left + b[k + 1]) - b_left) if at_jump else yk
+            x.append(xk)
+            y.append(yk)
+            phi.append(phik)
+            y_hist.append(yh)
+            if phis - phi_ref > _PHI_RESCALE:
+                hist_weight[: k + 1] *= math.exp(phi_ref - phis)
+                w0 = float(hist_weight[0])
+                phi_ref, damp_ref = phis, math.exp(-phis)
+            rise = math.exp(phis - phi_ref) if damped else 1.0
+            hist_weight[k + 1] = state_factor(xs, yh) * rise
+    except ArithmeticError as exc:
+        raise StepContractionError(
+            f"renewal march failed in the step to t={(k + 1) * h:.6g} "
+            f"({type(exc).__name__}: {exc}); reduce the step size h={h}"
+        ) from exc
     return np.array(x), np.array(y), np.array(phi), np.array(y_hist)
 
 
@@ -304,10 +305,9 @@ def _solve_renewal(
     """
     h, steps = run.h, run.steps
     dist, snap_notes = _snap_support(run.params.dist, h)
-    xi_quad, xi_point, xi_pre = _survival_grids(dist, h, steps)
+    xi_quad, xi_point, jump = _survival_grids(dist, h, steps)
     # The initial infecteds are newborn: their profile is I0 xi(t).
     b_infected = run.I0 * xi_point
-    atom = dist.has_point_mass()[0]
     window = _window_nodes(dist, h, steps)
 
     x, y, phi, y_hist = _march_renewal(
@@ -316,8 +316,7 @@ def _solve_renewal(
         exponent_rate=exponent_rate,
         xi_quad=xi_quad,
         boundary=boundary_scale * b_infected,
-        boundary_pre=boundary_scale * run.I0 * xi_pre if atom else None,
-        boundary_hist=boundary_scale * run.I0 * xi_quad if atom else None,
+        jump=jump,
         x0=run.S0,
         h=h,
         steps=steps,

@@ -52,6 +52,16 @@ def test_removed_corrector_key(tmp_path, capsys):
     assert cfg == build_config({"epidemic.t_end": "1.0"})
 
 
+def test_meta_without_configuration_keys_is_refused(tmp_path):
+    # A library solve's meta echoes the solve, not a configuration; rebuilding
+    # from it must fail rather than return the defaults (tau = 0.35, N = 1000).
+    p = nm.EpidemicParams(tau=0.9, dist=nm.FixedDuration(1.5), initial_infected=50, t_end=3.0)
+    nm.solve_pairwise(p, num_nodes=400, degree=6).to_csv(tmp_path / "pw.csv")
+    first = (tmp_path / "pw.csv").read_text().split("\n", 1)[0]
+    with pytest.raises(cli.ConfigError, match="no configuration key"):
+        config_from_meta(parse_meta(first))
+
+
 def test_config_file_and_override_precedence(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(

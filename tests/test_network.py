@@ -41,7 +41,7 @@ BROKEN_K4 = {
 @pytest.mark.parametrize("defect", sorted(BROKEN_K4))
 def test_validate_rejects_each_defect(defect):
     nm.RegularGraph(4, 3, K4_EDGES).validate()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         nm.RegularGraph(4, 3, BROKEN_K4[defect]).validate()
 
 
@@ -190,4 +190,14 @@ def test_edge_list_non_regular_rejected(tmp_path):
     path = tmp_path / "path.txt"
     path.write_text("# 4 2 -1\n0 1\n1 2\n2 3\n")
     with pytest.raises(ValueError, match="regular"):
+        nm.load_edge_list(path)
+
+
+@pytest.mark.parametrize(
+    "line,match", [("0 1 2", "two node ids"), ("1 0", "0 <= i < j"), ("0 4", "0 <= i < j")]
+)
+def test_edge_list_bad_line_rejected(tmp_path, line, match):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# 4 1 -1\n{line}\n2 3\n")
+    with pytest.raises(ValueError, match=match):
         nm.load_edge_list(path)

@@ -298,6 +298,20 @@ def test_ensembles_run_together_match_ensembles_run_alone(all_dists, fresh):
     )
 
 
+def test_supplied_graph_is_recorded_as_itself(small_graph):
+    # small_graph is generate_regular(200, 8, 3): running on it is running on
+    # the one graph of seed 3, in series and in meta.
+    laws = [_params(nm.Exponential(2 / 3), t_end=8.0), _params(nm.FixedDuration(1.5), t_end=8.0)]
+    common = dict(runs=3, base_seed=5, dt_out=0.25)
+    supplied = nm.run_ensembles(laws, num_nodes=0, degree=0, graph=small_graph, **common)
+    named = nm.run_ensembles(
+        laws, num_nodes=200, degree=8, graph_seed=3, fresh_graph_per_run=False, **common
+    )
+    _assert_same_ensemble(supplied, named)
+    assert supplied[0][0].meta["graph_seed"] == 3
+    assert supplied[0][0].meta["fresh_graph_per_run"] is False
+
+
 def test_star_graph_instant_transmission_infects_all_leaves():
     star = _star()
     p = nm.EpidemicParams(

@@ -1,7 +1,10 @@
 """Renewal-equation solvers vs closed-form references and generic-core checks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import nmsir as nm
 from nmsir import solvers
@@ -143,6 +146,64 @@ def test_solves_raise_only_solver_errors(all_dists):
                         continue
                     for name in ("S", "I", "R", "SI", "SS"):
                         assert np.all(np.isfinite(traj.series(name))), (dist, tau, h, solve)
+
+
+@st.composite
+def _solve_args(draw):
+    num_nodes = draw(st.integers(20, 3000))
+    degree = draw(st.integers(2, min(num_nodes - 1, 30)))
+    mean = draw(st.floats(0.1, 5.0))
+    dist = draw(st.sampled_from([
+        nm.Exponential(1.0 / mean),
+        nm.FixedDuration(mean),
+        nm.GammaErlang(draw(st.integers(1, 8)), 1.0 / mean),
+        nm.UniformInterval(mean, mean + draw(st.floats(0.05, 3.0))),
+    ]))
+    params = nm.EpidemicParams(
+        tau=math.exp(draw(st.floats(math.log(0.01), math.log(5.0)))),
+        dist=dist,
+        initial_infected=draw(st.integers(1, max(1, num_nodes // 10))),
+        t_end=draw(st.floats(1.0, 20.0)),
+    )
+    h = draw(st.sampled_from([0.005, 0.01, 0.02, 0.05, 0.1]))
+    return params, num_nodes, degree, h
+
+
+@settings(max_examples=200)
+@given(_solve_args())
+@example((
+    nm.EpidemicParams(
+        tau=3.4079226779863747,
+        dist=nm.UniformInterval(1.0799442282810656, 2.2951164162434905),
+        initial_infected=13,
+        t_end=18.445937580523843,
+    ),
+    403, 24, 0.1,
+))
+@example((
+    nm.EpidemicParams(tau=1.0, dist=nm.FixedDuration(0.125), initial_infected=1, t_end=1.0),
+    20, 2, 0.1,
+))
+def test_solves_end_in_valid_series_or_solver_errors(args):
+    # Each solve either raises a documented error or returns finite series
+    # that conserve N, never gain susceptibles and, for the pairwise model,
+    # stay nonnegative.  Mean-field positivity is left out: its [R] dips
+    # below zero before the first recovery for bounded-support laws.  The
+    # first example overflows exp() in the corrector.  In the second, a
+    # one-step infectious period, the corrector's tolerance (scaled by [S])
+    # passes a slightly negative [SI] unless the sign of y is checked too.
+    params, num_nodes, degree, h = args
+    for solve in (nm.solve_pairwise, nm.solve_meanfield):
+        try:
+            traj = solve(params, num_nodes=num_nodes, degree=degree, config=nm.SolverConfig(h=h))
+        except (nm.SolverError, ValueError):
+            continue
+        series = {name: traj.series(name) for name in ("S", "I", "R", "SI", "SS")}
+        assert all(np.all(np.isfinite(v)) for v in series.values())
+        assert np.max(np.abs(traj.S + traj.I + traj.R - num_nodes)) <= 1e-9 * num_nodes
+        assert np.max(np.diff(traj.S)) <= 1e-9 * num_nodes
+        if solve is nm.solve_pairwise:
+            assert all(v.min() >= -1e-9 for v in series.values())
 
 
 @pytest.mark.parametrize(
