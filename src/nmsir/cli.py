@@ -326,7 +326,7 @@ _SUMMARY_HEADER = ["dist", "method", "peak", "peak_time", "final_size",
 
 
 def _compare_one(cfg: ExperimentConfig, spec: str, ensemble: tuple[Trajectory, Trajectory]):
-    """One law's metrics per method, its gate results and its curve columns."""
+    """One law's metrics per method, gate results, curve columns and grid-snap note."""
     mean, std = ensemble
     pw = solve_model(cfg, "pairwise", spec)
     mf = solve_model(cfg, "meanfield", spec)
@@ -356,7 +356,7 @@ def _compare_one(cfg: ExperimentConfig, spec: str, ensemble: tuple[Trajectory, T
         "S_pairwise": np.interp(mean.t, pw.t, pw.S),
         "S_meanfield": np.interp(mean.t, mf.t, mf.S),
     }
-    return rows, checks, curves
+    return rows, checks, curves, pw.meta.get("grid_snap")
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
@@ -367,14 +367,14 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     ensembles = _ensembles(cfg, [_epidemic_params(cfg, spec) for spec in specs])
     results = [_compare_one(cfg, spec, ens) for spec, ens in zip(specs, ensembles)]
     meta = _meta_with_config(cfg, command="compare")
-    all_ok = all(all(checks.values()) for _, checks, _ in results)
+    all_ok = all(all(checks.values()) for _, checks, _, _ in results)
     summary, curve_files, report = [], [], []
-    for idx, (spec, (rows, checks, curves)) in enumerate(zip(specs, results)):
+    for idx, (spec, (rows, checks, curves, snap)) in enumerate(zip(specs, results)):
         tag = parse_distribution(spec).kind
         columns = zip(*(curve.tolist() for curve in curves.values()))
-        curve_files.append(
-            (f"compare_{idx}_{tag}.csv", tag, {**meta, "dist": spec}, list(curves), columns)
-        )
+        # Both solves snap the law's breakpoints alike; the simulator runs it as given.
+        curve_meta = {**meta, "dist": spec, **({"grid_snap": snap} if snap else {})}
+        curve_files.append((f"compare_{idx}_{tag}.csv", tag, curve_meta, list(curves), columns))
         for method, m in rows.items():
             summary.append([spec, method] + [m[k] for k in _SUMMARY_HEADER[2:]])
         sim, pw, mf = rows["simulation"], rows["pairwise"], rows["meanfield"]
@@ -392,11 +392,13 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     for name, _, curve_meta, header, columns in curve_files:
         write_csv(_out_path(cfg, name), curve_meta, header, columns)
     summary_path = _out_path(cfg, "compare_summary.csv")
-    write_csv(summary_path, meta, _SUMMARY_HEADER, summary)
+    snaps = ";".join(snap for *_, snap in results if snap)
+    write_csv(summary_path, {**meta, "grid_snap": snaps} if snaps else meta,
+              _SUMMARY_HEADER, summary)
     for line in report:
         print(line)
     if len(specs) > 1:
-        finals = [rows["simulation"]["final_size"] for rows, _, _ in results]
+        finals = [rows["simulation"]["final_size"] for rows, *_ in results]
         order = sorted(zip(specs, finals), key=lambda kv: -kv[1])
         print("attack-rate ordering (largest first): " + " > ".join(s for s, _ in order))
     print(f"wrote {summary_path}")

@@ -12,8 +12,10 @@ or delay differential equations:
                        to discrete-delay form through a damped cumulative
                        auxiliary variable (the windowed integrals telescope).
 
-All solvers use fixed-step classical RK4 on the same grid, initial counts
-and meta as the generic solver (``trajectory._SolveSetup``).  Every
+All solvers use fixed-step classical RK4 on the same grid, initial counts,
+meta and snapped law as the generic solver (``trajectory._SolveSetup``): a
+sigma, a or b off the step grid moves to the nearest node, noted in the
+meta's ``grid_snap``, exactly as in the generic solves.  Every
 exponential of the rate integral Phi enters as a difference
 exp(-(Phi(t) - Phi(u))) <= 1, so no horizon overflows.  Delayed evaluations
 at RK4 stage times are served by cubic Hermite interpolation of the stored
@@ -83,15 +85,6 @@ def _pair_rates(tau: float, link: float, S: float, SS: float, SI: float):
     """c = link [SI]/[S] and d[S], d[SS], d[I], d[SI] of the pairwise model without recovery."""
     c = link * SI / S
     return c, -tau * SI, -2.0 * c * SS, tau * SI, c * SS - c * SI - tau * SI
-
-
-def _node_index(value: float, h: float, name: str) -> int:
-    j = int(round(value / h))
-    if j < 1:
-        raise ValueError(f"{name}={value} must be at least one step h={h}")
-    if abs(j * h - value) > 1e-9 * max(1.0, value):
-        raise ValueError(f"h={h} must divide {name}={value} (snap it first)")
-    return j
 
 
 def _march_delay_rk4(rhs, u0, h: float, steps: int, jumps: dict | None = None):
@@ -228,8 +221,7 @@ def solve_fixed_delay_pairwise(
     active, weighted by the accumulated exponential factor.
     """
     run = _setup("special:fixed", FixedDuration, params, num_nodes, degree, h)
-    sigma = params.dist.sigma
-    j_sigma = _node_index(sigma, h, "sigma")
+    sigma = run.dist.sigma
     tau, n = params.tau, run.n
     link = tau * (n - 1.0) / n
     half = 0.5 * h
@@ -250,7 +242,7 @@ def solve_fixed_delay_pairwise(
         S, SS, I, SI, phi = u
         return (S, SS, I - run.I0, SI - SI0 * math.exp(-phi), phi)
 
-    S, SS, I, SI, phi = _march_delay_rk4(rhs, u0, h, run.steps, {j_sigma: recover_newborns}).T
+    S, SS, I, SI, phi = _march_delay_rk4(rhs, u0, h, run.steps, {run.jump: recover_newborns}).T
     return _trajectory(run, S, I, SI, SS, extra={"Phi": phi})
 
 
@@ -263,8 +255,7 @@ def solve_fixed_delay_meanfield(
 ) -> Trajectory:
     """Mean-field model with a fixed infectious period (delayed removal)."""
     run = _setup("special:fixed_meanfield", FixedDuration, params, num_nodes, degree, h)
-    sigma = params.dist.sigma
-    j_sigma = _node_index(sigma, h, "sigma")
+    sigma = run.dist.sigma
     coupling = params.tau * run.n / run.N
     half = 0.5 * h
 
@@ -279,7 +270,7 @@ def solve_fixed_delay_meanfield(
     def recover_newborns(u):
         return (u[0], u[1] - run.I0)
 
-    S, I = _march_delay_rk4(rhs, [run.S0, run.I0], h, run.steps, {j_sigma: recover_newborns}).T
+    S, I = _march_delay_rk4(rhs, [run.S0, run.I0], h, run.steps, {run.jump: recover_newborns}).T
     return _trajectory(run, S, I)
 
 
@@ -353,9 +344,7 @@ def solve_uniform_delay_pairwise(
     regimes t < A, A <= t <= B, t > B with breakpoints on grid nodes).
     """
     run = _setup("special:uniform", UniformInterval, params, num_nodes, degree, h)
-    A, B = params.dist.lower, params.dist.upper
-    _node_index(A, h, "a")
-    _node_index(B, h, "b")
+    A, B = run.dist.lower, run.dist.upper
     tau, n = params.tau, run.n
     link = tau * (n - 1.0) / n
     width = B - A

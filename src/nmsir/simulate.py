@@ -22,7 +22,7 @@ least left-to-right sum of delays along any path.
 The run ends at the last grid point (or at ``t_end``, should rounding put
 that point past it): later arrivals are dropped, so the final size and the
 last event times in the meta describe the run that the series show.  The
-output grid is filled from the per-node times: a grid point counts every
+output grid is filled from per-node grid indices: a grid point counts every
 infection and recovery at or before it, an edge is an S-I link from its
 first endpoint's infection until that endpoint recovers or the other one is
 infected, and an S-S link until either endpoint is infected.  Link counts
@@ -149,40 +149,39 @@ def run_single(
     grid = np.arange(n_out) * dt_out
     a[a > min(t_end, grid[-1])] = math.inf
     r = a + periods
+    infected = a < math.inf
 
-    infection_times = np.sort(a)
-    ever = np.searchsorted(infection_times, grid, side="right")
-    recovery_times = np.sort(r)
-    recovered = np.searchsorted(recovery_times, grid, side="right")
-    first = np.minimum(a[u], a[v])
-    last = np.maximum(a[u], a[v])
-    first_rec = np.where(a[u] <= a[v], r[u], r[v])
-    si_from = np.searchsorted(grid, first)
-    si_to = np.searchsorted(grid, np.minimum(first_rec, last))
-    si = np.cumsum(np.bincount(si_from, minlength=n_out + 1)
-                   - np.bincount(si_to, minlength=n_out + 1))[:n_out]
-    ss = 2 * (len(u) - np.searchsorted(np.sort(first), grid, side="right"))
+    def counts(idx):  # per grid point, how many of idx are at or before it
+        return np.cumsum(np.bincount(idx, minlength=n_out + 1))[:n_out]
 
-    total = int(np.count_nonzero(a < math.inf))
+    # A time maps to the first grid point at or after it (n_out if none); the
+    # map keeps order, so an edge's keys are min/max/where of its ends' keys.
+    ia, ir = np.searchsorted(grid, a), np.searchsorted(grid, r)
+    ever, recovered = counts(ia), counts(ir)
+    ia_u, ia_v = ia[u], ia[v]
+    linked = counts(np.minimum(ia_u, ia_v))
+    first_rec = np.where(ia_u <= ia_v, ir[u], ir[v])
+    si = linked - counts(np.minimum(first_rec, np.maximum(ia_u, ia_v)))
+    total = int(np.count_nonzero(infected))
     meta = {
         "source": "simulation",
         "N": num_nodes,
         "n": graph.degree,
         "tau": params.tau,
         "dist": dist.spec_string(),
-        "I0": params.initial_infected,
+        "I0": len(seeds),
         "t_end": params.t_end,
         "dt_out": dt_out,
         "final_size": float(total),
-        "last_infection_time": float(infection_times[total - 1]) if total else 0.0,
-        "last_recovery_time": float(recovery_times[total - 1]) if total else 0.0,
+        "last_infection_time": float(a[infected].max()) if total else 0.0,
+        "last_recovery_time": float(r[infected].max()) if total else 0.0,
         "total_infections": total,
     }
     diag = {"sweeps": sweeps, "kept_edges": kept.size,
             "infections": total, "heap_finish": heap_finish}
     return Trajectory(
         grid, (num_nodes - ever).astype(float), (ever - recovered).astype(float),
-        recovered.astype(float), si.astype(float), ss.astype(float), meta, {"diag": diag},
+        recovered.astype(float), si.astype(float), 2.0 * (len(u) - linked), meta, {"diag": diag},
     )
 
 

@@ -22,7 +22,8 @@ Discretisation: composite trapezoid over the history on the step grid, with
 the implicit current-time value resolved by a fixed-point corrector (this is
 the degree-1 collocation choice).  Phi is accumulated once per step and
 differenced, never recomputed by nested quadrature.  Support breakpoints
-(sigma, or the uniform endpoints) are snapped to the grid so the kernel's
+(sigma, or the uniform endpoints) are snapped to the grid, by
+``trajectory._SolveSetup`` for every deterministic solve, so the kernel's
 kinks sit on quadrature nodes; values *at* a jump node follow one-sided or
 midpoint conventions so every trapezoid panel sees a smooth integrand.
 Observed self-convergence is clean second order for continuous survival
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .recovery import FixedDuration, RecoveryDistribution, UniformInterval
+from .recovery import RecoveryDistribution
 from .trajectory import EpidemicParams, SolverConfig, SolverError, Trajectory, _SolveSetup
 
 __all__ = [
@@ -65,47 +66,20 @@ _CORRECTOR_TOL = 1e-5
 _PHI_RESCALE = 300.0
 
 
-def _snap_support(dist: RecoveryDistribution, h: float):
-    """Snap kernel breakpoints (sigma, or A and B) onto the step grid."""
-    notes: list[str] = []
+def _survival_grids(dist: RecoveryDistribution, h: float, steps: int, jump: int | None):
+    """Survival samples on the age grid, quadrature and pointwise.
 
-    def snap(value: float, name: str) -> float:
-        j = int(round(value / h))
-        if j == 0:
-            raise ValueError(f"{name}={value} is below half a step; reduce h")
-        snapped = j * h
-        if abs(snapped - value) > 1e-9 * max(1.0, abs(value)):
-            notes.append(f"{name}:{value!r}->{snapped!r}")
-        return snapped
-
-    if isinstance(dist, FixedDuration):
-        return FixedDuration(snap(dist.sigma, "sigma")), notes
-    if isinstance(dist, UniformInterval):
-        lo = snap(dist.lower, "a")
-        hi = snap(dist.upper, "b")
-        if not lo < hi:
-            raise ValueError("uniform interval collapsed after grid snapping")
-        return UniformInterval(lo, hi), notes
-    return dist, notes
-
-
-def _survival_grids(dist: RecoveryDistribution, h: float, steps: int):
-    """Survival samples on the age grid, quadrature and pointwise, and the jump node.
-
-    The quadrature variant replaces the value at a point-mass jump node by the
-    midpoint of the one-sided limits, which makes the composite trapezoid act
-    as a piecewise rule on the two smooth sides of the jump.  The jump node is
-    the grid index of the atom (None for laws with continuous survival, where
-    both variants agree); it may lie past the grid.
+    The quadrature variant replaces the value at the point-mass node ``jump``
+    by the midpoint of the one-sided limits, which makes the composite
+    trapezoid act as a piecewise rule on the two smooth sides of the jump.
+    For laws with continuous survival (``jump`` None) both variants agree.
     """
     ages = np.arange(steps + 1) * h
     xi_point = np.asarray(dist.survival(ages))
     xi_quad = xi_point.copy()
-    atom, location = dist.has_point_mass()
-    jump = int(round(location / h)) if atom else None
     if jump is not None and jump <= steps:
         xi_quad[jump] = 0.5
-    return xi_quad, xi_point, jump
+    return xi_quad, xi_point
 
 
 def _corrector_converged(delta: float, delta_prev: float, xs: float, ys: float) -> bool:
@@ -259,7 +233,7 @@ def _infected_from_incidence(
 ) -> np.ndarray:
     """[I](t) = int_0^t incidence(u) xi(t-u) du + b(t) on the whole grid.
 
-    ``window`` (from :func:`_window_nodes`) drops the kernel's zero tail past
+    ``window`` (``_SolveSetup.window``) drops the kernel's zero tail past
     a bounded support.  The sums then run over fewer exact zeros, so the
     result may move in the last bits.
     """
@@ -271,13 +245,6 @@ def _infected_from_incidence(
     return h * (conv - ends) + boundary
 
 
-def _window_nodes(dist: RecoveryDistribution, h: float, steps: int) -> int | None:
-    upper = dist.support_upper()
-    if not math.isfinite(upper):
-        return None
-    return min(steps, int(round(upper / h)))
-
-
 class _Renewal(NamedTuple):
     """A marched model plus the grid pieces its post-processing needs."""
 
@@ -287,7 +254,6 @@ class _Renewal(NamedTuple):
     y_hist: np.ndarray
     xi_quad: np.ndarray
     b_infected: np.ndarray
-    window: int | None
 
 
 def _solve_renewal(
@@ -298,17 +264,15 @@ def _solve_renewal(
     exponent_rate,
     boundary_scale: float = 1.0,
 ) -> _Renewal:
-    """Kernel and boundary set-up and the march of one model; completes its meta.
+    """Kernel and boundary set-up and the march of one model.
 
     ``boundary_scale`` converts the initial-infected profile into the units
     of the renewal variable y (1 for [I], the initial link density for [SI]).
     """
     h, steps = run.h, run.steps
-    dist, snap_notes = _snap_support(run.params.dist, h)
-    xi_quad, xi_point, jump = _survival_grids(dist, h, steps)
+    xi_quad, xi_point = _survival_grids(run.dist, h, steps, run.jump)
     # The initial infecteds are newborn: their profile is I0 xi(t).
     b_infected = run.I0 * xi_point
-    window = _window_nodes(dist, h, steps)
 
     x, y, phi, y_hist = _march_renewal(
         deriv_x=deriv_x,
@@ -316,16 +280,13 @@ def _solve_renewal(
         exponent_rate=exponent_rate,
         xi_quad=xi_quad,
         boundary=boundary_scale * b_infected,
-        jump=jump,
+        jump=run.jump,
         x0=run.S0,
         h=h,
         steps=steps,
-        window=window,
+        window=run.window,
     )
-    run.meta["dist"] = dist.spec_string()
-    if snap_notes:
-        run.meta["grid_snap"] = ";".join(snap_notes)
-    return _Renewal(x, y, phi, y_hist, xi_quad, b_infected, window)
+    return _Renewal(x, y, phi, y_hist, xi_quad, b_infected)
 
 
 def solve_meanfield(
@@ -393,7 +354,7 @@ def solve_pairwise(
     )
     S, SI, h = sol.x, sol.y, config.h
     SS = (n / N) * S0 ** (2.0 / n) * S ** (2.0 * (n - 1.0) / n)
-    I = _infected_from_incidence(tau * sol.y_hist, sol.xi_quad, sol.b_infected, h, sol.window)
+    I = _infected_from_incidence(tau * sol.y_hist, sol.xi_quad, sol.b_infected, h, run.window)
 
     # Independent [SS] integration (trapezoid of its own rate equation) for
     # first-integral drift diagnostics; the update is linear-implicit exact.

@@ -14,12 +14,13 @@ a double quote or a line break, as spec strings such as
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from urllib.parse import quote, unquote
 
 import numpy as np
 
-from .recovery import RecoveryDistribution
+from .recovery import FixedDuration, RecoveryDistribution, UniformInterval
 
 __all__ = [
     "SERIES_NAMES", "EpidemicParams", "SolverConfig", "SolverError", "Trajectory",
@@ -46,6 +47,9 @@ class EpidemicParams:
     def __post_init__(self):
         if not 0.0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")
+        if not float(self.initial_infected).is_integer():
+            raise ValueError(f"initial_infected={self.initial_infected} is not a whole number")
+        object.__setattr__(self, "initial_infected", int(self.initial_infected))
         if self.initial_infected < 0:
             raise ValueError("initial_infected must be nonnegative")
         if not 0.0 < self.t_end < math.inf:
@@ -156,9 +160,10 @@ class Trajectory:
         return float(self.t[k]), float(self.I[k])
 
     def final_size(self, num_nodes: float | None = None) -> float:
-        """Total nodes ever infected by the end of the grid, N - S(t_end)."""
+        """Nodes ever infected by the end of the grid, N - S(t_end); N defaults
+        to S + I + R on the first row, which every trajectory conserves."""
         if num_nodes is None:
-            num_nodes = float(self.meta.get("N"))
+            num_nodes = self.S[0] + self.I[0] + self.R[0]
         return float(num_nodes) - float(self.S[-1])
 
     def to_csv(self, path, column_suffix: str = "") -> None:
@@ -175,12 +180,13 @@ class Trajectory:
                 meta = parse_meta(line)
                 line = fh.readline()
             header = [h.strip() for h in line.strip().split(",")]
-            rows = [
-                [float(x) for x in ln.strip().split(",")]
-                for ln in fh
-                if ln.strip()
-            ]
-        data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+            with warnings.catch_warnings():  # an empty body is raised below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if not data.size:
+            raise ValueError(f"{path}: no data rows")
+        if data.shape[1] != len(header):
+            raise ValueError(f"{path}: {data.shape[1]} columns, header has {len(header)}")
         by_name = {name: data[:, k] for k, name in enumerate(header)}
         if "t" not in by_name:
             raise ValueError(f"{path}: missing t column")
@@ -202,8 +208,31 @@ class Trajectory:
         )
 
 
+def _snap_support(dist: RecoveryDistribution, h: float):
+    """The law with its breakpoints (sigma, or a and b) on the step grid, and notes."""
+    notes: list[str] = []
+
+    def snap(value: float, name: str) -> float:
+        j = int(round(value / h))
+        if j == 0:
+            raise ValueError(f"{name}={value} is below half a step; reduce h")
+        snapped = j * h
+        if abs(snapped - value) > 1e-9 * max(1.0, abs(value)):
+            notes.append(f"{name}:{value!r}->{snapped!r}")
+        return snapped
+
+    if isinstance(dist, FixedDuration):
+        return FixedDuration(snap(dist.sigma, "sigma")), notes
+    if isinstance(dist, UniformInterval):
+        lo, hi = snap(dist.lower, "a"), snap(dist.upper, "b")
+        if not lo < hi:
+            raise ValueError("uniform interval collapsed after grid snapping")
+        return UniformInterval(lo, hi), notes
+    return dist, notes
+
+
 class _SolveSetup:
-    """What every deterministic solve shares: counts, step grid, meta, assembly.
+    """What every deterministic solve shares: counts, step grid, law, meta, assembly.
 
     Everything comes from ``params`` and the step size: I0 is
     ``params.initial_infected``, S0 = N - I0, and the grid is ``t = k h`` for
@@ -211,6 +240,11 @@ class _SolveSetup:
     solve: I0 may not exceed N, and S0 must be positive unless
     ``allow_no_susceptibles``.  Solvers may update or extend ``meta`` before
     :meth:`trajectory`.
+
+    The law is put on the grid here for every solve: ``dist`` has its
+    breakpoints on the nearest nodes (``meta["grid_snap"]`` notes any move),
+    ``jump`` is the node of its point mass, if any (maybe past the grid), and
+    ``window`` the last node of a bounded support, capped at ``steps``.
     """
 
     def __init__(
@@ -232,18 +266,25 @@ class _SolveSetup:
         self.steps = int(round(params.t_end / h))
         if self.steps < 1:
             raise ValueError("t_end must cover at least one step")
+        self.dist, snap_notes = _snap_support(params.dist, h)
+        atom, location = self.dist.has_point_mass()
+        self.jump = int(round(location / h)) if atom else None
+        upper = self.dist.support_upper()
+        self.window = min(self.steps, int(round(upper / h))) if math.isfinite(upper) else None
         self.meta = {
             "source": "solver",
             "model": model,
             "N": num_nodes,
             "n": degree,
             "tau": params.tau,
-            "dist": params.dist.spec_string(),
+            "dist": self.dist.spec_string(),
             "I0": self.I0,
             "S0": self.S0,
             "h": h,
             "t_end": self.steps * h,
         }
+        if snap_notes:
+            self.meta["grid_snap"] = ";".join(snap_notes)
 
     def pair_state(self) -> list[float]:
         """[S, SS, I, SI] at t=0 with pairs at their mean-field values."""

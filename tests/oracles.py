@@ -378,7 +378,7 @@ def reference_percolation_run(graph: RegularGraph, params, seed, dt_out=0.1,
         "n": graph.degree,
         "tau": params.tau,
         "dist": params.dist.spec_string(),
-        "I0": params.initial_infected,
+        "I0": len(seeds),
         "t_end": params.t_end,
         "dt_out": dt_out,
         "final_size": float(ever.sum()),

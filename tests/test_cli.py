@@ -227,6 +227,20 @@ def test_solve_preserves_grid_snap_note(tmp_path):
     assert "grid_snap" in traj.meta
 
 
+def test_special_fixed_snaps_off_grid_sigma(tmp_path):
+    # At h = 0.1 the reference's [SI] dips below its floor at t = 4.2 (for an
+    # on-grid sigma = 1.6 too), so the horizon stops short of it.
+    rc = main(
+        ["solve", "--model", "special:fixed",
+         "--set", "epidemic.dist=fixed:sigma=1.55",
+         "--set", "solver.h=0.1", "--set", "epidemic.t_end=4",
+         "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    traj = Trajectory.from_csv(tmp_path / "solve_special_fixed.csv")
+    assert traj.meta["grid_snap"] == "sigma:1.55->1.6"
+
+
 def test_solve_special_models(tmp_path):
     rc = main(
         ["solve", "--model", "special:gamma",
@@ -290,6 +304,24 @@ def test_compare_smoke_and_gnuplot(tmp_path, capsys):
     assert len(lines) == 2 + 2 * 3
     methods = [row[1] for row in csv.reader(lines[2:])]
     assert methods == ["simulation", "pairwise", "meanfield"] * 2
+
+
+def test_compare_records_the_solves_grid_snap(tmp_path, capsys):
+    # The simulator runs sigma = 1.55 while both solves run sigma = 1.6.
+    rc = main(
+        ["compare", *SMALL, "--out", str(tmp_path), "--set", "solver.h=0.1",
+         "--set", "compare.distributions=fixed:sigma=1.55;exp:rate=0.6667",
+         "--set", "compare.enforce=false"]
+    )
+    assert rc == 0
+    capsys.readouterr()
+
+    def meta(name):
+        return parse_meta((tmp_path / name).read_text().split("\n", 1)[0])
+
+    assert meta("compare_0_fixed.csv")["grid_snap"] == "sigma:1.55->1.6"
+    assert "grid_snap" not in meta("compare_1_exp.csv")
+    assert meta("compare_summary.csv")["grid_snap"] == "sigma:1.55->1.6"
 
 
 @pytest.mark.parametrize("fresh", ["true", "false"])

@@ -72,10 +72,25 @@ def test_uniform_before_lower_endpoint_is_no_recovery_branch():
     assert np.max(np.abs(traj.I - oracle[2])) < 1e-6 * N
 
 
-def test_sigma_not_on_grid_rejected():
-    p = _params(nm.FixedDuration(1.5))
-    with pytest.raises(ValueError, match="divide"):
-        nm.solve_fixed_delay_pairwise(p, num_nodes=N, degree=DEG, h=0.4)
+def test_sigma_off_grid_snapped_as_in_generic_solve():
+    # sigma = 1.5 is not a multiple of h = 0.04: the reference moves it to
+    # the nearest node and notes it, exactly as the generic solvers do.
+    p = _params(nm.FixedDuration(1.5), t_end=5.0)
+    generic = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.04))
+    for solve in (nm.solve_fixed_delay_pairwise, nm.solve_fixed_delay_meanfield):
+        traj = solve(p, num_nodes=N, degree=DEG, h=0.04)
+        assert traj.meta["grid_snap"] == generic.meta["grid_snap"]
+        assert traj.meta["grid_snap"].startswith("sigma:1.5->")
+        assert traj.meta["dist"] == generic.meta["dist"] != "fixed:sigma=1.5"
+
+
+def test_uniform_endpoints_off_grid_snapped_as_in_generic_solve():
+    p = _params(nm.UniformInterval(1.03, 2.07), t_end=5.0)
+    generic = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.05))
+    traj = nm.solve_uniform_delay_pairwise(p, num_nodes=N, degree=DEG, h=0.05)
+    assert traj.meta["grid_snap"] == generic.meta["grid_snap"]
+    assert traj.meta["grid_snap"].startswith("a:1.03->1.05;b:2.07->2.05")
+    assert traj.meta["dist"] == generic.meta["dist"]
 
 
 def test_kind_mismatch_rejected():

@@ -203,6 +203,14 @@ def test_sweep_cap_hands_over_to_an_exact_heap_finish(monkeypatch):
     assert capped.meta == uncapped.meta
 
 
+def test_meta_i0_counts_pinned_seeds(small_graph):
+    # Pinned seeds override initial_infected; the meta records what ran.
+    p = _params(nm.Exponential(1.0), i0=5)
+    traj = nm.run_single(small_graph, p, 0, initial_nodes=[0, 1, 2])
+    assert traj.I[0] == traj.meta["I0"] == 3
+    assert nm.run_single(small_graph, p, 0).meta["I0"] == 5
+
+
 def test_repeated_initial_node_rejected(small_graph):
     with pytest.raises(ValueError, match="distinct"):
         nm.run_single(small_graph, _params(nm.Exponential(1.0), i0=2), 0, initial_nodes=[3, 3])

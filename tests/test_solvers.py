@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import nmsir as nm
 from nmsir import solvers
 from nmsir.solvers import StepContractionError, _march_renewal
+from nmsir.trajectory import _SolveSetup
 
 from conftest import FIG1_DISTS, rel_sup_diff
 
@@ -214,9 +215,9 @@ def test_windowed_infected_convolution_matches_full_kernel(dist, h):
     # Past a bounded support the quadrature kernel is exact zeros; convolving
     # with the truncated kernel drops them, which may move only the last bits.
     traj = nm.solve_pairwise(_params(dist), num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
-    steps = len(traj.t) - 1
-    xi_quad = solvers._survival_grids(dist, h, steps)[0]
-    window = solvers._window_nodes(dist, h, steps)
+    run = _SolveSetup("pairwise", _params(dist), num_nodes=N, degree=DEG, h=h)
+    steps, window = run.steps, run.window
+    xi_quad = solvers._survival_grids(run.dist, h, steps, run.jump)[0]
     assert window < steps and not np.any(xi_quad[window + 1 :])
     incidence, boundary = 0.35 * traj.SI, 5.0 * xi_quad
     windowed = solvers._infected_from_incidence(incidence, xi_quad, boundary, h, window)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import nmsir as nm
-from nmsir.trajectory import Trajectory, write_csv
+from nmsir.cli import main
+from nmsir.trajectory import SERIES_NAMES, Trajectory, write_csv
 
 
 def _toy_trajectory():
@@ -56,15 +57,34 @@ def test_peak_and_final_size_helpers():
     t_pk, v_pk = traj.peak_infected()
     assert v_pk == traj.I.max()
     assert traj.final_size(1000.0) == pytest.approx(1000.0 - traj.S[-1])
-    assert traj.final_size() == pytest.approx(1000.0 - traj.S[-1])  # from meta
+    assert traj.final_size() == pytest.approx(1000.0 - traj.S[-1])  # N from the first row
+
+
+def test_final_size_of_a_cli_file_read_back(tmp_path):
+    # CLI meta names the node count network.N, not N; the first row holds it.
+    assert main(["solve", "--set", "epidemic.t_end=2", "--out", str(tmp_path)]) == 0
+    traj = Trajectory.from_csv(tmp_path / "solve_pairwise.csv")
+    assert "N" not in traj.meta
+    assert traj.final_size() == traj.final_size(1000) == 1000.0 - traj.S[-1]
+
+
+def test_csv_without_data_rows_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv(path, {"N": 10}, ["t", *SERIES_NAMES], [])
+    with pytest.raises(ValueError, match="empty.csv"):
+        Trajectory.from_csv(path)
 
 
 def test_epidemic_params_validation():
     for tau in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             nm.EpidemicParams(tau=tau, dist=nm.Exponential(1.0))
-    with pytest.raises(ValueError):
-        nm.EpidemicParams(tau=0.3, dist=nm.Exponential(1.0), initial_infected=-1)
+    for i0 in (-1, float("nan"), float("inf"), 2.5):
+        with pytest.raises(ValueError):
+            nm.EpidemicParams(tau=0.3, dist=nm.Exponential(1.0), initial_infected=i0)
+    for i0 in (5, 5.0, np.int64(5)):
+        p = nm.EpidemicParams(tau=0.3, dist=nm.Exponential(1.0), initial_infected=i0)
+        assert p.initial_infected == 5 and type(p.initial_infected) is int
     for t_end in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             nm.EpidemicParams(tau=0.3, dist=nm.Exponential(1.0), t_end=t_end)
