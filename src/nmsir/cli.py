@@ -35,7 +35,7 @@ from .reference import (
     solve_markovian_pairwise,
     solve_uniform_delay_pairwise,
 )
-from .trajectory import EpidemicParams, SolverConfig, Trajectory, write_csv
+from .trajectory import EpidemicParams, SolverConfig, Trajectory, _format_value, write_csv
 
 __all__ = ["ConfigError", "ExperimentConfig", "build_config", "main"]
 
@@ -109,7 +109,7 @@ class ExperimentConfig:
     # -- key mapping ------------------------------------------------------
 
     @classmethod
-    def key_map(cls) -> dict[str, tuple[str, type]]:
+    def key_map(cls) -> dict[str, tuple[str, str]]:
         table = {}
         for f in fields(cls):
             section, _, rest = f.name.partition("_")
@@ -126,16 +126,10 @@ class ExperimentConfig:
         return items
 
     def flatten(self) -> dict[str, str]:
-        values = {}
-        for key, (attr, _) in sorted(self.key_map().items()):
-            val = getattr(self, attr)
-            if isinstance(val, bool):
-                values[key] = "true" if val else "false"
-            elif isinstance(val, float):
-                values[key] = repr(val)
-            else:
-                values[key] = str(val)
-        return values
+        return {
+            key: _format_value(getattr(self, attr))
+            for key, (attr, _) in sorted(self.key_map().items())
+        }
 
 
 _TYPE_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
@@ -148,8 +142,7 @@ def build_config(pairs: dict[str, str]) -> ExperimentConfig:
     for key, raw in pairs.items():
         if key not in table:
             raise ConfigError(f"unknown configuration key {key!r}")
-        attr, ftype = table[key]
-        type_name = ftype if isinstance(ftype, str) else ftype.__name__
+        attr, type_name = table[key]
         parser = _TYPE_PARSERS.get(type_name, str)
         try:
             updates[attr] = parser(raw)
@@ -474,39 +467,28 @@ def main(argv=None) -> int:
         prog="nmsir",
         description="SIR epidemics with arbitrary recovery laws on regular networks",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    _common_flags(common)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="run a stochastic ensemble, write CSVs")
-    _common_flags(p_sim)
-    p_solve = sub.add_parser("solve", help="solve a deterministic model")
-    _common_flags(p_solve)
-    p_solve.add_argument(
+    for name, help_text, run in (
+        ("simulate", "run a stochastic ensemble, write CSVs", lambda cfg, a: cmd_simulate(cfg)),
+        ("solve", "solve a deterministic model", lambda cfg, a: cmd_solve(cfg, a.model)),
+        ("analytics", "reproduction numbers and final sizes", lambda cfg, a: cmd_analytics(cfg)),
+        ("compare", "simulation vs solvers with thresholds", lambda cfg, a: cmd_compare(cfg)),
+        ("graph-gen", "generate a regular graph edge list",
+         lambda cfg, a: cmd_graph_gen(cfg, a.edges_out)),
+    ):
+        sub.add_parser(name, help=help_text, parents=[common]).set_defaults(run=run)
+    sub.choices["solve"].add_argument(
         "--model",
         default="pairwise",
         choices=["pairwise", "meanfield"] + sorted(_SPECIAL_SOLVERS),
     )
-    p_an = sub.add_parser("analytics", help="reproduction numbers and final sizes")
-    _common_flags(p_an)
-    p_cmp = sub.add_parser("compare", help="simulation vs solvers with thresholds")
-    _common_flags(p_cmp)
-    p_gg = sub.add_parser("graph-gen", help="generate a regular graph edge list")
-    _common_flags(p_gg)
-    p_gg.add_argument("--edges-out", type=str, default=None)
+    sub.choices["graph-gen"].add_argument("--edges-out", type=str, default=None)
 
     args = parser.parse_args(argv)
     try:
-        cfg = _assemble_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "solve":
-            return cmd_solve(cfg, args.model)
-        if args.command == "analytics":
-            return cmd_analytics(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        if args.command == "graph-gen":
-            return cmd_graph_gen(cfg, args.edges_out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(_assemble_config(args), args)
     except (ConfigError, ValueError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

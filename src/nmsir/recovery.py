@@ -13,7 +13,9 @@ implemented:
 Each distribution exposes the density ``pdf``, cumulative ``cdf``, survival
 function ``survival`` (probability the period exceeds an age), hazard,
 the Laplace transform of the density, moments, and sampling from a
-caller-owned :class:`numpy.random.Generator`.
+caller-owned :class:`numpy.random.Generator`.  :class:`RecoveryDistribution`
+checks every age and transform argument once and derives ``cdf`` (1 - survival)
+and the hazard; a law states only its formulas, on float arrays of valid ages.
 
 The fixed duration is a point mass: it has no finite density, so ``pdf``
 raises and consumers must branch through :meth:`~RecoveryDistribution.
@@ -43,16 +45,13 @@ __all__ = [
 ]
 
 
-def _validated_age(a):
-    """Coerce an age argument to float ndarray, rejecting negatives."""
+def _on_ages(fn, a):
+    """``fn`` applied to the ages ``a`` as a float array; a float for a scalar age."""
     arr = np.asarray(a, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("age must be nonnegative")
-    return arr, arr.ndim == 0
-
-
-def _maybe_scalar(values: np.ndarray, scalar: bool):
-    return float(values) if scalar else values
+    values = fn(arr)
+    return float(values) if arr.ndim == 0 else values
 
 
 class RecoveryDistribution(abc.ABC):
@@ -61,29 +60,45 @@ class RecoveryDistribution(abc.ABC):
     kind: ClassVar[str]
 
     @abc.abstractmethod
-    def pdf(self, a):
-        """Density f(a) of the infectious period at age ``a >= 0``."""
+    def _survival(self, a: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def cdf(self, a):
-        """Cumulative F(a) = P(period <= a)."""
+    def _pdf(self, a: np.ndarray) -> np.ndarray: ...
+
+    @abc.abstractmethod
+    def _laplace(self, tau: float) -> float: ...
 
     def survival(self, a):
-        """Survival xi(a) = 1 - F(a) = P(period > a)."""
-        arr, scalar = _validated_age(a)
-        return _maybe_scalar(1.0 - np.asarray(self.cdf(arr)), scalar)
+        """Survival xi(a) = P(period > a) at age ``a >= 0``."""
+        return _on_ages(self._survival, a)
+
+    def cdf(self, a):
+        """Cumulative F(a) = P(period <= a)."""
+        return _on_ages(self._cdf, a)
+
+    def _cdf(self, a):
+        return 1.0 - self._survival(a)
+
+    def pdf(self, a):
+        """Density f(a) of the infectious period at age ``a >= 0``."""
+        return _on_ages(self._pdf, a)
 
     def hazard(self, a):
         """Hazard f(a)/xi(a); defined only where the survival is positive."""
-        arr, scalar = _validated_age(a)
-        xi = np.asarray(self.survival(arr))
+        return _on_ages(self._hazard, a)
+
+    def _hazard(self, a):
+        xi = self._survival(a)
         if np.any(xi <= 0.0):
             raise ValueError("hazard undefined where survival is zero")
-        return _maybe_scalar(np.asarray(self.pdf(arr)) / xi, scalar)
+        return self._pdf(a) / xi
 
-    @abc.abstractmethod
     def laplace_pdf(self, tau: float) -> float:
         """Laplace transform of the density, int_0^inf f(a) exp(-tau a) da."""
+        tau = float(tau)
+        if tau < 0.0:
+            raise ValueError("transform argument tau must be nonnegative")
+        return self._laplace(tau)
 
     @abc.abstractmethod
     def mean(self) -> float: ...
@@ -110,13 +125,6 @@ class RecoveryDistribution(abc.ABC):
     def spec_string(self) -> str:
         """Round-trippable text form, e.g. ``exp:rate=0.6667``."""
 
-    @staticmethod
-    def _check_rate(tau: float) -> float:
-        tau = float(tau)
-        if tau < 0.0:
-            raise ValueError("transform argument tau must be nonnegative")
-        return tau
-
 
 @dataclass(frozen=True)
 class Exponential(RecoveryDistribution):
@@ -130,20 +138,17 @@ class Exponential(RecoveryDistribution):
         if not 0.0 < self.rate < math.inf:
             raise ValueError("Exponential rate must be positive and finite")
 
-    def pdf(self, a):
-        arr, scalar = _validated_age(a)
-        return _maybe_scalar(self.rate * np.exp(-self.rate * arr), scalar)
+    def _survival(self, a):
+        return np.exp(-self.rate * a)
 
-    def cdf(self, a):
-        arr, scalar = _validated_age(a)
-        return _maybe_scalar(-np.expm1(-self.rate * arr), scalar)
+    def _pdf(self, a):
+        return self.rate * np.exp(-self.rate * a)
 
-    def survival(self, a):
-        arr, scalar = _validated_age(a)
-        return _maybe_scalar(np.exp(-self.rate * arr), scalar)
+    def _cdf(self, a):
+        # 1 - exp(-rate a) would lose the relative precision of small ages.
+        return -np.expm1(-self.rate * a)
 
-    def laplace_pdf(self, tau):
-        tau = self._check_rate(tau)
+    def _laplace(self, tau):
         return self.rate / (self.rate + tau)
 
     def mean(self):
@@ -171,28 +176,22 @@ class FixedDuration(RecoveryDistribution):
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("FixedDuration sigma must be positive and finite")
 
-    def pdf(self, a):
+    def _survival(self, a):
+        return (a < self.sigma).astype(float)
+
+    def _pdf(self, a):
         raise ValueError(
             "fixed duration is a point mass with no finite density; "
             "branch via has_point_mass() instead of calling pdf"
         )
 
-    def cdf(self, a):
-        arr, scalar = _validated_age(a)
-        return _maybe_scalar((arr >= self.sigma).astype(float), scalar)
-
-    def survival(self, a):
-        arr, scalar = _validated_age(a)
-        return _maybe_scalar((arr < self.sigma).astype(float), scalar)
-
-    def hazard(self, a):
-        arr, scalar = _validated_age(a)
-        if np.any(arr >= self.sigma):
+    def _hazard(self, a):
+        # No density, so no f/xi: zero before the atom, undefined from it on.
+        if np.any(a >= self.sigma):
             raise ValueError("hazard undefined where survival is zero")
-        return _maybe_scalar(np.zeros_like(arr), scalar)
+        return np.zeros_like(a)
 
-    def laplace_pdf(self, tau):
-        tau = self._check_rate(tau)
+    def _laplace(self, tau):
         return math.exp(-tau * self.sigma)
 
     def mean(self):
@@ -239,6 +238,9 @@ class GammaErlang(RecoveryDistribution):
 
     @classmethod
     def from_shape_rate(cls, shape: int, rate: float) -> "GammaErlang":
+        # Checked before the division below; the constructor checks the rest.
+        if not shape >= 1:
+            raise ValueError("GammaErlang shape must be a positive integer")
         if not 0.0 < rate < math.inf:
             raise ValueError("GammaErlang rate must be positive and finite")
         return cls(shape=shape, gamma=rate / shape)
@@ -247,37 +249,28 @@ class GammaErlang(RecoveryDistribution):
     def rate(self) -> float:
         return self.shape * self.gamma
 
-    def pdf(self, a):
-        arr, scalar = _validated_age(a)
-        r, k = self.rate, self.shape
-        with np.errstate(divide="ignore"):
-            logs = np.where(arr > 0.0, np.log(np.where(arr > 0.0, arr, 1.0)), 0.0)
-        if k == 1:
-            vals = r * np.exp(-r * arr)
-        else:
-            vals = np.where(
-                arr > 0.0,
-                np.exp(k * math.log(r) + (k - 1) * logs - r * arr - math.lgamma(k)),
-                0.0,
-            )
-        return _maybe_scalar(vals, scalar)
-
-    def survival(self, a):
-        arr, scalar = _validated_age(a)
-        x = self.rate * arr
+    def _survival(self, a):
+        x = self.rate * a
         term = np.ones_like(x)
         acc = np.ones_like(x)
         for k in range(1, self.shape):
             term = term * x / k
             acc = acc + term
-        return _maybe_scalar(np.exp(-x) * acc, scalar)
+        return np.exp(-x) * acc
 
-    def cdf(self, a):
-        arr, scalar = _validated_age(a)
-        return _maybe_scalar(1.0 - np.asarray(self.survival(arr)), scalar)
+    def _pdf(self, a):
+        r, k = self.rate, self.shape
+        if k == 1:
+            return r * np.exp(-r * a)
+        with np.errstate(divide="ignore"):
+            logs = np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), 0.0)
+        return np.where(
+            a > 0.0,
+            np.exp(k * math.log(r) + (k - 1) * logs - r * a - math.lgamma(k)),
+            0.0,
+        )
 
-    def laplace_pdf(self, tau):
-        tau = self._check_rate(tau)
+    def _laplace(self, tau):
         return (self.rate / (self.rate + tau)) ** self.shape
 
     def mean(self):
@@ -318,17 +311,14 @@ class UniformInterval(RecoveryDistribution):
     def width(self) -> float:
         return self.upper - self.lower
 
-    def pdf(self, a):
-        arr, scalar = _validated_age(a)
-        inside = (arr > self.lower) & (arr < self.upper)
-        return _maybe_scalar(np.where(inside, 1.0 / self.width, 0.0), scalar)
+    def _survival(self, a):
+        return 1.0 - np.clip((a - self.lower) / self.width, 0.0, 1.0)
 
-    def cdf(self, a):
-        arr, scalar = _validated_age(a)
-        return _maybe_scalar(np.clip((arr - self.lower) / self.width, 0.0, 1.0), scalar)
+    def _pdf(self, a):
+        inside = (a > self.lower) & (a < self.upper)
+        return np.where(inside, 1.0 / self.width, 0.0)
 
-    def laplace_pdf(self, tau):
-        tau = self._check_rate(tau)
+    def _laplace(self, tau):
         if tau < self._SERIES_TAU:
             return 1.0 - tau * (self.lower + self.upper) / 2.0
         return (math.exp(-tau * self.lower) - math.exp(-tau * self.upper)) / (
@@ -351,6 +341,15 @@ class UniformInterval(RecoveryDistribution):
         return f"uniform:a={self.lower!r},b={self.upper!r}"
 
 
+# kind -> (constructor, parameter names in its argument order).
+_SPEC_FORMS = {
+    Exponential.kind: (Exponential, ("rate",)),
+    FixedDuration.kind: (FixedDuration, ("sigma",)),
+    GammaErlang.kind: (GammaErlang.from_shape_rate, ("shape", "rate")),
+    UniformInterval.kind: (UniformInterval, ("a", "b")),
+}
+
+
 def parse_distribution(spec: str) -> RecoveryDistribution:
     """Parse a distribution spec string into a distribution instance.
 
@@ -362,48 +361,36 @@ def parse_distribution(spec: str) -> RecoveryDistribution:
         uniform:a=1,b=2
 
     The gamma rate is the conventional rate (shape/mean); it is converted to
-    the stage parameterisation internally.
+    the stage parameterisation internally.  Each parameter appears once.
     """
     text = spec.strip()
     if ":" not in text:
         raise ValueError(f"malformed distribution spec {spec!r}: expected kind:params")
     kind, _, body = text.partition(":")
     kind = kind.strip().lower()
+    if kind not in _SPEC_FORMS:
+        raise ValueError(f"unknown distribution kind {kind!r} in {spec!r}")
+    make, expected = _SPEC_FORMS[kind]
     params: dict[str, float] = {}
     for item in body.split(","):
         item = item.strip()
         if not item:
             continue
         key, sep, value = item.partition("=")
+        key = key.strip().lower()
         if not sep:
             raise ValueError(f"malformed distribution parameter {item!r} in {spec!r}")
+        if key in params:
+            raise ValueError(f"repeated parameter {key!r} in distribution spec {spec!r}")
         try:
-            params[key.strip().lower()] = float(value)
+            params[key] = float(value)
         except ValueError as exc:
             raise ValueError(f"non-numeric value in distribution spec {spec!r}") from exc
-
-    def take(expected: tuple[str, ...]) -> list[float]:
-        missing = [k for k in expected if k not in params]
-        extra = [k for k in params if k not in expected]
-        if missing or extra:
-            raise ValueError(
-                f"distribution spec {spec!r} must define exactly {expected}; "
-                f"missing={missing or None} unknown={extra or None}"
-            )
-        return [params[k] for k in expected]
-
-    if kind == "exp":
-        (rate,) = take(("rate",))
-        return Exponential(rate)
-    if kind == "fixed":
-        (sigma,) = take(("sigma",))
-        return FixedDuration(sigma)
-    if kind == "gamma":
-        shape, rate = take(("shape", "rate"))
-        if not shape.is_integer():
-            raise ValueError(f"gamma shape must be an integer, got {shape}")
-        return GammaErlang.from_shape_rate(int(shape), rate)
-    if kind == "uniform":
-        lo, hi = take(("a", "b"))
-        return UniformInterval(lo, hi)
-    raise ValueError(f"unknown distribution kind {kind!r} in {spec!r}")
+    missing = [k for k in expected if k not in params]
+    extra = [k for k in params if k not in expected]
+    if missing or extra:
+        raise ValueError(
+            f"distribution spec {spec!r} must define exactly {expected}; "
+            f"missing={missing or None} unknown={extra or None}"
+        )
+    return make(*(params[k] for k in expected))

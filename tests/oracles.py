@@ -16,9 +16,12 @@ nor draw order with it, so the two are compared in distribution.  The
 percolation run after that rebuilds a run from the draw order ``simulate``
 documents, with a plain Dijkstra and per-grid-point state counts, so the
 simulator must reproduce it bit for bit.  Likewise
-the numpy RK4 march last in this file is the one the float-only march of
+the numpy RK4 march after it is the one the float-only march of
 ``reference`` replaced; it performs every operation in the same order, so
-the closed-form references must come out identical on either march.
+the closed-form references must come out identical on either march.  The
+edge-based compartmental model at the end checks the pairwise solver for every
+recovery law from the law's survival alone; it shares no code with ``solvers``
+or ``reference``.
 """
 
 from __future__ import annotations
@@ -444,3 +447,52 @@ def reference_march_delay_rk4(rhs, u0, h: float, steps: int, jumps: dict | None 
         U[k + 1] = u_new
     D[steps] = rhs(steps * h, U[steps], lookup, (steps - 1) * h)
     return U
+
+
+def edge_based_susceptibles(dist, tau: float, degree: int, num_nodes: int,
+                            initial_infected: int, t_end: float, h: float, refine: int = 8):
+    """[S] on the grid 0, h, ..., t_end from the edge-based compartmental model.
+
+    Miller, Slim & Volz (2012) reduce SIR with Markovian transmission at rate
+    ``tau`` and any recovery law on a configuration-model graph to one scalar
+    Volterra equation for theta(t), the probability that a given neighbour has
+    not yet transmitted.  On an n-regular graph seeded with a fraction rho of
+    newborn infecteds::
+
+        1 - theta(t) = rho K(t) + (1 - rho) int_0^t K(t - s) d[-theta(s)^(n-1)]
+        K(a) = tau int_0^a xi(v) exp(-tau v) dv,   [S](t) = N (1 - rho) theta^n
+
+    It uses only ``dist.survival`` (xi).  K comes from the midpoint rule on a
+    grid ``refine`` times finer than ``h``, so a jump of xi on that grid, as
+    at a fixed period's atom, is integrated exactly.  The Stieltjes integral
+    takes K at the midpoint of each step, and each step solves for theta by
+    fixed-point iteration.
+    """
+    steps = int(round(t_end / h))
+    rho = initial_infected / num_nodes
+    fine = h / refine
+    ages = (np.arange(steps * refine) + 0.5) * fine
+    kernel = np.concatenate(
+        ([0.0], np.cumsum(np.asarray(dist.survival(ages)) * np.exp(-tau * ages)) * tau * fine)
+    )
+    k_node = kernel[::refine]  # K(j h), j = 0..steps
+    k_mid = kernel[refine // 2::refine]  # K((m + 1/2) h), m = 0..steps-1
+    k_mid_rev = k_mid[::-1].copy()
+    theta = np.ones(steps + 1)
+    drop = np.zeros(steps + 1)  # drop[i] = u(t_{i-1}) - u(t_i), u = theta^(n-1)
+    u_prev = 1.0
+    for j in range(1, steps + 1):
+        # sum_{i<j} K((j - i + 1/2) h) drop[i]; the step's own term is solved for below.
+        history = k_mid_rev[steps - j:steps - 1] @ drop[1:j]
+        known = 1.0 - rho * k_node[j] - (1.0 - rho) * (history + k_mid[0] * u_prev)
+        th = theta[j - 1]
+        for _ in range(100):
+            new = known + (1.0 - rho) * k_mid[0] * th ** (degree - 1)
+            converged = abs(new - th) <= 1e-15
+            th = new
+            if converged:
+                break
+        theta[j] = th
+        drop[j] = u_prev - th ** (degree - 1)
+        u_prev = th ** (degree - 1)
+    return np.arange(steps + 1) * h, num_nodes * (1.0 - rho) * theta**degree

@@ -283,6 +283,9 @@ def test_numpy_scalar_parameters_round_trip(make):
         "gamma:shape=3,rate=inf",
         "uniform:a=1,b=inf",
         "uniform:a=nan,b=2",
+        "gamma:shape=0,rate=2",
+        "exp:rate=1,rate=2",
+        "uniform:a=1,b=2,a=1.5",
     ],
 )
 def test_parse_distribution_rejects(bad):
