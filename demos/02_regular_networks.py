@@ -12,9 +12,17 @@ from pathlib import Path
 
 import numpy as np
 
-from nmsir import INFECTED, SUSCEPTIBLE, count_pairs, generate_regular, load_edge_list, save_edge_list
+from nmsir import generate_regular, load_edge_list, save_edge_list
 
 N, DEGREE, SEED = 1000, 15, 1
+SUSCEPTIBLE, INFECTED = 0, 1
+
+
+def ordered_pairs(graph, states, a, b):
+    """Ordered (a, b) pairs: each link whose ends hold a and b, once per orientation."""
+    su, sv = states[graph.edges[:, 0]], states[graph.edges[:, 1]]
+    return int(np.count_nonzero((su == a) & (sv == b)) + np.count_nonzero((su == b) & (sv == a)))
+
 
 graph = generate_regular(N, DEGREE, seed=SEED)
 graph.validate()
@@ -23,14 +31,16 @@ print(f"generated {N} nodes, degree set {degrees}, {graph.edges.shape[0]} edges"
 
 # All susceptible: [SS] counts both orientations of every link.
 states = np.full(N, SUSCEPTIBLE)
-ss, si, ii = count_pairs(graph, states)
-print(f"all-S counts: [SS]={ss} (= N*n = {N * DEGREE}), [SI]={si}, [II]={ii}")
+ss = ordered_pairs(graph, states, SUSCEPTIBLE, SUSCEPTIBLE)
+si = ordered_pairs(graph, states, SUSCEPTIBLE, INFECTED)
+print(f"all-S counts: [SS]={ss} (= N*n = {N * DEGREE}), [SI]={si}")
 
 # Infect five random nodes: [SI] ~ (n/N) * S * I in expectation.
 rng = np.random.default_rng(7)
 infected = rng.choice(N, size=5, replace=False)
 states[infected] = INFECTED
-ss, si, ii = count_pairs(graph, states)
+ss = ordered_pairs(graph, states, SUSCEPTIBLE, SUSCEPTIBLE)
+si = ordered_pairs(graph, states, SUSCEPTIBLE, INFECTED)
 expected_si = DEGREE / N * (N - 5) * 5
 print(f"five infecteds: [SI]={si} (closure expectation {expected_si:.1f}), [SS]={ss}")
 

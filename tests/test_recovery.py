@@ -387,3 +387,33 @@ def test_uniform_draws_are_not_stages():
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         np.testing.assert_array_equal(dist.sample(rng, size=40), ref.uniform(1.0, 2.0, size=40))
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("dist", ALL, ids=lambda d: d.kind)
+def test_stage_chain_survival_is_the_chain_formula(dist):
+    # A law that calls itself a chain of K stages of rate r must have the
+    # survival e^{-ra} sum_{j<K} (ra)^j / j! the stage history relies on.
+    chain = dist._stage_chain()
+    if dist.kind in ("exp", "gamma"):
+        assert chain == (getattr(dist, "shape", 1), dist.rate)
+        stages, rate = chain
+        ages = np.linspace(0.0, 10.0, 101)
+        chain_xi = np.exp(-rate * ages) * sum(
+            (rate * ages) ** j / math.factorial(j) for j in range(stages)
+        )
+        np.testing.assert_allclose(dist.survival(ages), chain_xi, rtol=1e-13, atol=1e-300)
+    else:
+        assert chain is None
+
+
+def test_on_grid_snaps_only_breakpoints():
+    for dist in (nm.Exponential(2.0 / 3.0), nm.GammaErlang(3, 2.0 / 3.0)):
+        assert dist._on_grid(0.01) == (dist, [])
+    fixed, notes = nm.FixedDuration(1.5037)._on_grid(0.01)
+    assert fixed.spec_string() == "fixed:sigma=1.5" and notes == ["sigma:1.5037->1.5"]
+    uniform, notes = nm.UniformInterval(1.0, 2.0)._on_grid(0.01)
+    assert uniform == nm.UniformInterval(1.0, 2.0) and notes == []
+    with pytest.raises(ValueError, match="a=0.004 is below half a step"):
+        nm.UniformInterval(0.004, 2.0)._on_grid(0.01)
+    with pytest.raises(ValueError, match="collapsed after grid snapping"):
+        nm.UniformInterval(1.0, 1.004)._on_grid(0.01)

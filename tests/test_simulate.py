@@ -13,6 +13,8 @@ from nmsir.trajectory import SERIES_NAMES
 
 from conftest import ALL_DISTS, assert_matches_reference
 from oracles import (
+    INFECTED,
+    count_pairs,
     gillespie_final_size,
     percolation_final_size,
     reference_percolation_run,
@@ -56,8 +58,8 @@ def test_initial_pair_counts_match_counter(small_graph):
     rng = np.random.default_rng(8)
     seeds = rng.choice(small_graph.num_nodes, size=5, replace=False)
     states = np.zeros(small_graph.num_nodes, dtype=int)
-    states[seeds] = nm.INFECTED
-    ss, si, _ = nm.count_pairs(small_graph, states)
+    states[seeds] = INFECTED
+    ss, si, _ = count_pairs(small_graph, states)
     assert traj.SS[0] == ss
     assert traj.SI[0] == si
 

@@ -226,6 +226,41 @@ def test_windowed_infected_convolution_matches_full_kernel(dist, h):
 
 
 @pytest.mark.parametrize(
+    "dist", [nm.Exponential(2 / 3), nm.GammaErlang(3, 2 / 3), nm.GammaErlang(20, 2 / 3)],
+    ids=["exp", "erlang3", "erlang20"],
+)
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+def test_stage_infected_convolution_matches_direct(dist, h):
+    # For a chain law [I] sums the incidence against xi by the stage
+    # recursion, a block of nodes at a time, instead of np.convolve; the two
+    # agree to rounding (measured at most 1.2e-15).
+    traj = nm.solve_pairwise(_params(dist), num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
+    run = _SolveSetup("pairwise", _params(dist), num_nodes=N, degree=DEG, h=h)
+    xi_quad = solvers._survival_grids(run.dist, h, run.steps, run.jump)[0]
+    incidence, boundary = 0.35 * traj.SI, 5.0 * xi_quad
+    staged = solvers._infected_from_incidence(
+        incidence, xi_quad, boundary, h, None, run.dist._stage_chain()
+    )
+    direct = solvers._infected_from_incidence(incidence, xi_quad, boundary, h)
+    assert not np.array_equal(staged, direct)
+    assert rel_sup_diff(staged, direct) < 1e-12
+
+
+@pytest.mark.parametrize("stages", [1, 2, 7])
+def test_stage_convolution_matches_direct_on_block_edges(stages):
+    # Lengths below one block, at a block edge and one past it (measured at
+    # most 6.5e-16).
+    rng = np.random.default_rng(5)
+    size = solvers._STAGE_BLOCK
+    for m in (1, 7, size, size + 1, 3 * size, 3 * size + 1):
+        values = rng.random(m)
+        xi = nm.GammaErlang(stages, 0.75 / stages).survival(np.arange(m) * 0.01)
+        direct = np.convolve(values, xi)[:m]
+        staged = solvers._stage_convolution(values, stages, 0.75, 0.01)
+        assert rel_sup_diff(staged, direct) < 1e-13
+
+
+@pytest.mark.parametrize(
     "dist", [nm.FixedDuration(1.5), nm.UniformInterval(1, 2)], ids=["fixed", "uniform"]
 )
 def test_meanfield_pre_recovery_dip_is_third_order_in_h(dist):
@@ -352,25 +387,88 @@ def test_march_renewal_linear_renewal_closed_form():
     # y(t) = int_0^t y(u) xi(t-u) du + xi(t) with the Erlang-2 survival
     # xi(a) = (1 + 2a) e^{-2a} has the Laplace-inverted solution
     # y(t) = 4/3 - e^{-3t}/3; a constant damping rate g multiplies it by
-    # e^{-gt}.  The sup error must fall at second order.
-    for g in (None, 0.5):
-        errs = []
-        for h in (0.02, 0.01, 0.005):
-            steps = int(round(5.0 / h))
-            ages = np.arange(steps + 1) * h
-            xi = (1.0 + 2.0 * ages) * np.exp(-2.0 * ages)
-            _, y, _, _ = _march_renewal(
-                deriv_x=lambda x, y: 0.0,
-                state_factor=lambda x, y: y,
-                exponent_rate=None if g is None else (lambda x, y: g),
-                xi_quad=xi,
-                boundary=xi,
-                x0=0.0,
-                h=h,
-                steps=steps,
-            )
-            exact = (4.0 / 3.0 - np.exp(-3.0 * ages) / 3.0) * np.exp(-(g or 0.0) * ages)
-            errs.append(float(np.max(np.abs(y - exact))))
-        for coarse, fine in zip(errs, errs[1:]):
-            assert 3.5 < coarse / fine < 4.5  # order 2 halving
-        assert errs[-1] < 1e-5
+    # e^{-gt}.  The sup error must fall at second order, with the history
+    # stored in full or kept as two stage sums of rate 2.
+    for kind in ("full", "stage"):
+        for g in (None, 0.5):
+            errs = []
+            for h in (0.02, 0.01, 0.005):
+                steps = int(round(5.0 / h))
+                ages = np.arange(steps + 1) * h
+                xi = (1.0 + 2.0 * ages) * np.exp(-2.0 * ages)
+                _, y, _, _ = _march_renewal(
+                    deriv_x=lambda x, y: 0.0,
+                    state_factor=lambda x, y: y,
+                    exponent_rate=None if g is None else (lambda x, y: g),
+                    xi_quad=xi,
+                    boundary=xi,
+                    x0=0.0,
+                    h=h,
+                    steps=steps,
+                    history=(
+                        solvers._weight_history(xi, h, steps, None)
+                        if kind == "full"
+                        else solvers._stage_history(2, 2.0, xi, h)
+                    ),
+                )
+                exact = (4.0 / 3.0 - np.exp(-3.0 * ages) / 3.0) * np.exp(-(g or 0.0) * ages)
+                errs.append(float(np.max(np.abs(y - exact))))
+            for coarse, fine in zip(errs, errs[1:]):
+                assert 3.5 < coarse / fine < 4.5, kind  # order 2 halving
+            assert errs[-1] < 1e-5, kind
+
+
+# -- history kinds ------------------------------------------------------------------
+
+STAGE_LAWS = {
+    "exp": nm.Exponential(2 / 3),
+    "erlang2": nm.GammaErlang(2, 2 / 3),
+    "erlang3": nm.GammaErlang(3, 2 / 3),
+    "erlang_max": nm.GammaErlang(solvers._MAX_STAGES, 2 / 3),
+}
+KIND_SERIES = ("S", "I", "R", "SI", "SS")
+
+
+def _stage_vs_full(monkeypatch, solve, params, h):
+    """Worst sup-relative gap between a stage-kind solve and the full-kind one.
+
+    The full kind is forced by switching the law's private stage hook off,
+    which also puts [I] back on the direct convolution.
+    """
+    chain = params.dist._stage_chain()
+    assert chain is not None and chain[0] <= solvers._MAX_STAGES
+    cfg = nm.SolverConfig(h=h)
+    staged = solve(params, num_nodes=N, degree=DEG, config=cfg)
+    with monkeypatch.context() as m:
+        m.setattr(type(params.dist), "_stage_chain", lambda self: None)
+        full = solve(params, num_nodes=N, degree=DEG, config=cfg)
+    pairs = [(staged.series(k), full.series(k)) for k in KIND_SERIES]
+    pairs += [(staged.extra[k], full.extra[k]) for k in full.extra]
+    assert not all(np.array_equal(a, b) for a, b in pairs)
+    assert all(np.all(np.isfinite(a)) for a, _ in pairs)
+    return max(rel_sup_diff(a, b) for a, b in pairs), staged
+
+
+@pytest.mark.parametrize("solve", [nm.solve_pairwise, nm.solve_meanfield], ids=["pw", "mf"])
+@pytest.mark.parametrize("law", list(STAGE_LAWS))
+@pytest.mark.parametrize(
+    "tau, t_end, h", [(0.35, 25.0, 1e-2), (0.1, 60.0, 1e-3)], ids=["fig1", "tau0.1"]
+)
+def test_stage_kind_matches_full_kind(monkeypatch, solve, law, tau, t_end, h):
+    # Measured: at most 4.5e-15 at fig-1 (h = 1e-2) and 8.6e-14 at
+    # tau = 0.1 (h = 1e-3) over the five series, Phi and SS_independent.
+    params = nm.EpidemicParams(tau=tau, dist=STAGE_LAWS[law], initial_infected=5, t_end=t_end)
+    worst, _ = _stage_vs_full(monkeypatch, solve, params, h)
+    assert worst < 1e-12
+
+
+def test_stage_kind_long_horizon_rescales(monkeypatch):
+    # Phi passes 800, so the stage sums are rescaled at least twice; the
+    # solve stays finite and within rounding of the full kind (measured
+    # 1.2e-15).
+    params = nm.EpidemicParams(
+        tau=1.0, dist=nm.GammaErlang(3, 2 / 3), initial_infected=5, t_end=800.0
+    )
+    worst, staged = _stage_vs_full(monkeypatch, nm.solve_pairwise, params, 1e-2)
+    assert staged.extra["Phi"][-1] > 2 * solvers._PHI_RESCALE
+    assert worst < 1e-12
