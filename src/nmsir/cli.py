@@ -8,9 +8,10 @@ the exact configuration (seeds included), so any result file can be
 reproduced byte-for-byte from its own header.  A command that fails writes
 no output.
 
-Exit codes: 0 success, 2 configuration/validation error or a failed solve
-(solver error or floating-point overflow), 3 acceptance threshold failure in
-compare mode.
+Exit codes: 0 success, 2 configuration/validation error, a failed solve
+(solver error or floating-point overflow) or a file that cannot be read or
+written (a missing config file, an output directory that does not exist), 3
+acceptance threshold failure in compare mode.
 """
 
 from __future__ import annotations
@@ -489,7 +490,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(_assemble_config(args), args)
-    except (ConfigError, ValueError, SolverError) as exc:
+    except (ConfigError, ValueError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -300,8 +298,7 @@ def solve_gamma_chain(
         S, SS = u[0], u[1]
         I_st = u[2 : 2 + K]
         SI_st = u[2 + K :]
-        # np.sum's order: left to right below 8 terms, pairwise from 8 on.
-        SI = reduce(add, SI_st, 0.0) if K < 8 else float(np.sum(SI_st))
+        SI = sum(SI_st)
         c = link * SI / S
         loss = c + tau + stage_rate
         return (

@@ -61,10 +61,11 @@ class SolverConfig:
     """Step size for the renewal-equation solvers.
 
     The seeding and the horizon come from :class:`EpidemicParams`; the
-    initial infecteds are newborn (age zero at t=0).  The memory term costs
-    O(K^2) per step for the exponential and Erlang laws of K <= 6 stages,
-    and O(steps) per step, O(steps^2) overall, for the others, so there
-    ``t_end/h`` should stay in the 1e4-1e5 range on a desktop.
+    initial infecteds are newborn (age zero at t=0).  The march's memory
+    term costs O(K^2) per step for the exponential and Erlang laws of
+    K <= 6 stages, and O(steps) per step, O(steps^2) overall, for the
+    others, so there ``t_end/h`` should stay in the 1e4-1e5 range on a
+    desktop; the pairwise [I] adds one O(steps log steps) FFT convolution.
     """
 
     h: float = 1e-2

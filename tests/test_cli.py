@@ -109,6 +109,24 @@ def test_prefix_with_path_separator_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    # A file the command cannot open is an input error: one `error:` line
+    # and exit 2, not an OSError traceback.
+    assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing.cfg" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_edge_list_into_missing_directory_exits_2(tmp_path, capsys):
+    argv = ["graph-gen", "--set", "network.N=20", "--set", "network.n=4",
+            "--edges-out", str(tmp_path / "missing" / "edges.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "edges.txt" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 NON_FINITE_OVERRIDES = [
     "epidemic.tau=nan",
     "epidemic.tau=inf",

@@ -207,57 +207,43 @@ def test_solves_end_in_valid_series_or_solver_errors(args):
             assert all(v.min() >= -1e-9 for v in series.values())
 
 
-@pytest.mark.parametrize(
-    "dist", [nm.FixedDuration(1.5), nm.UniformInterval(1, 2)], ids=["fixed", "uniform"]
-)
+CONVOLUTION_LAWS = {
+    "exp": nm.Exponential(2 / 3),
+    "erlang3": nm.GammaErlang(3, 2 / 3),
+    "erlang20": nm.GammaErlang(20, 2 / 3),
+    "fixed": nm.FixedDuration(1.5),
+    "uniform": nm.UniformInterval(1, 2),
+}
+
+
+@pytest.mark.parametrize("law", list(CONVOLUTION_LAWS))
 @pytest.mark.parametrize("h", [1e-2, 1e-3])
-def test_windowed_infected_convolution_matches_full_kernel(dist, h):
-    # Past a bounded support the quadrature kernel is exact zeros; convolving
-    # with the truncated kernel drops them, which may move only the last bits.
+def test_infected_convolution_matches_direct(monkeypatch, law, h):
+    # Pairwise [I] sums the incidence against the quadrature kernel by one
+    # FFT convolution.  It must agree with np.convolve over the solve, and
+    # up to the incidence peak, where an FFT length short enough to wrap
+    # around adds the largest late terms to the early sums; and its
+    # absolute rounding must not take [I] measurably below zero (measured at
+    # most 7.8e-16, and a minimum of -1.7e-13).
+    inputs = []
+    fft_infected = solvers._infected_from_incidence
+
+    def recorded(incidence, xi_quad, boundary, h):
+        inputs.append((incidence, xi_quad, boundary))
+        return fft_infected(incidence, xi_quad, boundary, h)
+
+    monkeypatch.setattr(solvers, "_infected_from_incidence", recorded)
+    dist = CONVOLUTION_LAWS[law]
     traj = nm.solve_pairwise(_params(dist), num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
-    run = _SolveSetup("pairwise", _params(dist), num_nodes=N, degree=DEG, h=h)
-    steps, window = run.steps, run.window
-    xi_quad = solvers._survival_grids(run.dist, h, steps, run.jump)[0]
-    assert window < steps and not np.any(xi_quad[window + 1 :])
-    incidence, boundary = 0.35 * traj.SI, 5.0 * xi_quad
-    windowed = solvers._infected_from_incidence(incidence, xi_quad, boundary, h, window)
-    full = solvers._infected_from_incidence(incidence, xi_quad, boundary, h)
-    assert rel_sup_diff(windowed, full) < 1e-12
-
-
-@pytest.mark.parametrize(
-    "dist", [nm.Exponential(2 / 3), nm.GammaErlang(3, 2 / 3), nm.GammaErlang(20, 2 / 3)],
-    ids=["exp", "erlang3", "erlang20"],
-)
-@pytest.mark.parametrize("h", [1e-2, 1e-3])
-def test_stage_infected_convolution_matches_direct(dist, h):
-    # For a chain law [I] sums the incidence against xi by the stage
-    # recursion, a block of nodes at a time, instead of np.convolve; the two
-    # agree to rounding (measured at most 1.2e-15).
-    traj = nm.solve_pairwise(_params(dist), num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
-    run = _SolveSetup("pairwise", _params(dist), num_nodes=N, degree=DEG, h=h)
-    xi_quad = solvers._survival_grids(run.dist, h, run.steps, run.jump)[0]
-    incidence, boundary = 0.35 * traj.SI, 5.0 * xi_quad
-    staged = solvers._infected_from_incidence(
-        incidence, xi_quad, boundary, h, None, run.dist._stage_chain()
-    )
-    direct = solvers._infected_from_incidence(incidence, xi_quad, boundary, h)
-    assert not np.array_equal(staged, direct)
-    assert rel_sup_diff(staged, direct) < 1e-12
-
-
-@pytest.mark.parametrize("stages", [1, 2, 7])
-def test_stage_convolution_matches_direct_on_block_edges(stages):
-    # Lengths below one block, at a block edge and one past it (measured at
-    # most 6.5e-16).
-    rng = np.random.default_rng(5)
-    size = solvers._STAGE_BLOCK
-    for m in (1, 7, size, size + 1, 3 * size, 3 * size + 1):
-        values = rng.random(m)
-        xi = nm.GammaErlang(stages, 0.75 / stages).survival(np.arange(m) * 0.01)
-        direct = np.convolve(values, xi)[:m]
-        staged = solvers._stage_convolution(values, stages, 0.75, 0.01)
-        assert rel_sup_diff(staged, direct) < 1e-13
+    [(incidence, xi_quad, boundary)] = inputs
+    m = len(incidence)
+    assert len(xi_quad) == m
+    for cut in (m, int(np.argmax(incidence)) + 1):
+        inc, xi, b = incidence[:cut], xi_quad[:cut], boundary[:cut]
+        direct = h * (np.convolve(inc, xi)[:cut] - 0.5 * (inc[0] * xi + inc * xi[0])) + b
+        fft = traj.I if cut == m else fft_infected(inc, xi, b, h)
+        assert rel_sup_diff(fft, direct) < 1e-12, cut
+    assert traj.I.min() >= -1e-12 * N
 
 
 @pytest.mark.parametrize(
@@ -279,8 +265,10 @@ def test_meanfield_pre_recovery_dip_is_third_order_in_h(dist):
 
 def test_long_horizon_pairwise_stays_finite():
     # Phi passes 800 here; the stored history weights are rescaled instead of
-    # overflowing exp(Phi), and the rescale leaves the first 60 days (Phi
-    # below 300) bit-identical to a short solve.
+    # overflowing exp(Phi), and the rescale leaves the march over the first
+    # 60 days (Phi below 300) bit-identical to a short solve.  [I] and [R]
+    # come from an FFT whose length follows the horizon, so they agree to
+    # rounding only (measured 3.4e-16).
     dist = nm.UniformInterval(1, 2)
     cfg = nm.SolverConfig(h=0.01)
     full = nm.solve_pairwise(
@@ -294,7 +282,10 @@ def test_long_horizon_pairwise_stays_finite():
     assert full.extra["Phi"][-1] > 709.0
     for name in ("S", "I", "R", "SI", "SS"):
         assert np.all(np.isfinite(full.series(name)))
+    for name in ("S", "SI", "SS"):
         assert np.array_equal(full.series(name)[:6001], short.series(name))
+    for name in ("I", "R"):
+        assert rel_sup_diff(full.series(name)[:6001], short.series(name)) < 1e-13
     assert np.array_equal(full.extra["Phi"][:6001], short.extra["Phi"])
 
 
@@ -408,7 +399,7 @@ def test_march_renewal_linear_renewal_closed_form():
                     history=(
                         solvers._weight_history(xi, h, steps, None)
                         if kind == "full"
-                        else solvers._stage_history(2, 2.0, xi, h)
+                        else solvers._stage_history(2, 2.0, h)
                     ),
                 )
                 exact = (4.0 / 3.0 - np.exp(-3.0 * ages) / 3.0) * np.exp(-(g or 0.0) * ages)
@@ -432,8 +423,7 @@ KIND_SERIES = ("S", "I", "R", "SI", "SS")
 def _stage_vs_full(monkeypatch, solve, params, h):
     """Worst sup-relative gap between a stage-kind solve and the full-kind one.
 
-    The full kind is forced by switching the law's private stage hook off,
-    which also puts [I] back on the direct convolution.
+    The full kind is forced by switching the law's private stage hook off.
     """
     chain = params.dist._stage_chain()
     assert chain is not None and chain[0] <= solvers._MAX_STAGES
@@ -472,3 +462,31 @@ def test_stage_kind_long_horizon_rescales(monkeypatch):
     worst, staged = _stage_vs_full(monkeypatch, nm.solve_pairwise, params, 1e-2)
     assert staged.extra["Phi"][-1] > 2 * solvers._PHI_RESCALE
     assert worst < 1e-12
+
+
+WINDOW_LAWS = {
+    "fixed": nm.FixedDuration(1.5),
+    "uniform": nm.UniformInterval(1, 2),
+    "fixed-1step": nm.FixedDuration(1e-2),
+    "uniform-2step": nm.UniformInterval(1e-2, 2e-2),
+}
+
+
+@pytest.mark.parametrize("solve", [nm.solve_pairwise, nm.solve_meanfield], ids=["pw", "mf"])
+@pytest.mark.parametrize("law", list(WINDOW_LAWS))
+def test_windowed_kind_matches_full_kind(monkeypatch, solve, law):
+    # The windowed kind sums only the weights inside the support, so node
+    # 0's half weight must leave its sum on the step its age passes the
+    # support, down to a support of one step.  The full kind is forced by
+    # reporting an unbounded support (measured at most 3.6e-16).
+    dist = WINDOW_LAWS[law]
+    params = _params(dist)
+    cfg = nm.SolverConfig(h=1e-2)
+    assert _SolveSetup("pairwise", params, num_nodes=N, degree=DEG, h=1e-2).window is not None
+    windowed = solve(params, num_nodes=N, degree=DEG, config=cfg)
+    with monkeypatch.context() as m:
+        m.setattr(type(dist), "support_upper", lambda self: math.inf)
+        full = solve(params, num_nodes=N, degree=DEG, config=cfg)
+    pairs = [(windowed.series(k), full.series(k)) for k in KIND_SERIES]
+    pairs += [(windowed.extra[k], full.extra[k]) for k in full.extra]
+    assert max(rel_sup_diff(a, b) for a, b in pairs) < 1e-12
