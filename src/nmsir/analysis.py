@@ -18,7 +18,8 @@ bisection on a sign-verified bracket (robust even where the relation is
 extremely flat) down to two adjacent doubles, with powers evaluated as
 expm1(log(s) * exponent) so the n -> infinity limit degrades gracefully into
 the classical relation.  A root below the smallest positive double is
-reported as s = 0.
+reported as s = 0, and so is the pairwise root for r0p >= n - 1, where the
+relation has no root in (0, 1) and s = 0 is the limit of the outbreak root.
 """
 
 from __future__ import annotations
@@ -144,9 +145,11 @@ def final_size_pairwise(r0p: float, degree: float) -> FinalSizeResult:
         # g'(1) = (n-1)/n (1 - r0p) >= 0: no interior root.
         return FinalSizeResult(1.0, 0.0, "no-outbreak", 0.0)
     if r0p >= n - 1.0:
-        # g(0+) = r0p - (n-1) >= 0: the relation has no root in (0, 1).
-        # Unreachable from reproduction_numbers, which bounds r0p < n-1.
-        raise ValueError(f"no interior root: r0p={r0p} must be below degree-1={n - 1}")
+        # g(0+) = r0p - (n-1) >= 0: no root in (0, 1), and the outbreak root
+        # is s = 0, the limit as r0p rises to n - 1.  reproduction_numbers
+        # gives r0p = n - 1 when L[f](tau) underflows with no initial
+        # infected, and rounding alone can put it a bit above.
+        return FinalSizeResult(0.0, 1.0, "outbreak", 0.0)
 
     def g(s: float) -> float:
         log_s = math.log(s)

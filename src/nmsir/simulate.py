@@ -11,13 +11,14 @@ the delays, and it recovers T_v later.  A run draws, in this order, the seeds
 (unless they are pinned), the N periods, and the delays of the ``graph.edges``
 rows as u->v and then as v->u.
 
-The distances come from a vectorised Bellman-Ford relaxation: the kept edges
-are sorted by target once, and each sweep takes every target's minimum over
-its in-edges with one ``np.minimum.reduceat``, until no target improves.
-The number of sweeps grows with the hop depth of the infection tree, which
-is O(N) on a ring, so after ``_MAX_SWEEPS`` sweeps a Dijkstra pass over the
-same weights finishes the job; both give the same times bit for bit, the
-least left-to-right sum of delays along any path.
+The distances come from a frontier relaxation: the kept edges are sorted by
+source once, and each sweep relaxes only the out-edges of the nodes whose
+time dropped in the previous sweep (the seeds first), from the times at the
+sweep's start, until a sweep improves nothing.  Every candidate is a
+left-to-right sum of delays along a path, so the times are the least such
+sums whatever the order of relaxation.  The sweeps follow the hop depth of
+the infection tree: at most about 20 on fig-1 runs, but O(N) on a ring,
+where each sweep relaxes only a few edges (the README gives the cost).
 
 The run ends at the last grid point (or at ``t_end``, should rounding put
 that point past it): later arrivals are dropped, so the final size and the
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -46,58 +46,33 @@ from .trajectory import SERIES_NAMES, EpidemicParams, Trajectory
 
 __all__ = ["run_single", "run_ensembles"]
 
-# Relaxation sweeps before the Dijkstra finish takes over.  Fig-1 runs
-# (N = 1000, n = 15, tau = 0.35) converge in at most about 20.
-_MAX_SWEEPS = 64
 
-
-def _finish_by_heap(times, source, target, weight):
-    """Dijkstra from the current upper bounds ``times`` over the given edges.
-
-    Each finite entry is the length of a real path, so the result is the
-    least path length that a relaxation run to convergence reaches.
-    """
-    order = np.argsort(source)
-    starts = np.searchsorted(source[order], np.arange(len(times) + 1)).tolist()
-    targets, weights = target[order].tolist(), weight[order].tolist()
-    best = times.tolist()
-    heap = [(t, node) for node, t in enumerate(best) if t < math.inf]
-    heapify(heap)
-    while heap:
-        t, node = heappop(heap)
-        if t > best[node]:
-            continue
-        for k in range(starts[node], starts[node + 1]):
-            cand, other = t + weights[k], targets[k]
-            if cand < best[other]:
-                best[other] = cand
-                heappush(heap, (cand, other))
-    return np.array(best)
-
-
-def _first_passage(times, source, target, weight, max_sweeps):
+def _first_passage(times, source, target, weight):
     """Least path lengths from the finite entries of ``times`` (updated in place).
 
-    Returns (times, sweeps, heap_finish): the relaxation stops when a sweep
-    improves no target, and hands over to :func:`_finish_by_heap` if
-    ``max_sweeps`` sweeps did not get there.
+    Each sweep relaxes the out-edges of the nodes that the previous sweep
+    improved (the seeds first), all from the times at the sweep's start.
+    Returns (times, sweeps); the last sweep is the one that improves nothing.
     """
-    order = np.argsort(target)
-    source, target, weight = source[order], target[order], weight[order]
-    heads = np.flatnonzero(np.diff(target, prepend=-1))
-    targets = target[heads]
-    current = times[targets]
+    order = np.argsort(source)
+    target, weight = target[order], weight[order]
+    starts = np.searchsorted(source[order], np.arange(len(times) + 1))
+    out_degree = np.diff(starts)
+    improved = np.zeros(len(times), dtype=bool)
+    frontier = np.flatnonzero(times < math.inf)
     sweeps = 0
-    while heads.size:
-        if sweeps == max_sweeps:
-            return _finish_by_heap(times, source, target, weight), sweeps, True
+    while frontier.size:
         sweeps += 1
-        cand = np.minimum.reduceat(times[source] + weight, heads)
-        better = np.flatnonzero(cand < current)
-        if not better.size:
-            break
-        current[better] = times[targets[better]] = cand[better]
-    return times, sweeps, False
+        first, count = starts[frontier], out_degree[frontier]
+        edges = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        cand, dest = np.repeat(times[frontier], count) + weight[edges], target[edges]
+        better = cand < times[dest]
+        dest = dest[better]
+        np.minimum.at(times, dest, cand[better])
+        improved[dest] = True
+        frontier = np.flatnonzero(improved)
+        improved[frontier] = False
+    return times, sweeps
 
 
 def run_single(
@@ -113,8 +88,7 @@ def run_single(
     give bit-identical trajectories.  Initial infecteds are drawn uniformly
     without replacement unless ``initial_nodes`` pins them explicitly, as
     distinct node ids in ``[0, N)``.  What the relaxation cost (sweeps, kept
-    edges, infections, and whether the Dijkstra finish ran) is returned in
-    ``extra["diag"]``.
+    edges and infections) is returned in ``extra["diag"]``.
     """
     if params.initial_infected > graph.num_nodes:
         raise ValueError("initial_infected exceeds the number of nodes")
@@ -142,9 +116,7 @@ def run_single(
 
     a = np.full(num_nodes, math.inf)
     a[np.asarray(seeds, dtype=np.intp)] = 0.0
-    a, sweeps, heap_finish = _first_passage(
-        a, source[kept], target[kept], delays[kept], _MAX_SWEEPS
-    )
+    a, sweeps = _first_passage(a, source[kept], target[kept], delays[kept])
     n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
     grid = np.arange(n_out) * dt_out
     a[a > min(t_end, grid[-1])] = math.inf
@@ -177,8 +149,7 @@ def run_single(
         "last_recovery_time": float(r[infected].max()) if total else 0.0,
         "total_infections": total,
     }
-    diag = {"sweeps": sweeps, "kept_edges": kept.size,
-            "infections": total, "heap_finish": heap_finish}
+    diag = {"sweeps": sweeps, "kept_edges": kept.size, "infections": total}
     return Trajectory(
         grid, (num_nodes - ever).astype(float), (ever - recovered).astype(float),
         recovered.astype(float), si.astype(float), 2.0 * (len(u) - linked), meta, {"diag": diag},

@@ -48,7 +48,7 @@ def _log(num: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def fig1_runs():
-    """100-run ensembles plus both solvers for the three headline laws."""
+    """100-run ensembles (mean, pairwise, mean-field, std) for the three headline laws."""
     out = {}
     laws = {name: _params(dist) for name, dist in FIG1.items()}
     ensembles = nm.run_ensembles(
@@ -59,10 +59,10 @@ def fig1_runs():
         base_seed=BASE_SEED,
         graph_seed=GRAPH_SEED,
     )
-    for (name, p), (mean, _) in zip(laws.items(), ensembles):
+    for (name, p), (mean, std) in zip(laws.items(), ensembles):
         pw = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
         mf = nm.solve_meanfield(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
-        out[name] = (mean, pw, mf)
+        out[name] = (mean, pw, mf, std)
     return out
 
 
@@ -82,7 +82,7 @@ def fine_pairwise_runs():
 def test_criterion_1_fig1_reproduction(fig1_runs):
     details = []
     ok = True
-    for name, (mean, pw, mf) in fig1_runs.items():
+    for name, (mean, pw, mf, _) in fig1_runs.items():
         peak_rel = abs(pw.I.max() - mean.I.max()) / mean.I.max()
         fs_rel = abs(pw.final_size(N) - mean.final_size(N)) / mean.final_size(N)
         overshoot = mf.final_size(N) > mean.final_size(N)
@@ -92,10 +92,26 @@ def test_criterion_1_fig1_reproduction(fig1_runs):
             f"meanfield overshoot {overshoot}"
         )
     _log(1, "headline-figure reproduction", ok, "; ".join(details))
-    for name, (mean, pw, mf) in fig1_runs.items():
+    for name, (mean, pw, mf, _) in fig1_runs.items():
         assert abs(pw.I.max() - mean.I.max()) / mean.I.max() < 0.10, name
         assert abs(pw.final_size(N) - mean.final_size(N)) / mean.final_size(N) < 0.05, name
         assert mf.final_size(N) > mean.final_size(N), name
+
+
+def test_meanfield_peak_overshoots_the_ensemble(fig1_runs):
+    # ROADMAP item 3(a).  The mean-field peak must exceed the ensemble-mean
+    # peak by at least 3 standard errors of that mean at its peak time.
+    margins = {}
+    for name, (mean, _, mf, std) in fig1_runs.items():
+        k = int(np.argmax(mean.I))
+        se = std.I[k] / math.sqrt(len(mean.extra["runs"]))
+        margins[name] = (mf.I.max() - mean.I[k]) / se
+    ok = min(margins.values()) >= 3.0
+    ACCEPTANCE_LOG.append(
+        f"mean-field peak overshoot at fig-1 [{'PASS' if ok else 'FAIL'}]: "
+        + ", ".join(f"{k} {z:.1f} SE" for k, z in margins.items()) + " (gate 3 SE each)"
+    )
+    assert ok, margins
 
 
 def test_criterion_2_variance_ordering(fig1_runs):

@@ -101,9 +101,20 @@ def test_final_size_pairwise_matches_brentq_oracle():
 
 def test_final_size_pairwise_out_of_range():
     with pytest.raises(ValueError):
-        nm.final_size_pairwise(14.0, 15)
-    with pytest.raises(ValueError):
         nm.final_size_pairwise(-1.0, 15)
+    with pytest.raises(ValueError, match="degree"):
+        nm.final_size_pairwise(3.0, 1.5)
+
+
+@pytest.mark.parametrize("r0p, n", [(14.0, 15), (20.0, 15), (math.inf, 15),
+                                    (3.0000000000000004, 4)])
+def test_final_size_pairwise_at_or_above_degree_minus_one(r0p, n):
+    # g(0+) = r0p - (n-1) >= 0 leaves no root in (0, 1): the outbreak root is
+    # s = 0, the limit of the roots as r0p rises to n - 1.  With no initial
+    # infected and L[f](tau) underflowed to 0, reproduction_numbers gives
+    # r0p = 14.0 at N = 1000, n = 15, and the last case at N = 187, n = 4.
+    res = nm.final_size_pairwise(r0p, n)
+    assert (res.s_inf, res.attack_rate, res.branch, res.residual) == (0.0, 1.0, "outbreak", 0.0)
 
 
 def _is_last_bit_root(g, s):

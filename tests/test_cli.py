@@ -127,6 +127,27 @@ def test_edge_list_into_missing_directory_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--set", "simulation.save_runs=maybe"], "expected a boolean"),
+     (["--set", "network.N=1"], "network.N must be at least 2"),
+     (["--set", "network.n=1000"], "network.n must satisfy"),
+     (["--set", "epidemic.I0=1001"], "epidemic.I0 must lie in"),
+     (["--set", "network.N=many"], "bad value for network.N"),
+     (["--config", "@cfg"], "expected 'key = value'"),
+     (["--set", "network.N"], "--set expects KEY=VALUE")],
+    ids=["bool", "N", "n", "I0", "non-numeric", "config-line", "set"],
+)
+def test_bad_input_exits_2(tmp_path, capsys, args, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("network.N = 200\nnetwork.n 8\n")
+    argv = ["analytics", *(str(cfg) if a == "@cfg" else a for a in args), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 NON_FINITE_OVERRIDES = [
     "epidemic.tau=nan",
     "epidemic.tau=inf",
@@ -163,6 +184,20 @@ def test_analytics_huge_tau_reports_zero_survivors(tmp_path, capsys):
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     assert float(rows[0]["s_inf_meanfield"]) == 0.0
     assert 0.0 < float(rows[0]["s_inf_pairwise"]) < 1e-20
+
+
+@pytest.mark.parametrize("graph", [[], ["--set", "network.N=187", "--set", "network.n=4"]])
+def test_analytics_without_initial_infected_at_huge_tau(tmp_path, capsys, graph):
+    # L[f](tau) underflows to 0, so r0p = (n-1) N/N, which rounds to 14.0 at
+    # the default graph and to 3.0000000000000004 at N = 187, n = 4.
+    args = ["analytics", "--set", "epidemic.I0=0", "--set", "epidemic.tau=1000",
+            "--set", "epidemic.dist=fixed:sigma=1.5", *graph, "--out", str(tmp_path)]
+    assert main(args) == 0
+    capsys.readouterr()
+    with open(tmp_path / "analytics.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert float(rows[0]["s_inf_pairwise"]) == 0.0
+    assert float(rows[0]["attack_pairwise"]) == 1.0
 
 
 LONG_UNIFORM = ["solve", "--model", "special:uniform",

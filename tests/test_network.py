@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nmsir as nm
+from nmsir import network
 from oracles import (
     INFECTED,
     RECOVERED,
@@ -206,3 +207,21 @@ def test_edge_list_bad_line_rejected(tmp_path, line, match):
     path.write_text(f"# 4 1 -1\n{line}\n2 3\n")
     with pytest.raises(ValueError, match=match):
         nm.load_edge_list(path)
+
+
+@pytest.mark.parametrize(
+    "header, match",
+    [("0 1", "must start with"), ("# 4 1", "malformed edge-list header"),
+     ("# 4 1 -1 7", "malformed edge-list header")],
+)
+def test_edge_list_bad_header_rejected(tmp_path, header, match):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{header}\n0 1\n2 3\n")
+    with pytest.raises(ValueError, match=match):
+        nm.load_edge_list(path)
+
+
+def test_generation_gives_up_after_the_restart_cap(monkeypatch):
+    monkeypatch.setattr(network, "_MAX_RESTARTS", 0)
+    with pytest.raises(RuntimeError, match="after 0 restarts"):
+        nm.generate_regular(10, 3, 1)

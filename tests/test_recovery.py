@@ -30,6 +30,7 @@ def _quad_points(dist):
 
 def test_pdf_examples():
     assert nm.GammaErlang(3, 2.0 / 3.0).pdf(0.0) == 0.0
+    assert nm.GammaErlang(1, 0.75).pdf(0.0) == 0.75  # one stage: the rate
     assert nm.UniformInterval(1, 2).pdf(1.5) == 1.0
     assert nm.Exponential(2.0 / 3.0).pdf(1.5) == pytest.approx(
         0.24525296078096154, abs=1e-12
@@ -265,6 +266,7 @@ def test_numpy_scalar_parameters_round_trip(make):
     "bad",
     [
         "exp",
+        "exp:rate",
         "exp:rate=-1",
         "exp:rate=0",
         "exp:rate=abc",

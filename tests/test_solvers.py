@@ -358,6 +358,27 @@ def test_negative_count_iterate_is_not_accepted():
         assert np.all(np.isfinite(traj.I))
 
 
+@pytest.mark.parametrize("delta, delta_prev", [(1.0, 0.5), (1.0, 1.0), (1.0, 0.999)])
+def test_corrector_never_accepts_a_step_that_does_not_contract(delta, delta_prev):
+    # With q = delta/delta_prev >= 1 the geometric error estimate
+    # delta q/(1 - q) is negative (or undefined) and would pass any tolerance.
+    assert not solvers._corrector_converged(delta, delta_prev, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "solve, degree, t_end, match",
+    [(nm.solve_pairwise, 1, 5.0, "degree >= 2"),
+     (nm.solve_pairwise, 1.5, 5.0, "degree >= 2"),
+     (nm.solve_pairwise, DEG, 0.004, "at least one step"),
+     (nm.solve_meanfield, DEG, 0.004, "at least one step")],
+)
+def test_solve_setup_rejections(solve, degree, t_end, match):
+    # t_end = 0.004 is below half of h = 0.01, so the grid has no step.
+    p = _params(nm.Exponential(2 / 3), t_end=t_end)
+    with pytest.raises(ValueError, match=match):
+        solve(p, num_nodes=N, degree=degree, config=nm.SolverConfig(h=0.01))
+
+
 def test_grid_snap_warning_recorded():
     p = _params(nm.FixedDuration(1.5037), t_end=5.0)
     pw = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.01))

@@ -7,7 +7,7 @@ import pytest
 
 import nmsir as nm
 from nmsir.cli import main
-from nmsir.trajectory import SERIES_NAMES, Trajectory, write_csv
+from nmsir.trajectory import SERIES_NAMES, Trajectory, parse_meta, write_csv
 
 
 def _toy_trajectory():
@@ -73,6 +73,28 @@ def test_csv_without_data_rows_rejected(tmp_path):
     write_csv(path, {"N": 10}, ["t", *SERIES_NAMES], [])
     with pytest.raises(ValueError, match="empty.csv"):
         Trajectory.from_csv(path)
+
+
+def _read_back(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    return Trajectory.from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [(lambda tmp: parse_meta("t,S,I,R,SI,SS"), ValueError, "not a"),
+     (lambda tmp: _toy_trajectory().series("X"), KeyError, "X"),
+     (lambda tmp: _read_back(tmp, "t,S\n0,1,2\n"), ValueError, "3 columns, header has 2"),
+     (lambda tmp: _read_back(tmp, "time,S,I,R,SI,SS\n0,1,2,3,4,5\n"), ValueError,
+      "missing t column"),
+     (lambda tmp: _read_back(tmp, "t,S,I,R,SI\n0,1,2,3,4\n"), ValueError,
+      "missing column SS")],
+    ids=["meta", "series", "column-count", "no-t", "no-SS"],
+)
+def test_malformed_input_rejected(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
 
 
 def test_epidemic_params_validation():
