@@ -319,6 +319,11 @@ _SUMMARY_HEADER = ["dist", "method", "peak", "peak_time", "final_size",
                    "peak_rel_err", "final_size_rel_err"]
 
 
+def _in_se(gap: float, se: float) -> float:
+    """``gap`` in units of ``se``; an infinity of its sign when there is no spread."""
+    return gap / se if se > 0.0 else math.copysign(math.inf, gap)
+
+
 def _compare_one(cfg: ExperimentConfig, spec: str, ensemble: tuple[Trajectory, Trajectory]):
     """One law's metrics per method, gate results, curve columns and grid-snap note."""
     mean, std = ensemble
@@ -335,10 +340,24 @@ def _compare_one(cfg: ExperimentConfig, spec: str, ensemble: tuple[Trajectory, T
             "peak_rel_err": abs(peak - sim_peak) / max(sim_peak, 1e-12),
             "final_size_rel_err": abs(final - sim_final) / max(sim_final, 1e-12),
         }
-    checks = {
-        "peak_within_10pct": rows["pairwise"]["peak_rel_err"] < PEAK_REL_TOL,
-        "final_size_within_5pct": rows["pairwise"]["final_size_rel_err"] < FINAL_SIZE_REL_TOL,
-        "meanfield_overshoots": rows["meanfield"]["final_size"] > sim_final,
+    # Each gate's margin is in standard errors of the ensemble mean: of [I]
+    # at the mean's peak, and of the final size N - [S](t_end).
+    root_runs = math.sqrt(mean.meta["runs"])
+    se_peak = float(std.I[int(np.argmax(mean.I))]) / root_runs
+    se_final = float(std.S[-1]) / root_runs
+    pair, field = rows["pairwise"], rows["meanfield"]
+    checks = {  # gate -> (passed, margin in SE)
+        "peak_within_10pct": (
+            pair["peak_rel_err"] < PEAK_REL_TOL,
+            _in_se(PEAK_REL_TOL * sim_peak - abs(pair["peak"] - sim_peak), se_peak),
+        ),
+        "final_size_within_5pct": (
+            pair["final_size_rel_err"] < FINAL_SIZE_REL_TOL,
+            _in_se(FINAL_SIZE_REL_TOL * sim_final - abs(pair["final_size"] - sim_final), se_final),
+        ),
+        "meanfield_overshoots": (
+            field["final_size"] > sim_final, _in_se(field["final_size"] - sim_final, se_final)
+        ),
     }
     curves = {
         "t": mean.t,
@@ -361,7 +380,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     ensembles = _ensembles(cfg, [_epidemic_params(cfg, spec) for spec in specs])
     results = [_compare_one(cfg, spec, ens) for spec, ens in zip(specs, ensembles)]
     meta = _meta_with_config(cfg, command="compare")
-    all_ok = all(all(checks.values()) for _, checks, _, _ in results)
+    all_ok = all(ok for _, checks, _, _ in results for ok, _ in checks.values())
     summary, curve_files, report = [], [], []
     for idx, (spec, (rows, checks, curves, snap)) in enumerate(zip(specs, results)):
         tag = parse_distribution(spec).kind
@@ -379,8 +398,10 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             f"final err {pw['final_size_rel_err']:.2%}; "
             f"meanfield peak err {mf['peak_rel_err']:.2%}, "
             f"final err {mf['final_size_rel_err']:.2%} "
-            f"-> {'OK' if all(checks.values()) else 'FAIL'} "
-            + ",".join(k for k, v in checks.items() if not v)
+            f"-> {'OK' if all(ok for ok, _ in checks.values()) else 'FAIL'} ["
+            + "; ".join(f"{gate} {'OK' if ok else 'FAIL'} {margin:+.1f} SE"
+                        for gate, (ok, margin) in checks.items())
+            + "]"
         )
 
     for name, _, curve_meta, header, columns in curve_files:

@@ -8,9 +8,8 @@ costs a few numpy calls per pass rather than a Python step per stub.
 
 A graph is its edge array alone: one row ``(i, j)`` with i < j per link.
 Graphs are immutable after construction (the edge array is a read-only
-copy), so shared read access from concurrent simulation workers is safe.
-Edge lists read from files must describe a simple regular graph: repeated
-edges and unequal degrees are rejected.
+copy).  Edge lists read from files must describe a simple regular graph:
+repeated edges and unequal degrees are rejected.
 """
 
 from __future__ import annotations

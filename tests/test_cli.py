@@ -1,6 +1,8 @@
 """CLI harness: config handling, determinism, meta reconstruction, exit codes."""
 
 import csv
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +359,29 @@ def test_compare_smoke_and_gnuplot(tmp_path, capsys):
     assert len(lines) == 2 + 2 * 3
     methods = [row[1] for row in csv.reader(lines[2:])]
     assert methods == ["simulation", "pairwise", "meanfield"] * 2
+
+
+def test_compare_reports_each_gate_margin_in_standard_errors(tmp_path, capsys):
+    # Every gate on a report line carries its margin in SE of the ensemble
+    # mean, positive exactly when the gate passes; one run has no spread,
+    # so its margins are infinite.
+    gate = re.compile(r"(\w+) (OK|FAIL) ([+-](?:inf|\d+\.\d)) SE")
+    for extra, runs in ((["--seed", "3"], 3), (["--seed", "1", "--set", "simulation.runs=1"], 1)):
+        main(["compare", *SMALL, *extra, "--out", str(tmp_path),
+              "--set", "compare.distributions=exp:rate=0.6667;uniform:a=1,b=2",
+              "--set", "compare.enforce=false"])
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
+        assert len(lines) == 2
+        for line in lines:
+            gates = gate.findall(line)
+            assert [name for name, _, _ in gates] == [
+                "peak_within_10pct", "final_size_within_5pct", "meanfield_overshoots"
+            ]
+            for _, verdict, margin in gates:
+                assert (verdict == "OK") == (float(margin) > 0), line
+                assert math.isinf(float(margin)) == (runs == 1), line
+            verdict = "OK" if all(v == "OK" for _, v, _ in gates) else "FAIL"
+            assert f"-> {verdict} [" in line
 
 
 def test_compare_records_the_solves_grid_snap(tmp_path, capsys):

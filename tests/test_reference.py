@@ -237,11 +237,21 @@ def test_reference_rejects_step_that_is_not_positive_and_finite(solver, dist):
             solver(p, num_nodes=N, degree=DEG, h=h)
 
 
-def _numpy_march(rhs, u0, h, steps, jumps=None):
-    """Drive the float right-hand sides and jumps through the numpy oracle march."""
+def _numpy_march(rhs, u0, h, steps, jumps=None, lags=(), lag_terms=None):
+    """Drive the float right-hand sides and jumps through the numpy oracle march.
+
+    The oracle's own per-call ``lookup(max(0, t - d))`` feeds ``lag_terms``
+    one delayed row per lag, so the lag tuple of every stage is rebuilt from
+    the oracle's history, not from the fast march's blocks.
+    """
+
+    def lag(t, lookup):
+        if not lags:
+            return None
+        return tuple(float(x) for x in lag_terms(*[lookup(max(0.0, t - d)) for d in lags]))
 
     def rhs_array(t, u, lookup, t0):
-        return np.array(rhs(t, tuple(u.tolist()), lambda tq: tuple(lookup(tq).tolist()), t0))
+        return np.array(rhs(t, tuple(u.tolist()), lag(t, lookup), t0))
 
     def jump_array(jump):
         return lambda u: np.array(jump(tuple(u.tolist())))
@@ -278,6 +288,25 @@ _ORACLE_CASES = {
     "uniform-I0-0": (nm.solve_uniform_delay_pairwise, nm.UniformInterval(1, 2), TAU, 0, 5.0, 1e-2),
     "uniform-coarse-phi-709": (
         nm.solve_uniform_delay_pairwise, nm.UniformInterval(1, 2), 1.0, 5, 800.0, 0.1
+    ),
+    # The fast march evaluates lags a block of steps at a time, a block being
+    # no longer than the shortest lag: these cross block edges at one-step,
+    # uneven and non-dividing lags.
+    "uniform-a-one-step": (
+        nm.solve_uniform_delay_pairwise, nm.UniformInterval(0.01, 0.5), TAU, 5, 5.0, 1e-2
+    ),
+    "uniform-uneven-lags": (
+        nm.solve_uniform_delay_pairwise, nm.UniformInterval(0.03, 0.07), TAU, 5, 5.0, 1e-2
+    ),
+    "fixed-sigma-few-steps": (
+        nm.solve_fixed_delay_pairwise, nm.FixedDuration(0.04), TAU, 5, 1.03, 1e-2
+    ),
+    "fixed-mf-sigma-few-steps": (
+        nm.solve_fixed_delay_meanfield, nm.FixedDuration(0.04), TAU, 5, 1.03, 1e-2
+    ),
+    # Both lags longer than the longest block (reference._MAX_BLOCK steps).
+    "uniform-lags-past-block-cap": (
+        nm.solve_uniform_delay_pairwise, nm.UniformInterval(5.5, 7), TAU, 5, 20.0, 1e-2
     ),
 }
 
