@@ -79,11 +79,13 @@ def _pair_stubs(num_nodes: int, degree: int, rng: np.random.Generator):
         rng.shuffle(stubs)
         u, v = stubs[0::2], stubs[1::2]
         keys = np.minimum(u, v) * num_nodes + np.maximum(u, v)
-        # First occurrence of each key within the pass, in pair order.
-        order = np.argsort(keys, kind="stable")
+        # First occurrence of each key within the pass, in pair order: the
+        # least position in each run of equal keys after an unstable sort.
+        order = np.argsort(keys)
         ranked = keys[order]
-        first = np.empty(keys.size, dtype=bool)
-        first[order] = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        first = np.zeros(keys.size, dtype=bool)
+        first[np.minimum.reduceat(order, runs)] = True
         ok = (u != v) & first
         if accepted.size:
             pos = np.minimum(np.searchsorted(accepted, keys), accepted.size - 1)

@@ -32,12 +32,21 @@ use the ordered convention ([SS] counts each link twice).
 An ensemble runs several laws in one pass over the run index: run k of every
 law uses graph k and RNG stream k, so each graph is built once whatever the
 number of laws, and a law's runs are those of an ensemble of that law alone.
+Runs share nothing, so they run on forked worker processes, one per CPU the
+process may use (``os.sched_getaffinity``) and at most one per run, and
+stream back in run order.  With one usable CPU or one run, without the fork
+start method, or inside a daemonic worker (which may not have children) they
+run in-process.  The output is byte-identical whatever the worker count, and
+no option selects it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
+from contextlib import contextmanager
+from itertools import repeat
 
 import numpy as np
 
@@ -45,6 +54,10 @@ from .network import RegularGraph, generate_regular
 from .trajectory import SERIES_NAMES, EpidemicParams, Trajectory
 
 __all__ = ["run_single", "run_ensembles"]
+
+# The job of the run_ensembles call that started this worker process; the
+# pool initializer fills it (fork hands it over without pickling).
+_JOB: dict = {}
 
 
 def _first_passage(times, source, target, weight):
@@ -75,6 +88,13 @@ def _first_passage(times, source, target, weight):
     return times, sweeps
 
 
+def _check_run(num_nodes: int, params: EpidemicParams, dt_out: float) -> None:
+    if params.initial_infected > num_nodes:
+        raise ValueError("initial_infected exceeds the number of nodes")
+    if not 0.0 < dt_out < math.inf:
+        raise ValueError(f"dt_out must be positive and finite, got {dt_out}")
+
+
 def run_single(
     graph: RegularGraph,
     params: EpidemicParams,
@@ -90,10 +110,7 @@ def run_single(
     distinct node ids in ``[0, N)``.  What the relaxation cost (sweeps, kept
     edges and infections) is returned in ``extra["diag"]``.
     """
-    if params.initial_infected > graph.num_nodes:
-        raise ValueError("initial_infected exceeds the number of nodes")
-    if not 0.0 < dt_out < math.inf:
-        raise ValueError(f"dt_out must be positive and finite, got {dt_out}")
+    _check_run(graph.num_nodes, params, dt_out)
     rng = np.random.default_rng(seed)
     num_nodes = graph.num_nodes
     dist, t_end = params.dist, params.t_end
@@ -156,6 +173,58 @@ def run_single(
     )
 
 
+def _ensemble_run(k: int, job: dict = _JOB) -> list[Trajectory]:
+    """Run k of every law of ``job``: graph k, or the supplied graph, under stream k."""
+    graph = job["graph"] if "graph" in job else generate_regular(
+        job["num_nodes"], job["degree"], job["graph_seed"] + 7919 * k
+    )
+    return [run_single(graph, params, job["streams"][k], job["dt_out"]) for params in job["laws"]]
+
+
+def _worker_count(runs: int) -> int:
+    """Processes for ``runs`` runs: one per usable CPU, at most ``runs``; 1 is in-process."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if min(cpus, runs) < 2:
+        return 1
+    # Imported here: a call that stays in-process pays nothing for it.
+    import multiprocessing
+
+    forkable = "fork" in multiprocessing.get_all_start_methods()
+    if not forkable or multiprocessing.current_process().daemon:
+        return 1
+    return min(cpus, runs)
+
+
+@contextmanager
+def _ensemble_results(job: dict, runs: int):
+    """Yield each run's trajectories in run order, computed on forked workers if several.
+
+    The pool is closed and joined when the results are consumed, and
+    terminated and joined if the consumer or a worker raises.
+    """
+    workers = _worker_count(runs)
+    if workers == 1:
+        yield map(_ensemble_run, range(runs), repeat(job))
+        return
+    import multiprocessing
+
+    pool = multiprocessing.get_context("fork").Pool(workers, _JOB.update, (job,))
+    try:
+        # Runs go out in chunks, sized as Pool.map sizes them; one message per
+        # run made the fig-1 ensembles about 0.07 s slower on two workers.
+        yield pool.imap(_ensemble_run, range(runs), -(-runs // (4 * workers)))
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+
+
 def run_ensembles(
     laws: Sequence[EpidemicParams],
     *,
@@ -182,34 +251,48 @@ def run_ensembles(
     spread.  The per-run trajectories, in run order, are kept in the mean's
     ``extra["runs"]``; their series are row views of one ``(runs, len(t))``
     array per series, and they share one grid.
+
+    With more than one CPU in ``os.sched_getaffinity(0)`` (``os.cpu_count()``
+    where that call is missing), the runs go to a pool of forked workers, one
+    per such CPU and at most ``runs``.  Each worker receives the job once, when
+    it starts; the runs stream back in run order and are copied into the
+    stacks as they arrive.  One usable CPU, one run, no fork start method, or
+    a caller that is itself a daemonic worker keeps every run in-process.
+    The results are byte-identical whatever the worker count; there is no
+    option to choose it.  ``runs``, ``dt_out`` and each law's
+    ``initial_infected`` are checked before any run starts; an exception
+    raised inside a run reaches the caller with its type and message, and no
+    worker outlives the call.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    run_streams = np.random.SeedSequence(base_seed).spawn(runs)
     if graph is None and not fresh_graph_per_run:
         graph = generate_regular(num_nodes, degree, graph_seed)
     if graph is not None:
         num_nodes, degree = graph.num_nodes, graph.degree
         graph_seed, fresh_graph_per_run = graph.seed, False
+    for params in laws:
+        _check_run(num_nodes, params, dt_out)
+    job = {"laws": list(laws), "streams": np.random.SeedSequence(base_seed).spawn(runs),
+           "dt_out": dt_out, "num_nodes": num_nodes, "degree": degree, "graph_seed": graph_seed}
+    if graph is not None:
+        job["graph"] = graph
 
     # Per law: one (runs, len(t)) array per series, filled row by row.
     stacks: list[dict[str, np.ndarray]] = [{} for _ in laws]
     run_lists: list[list[Trajectory]] = [[] for _ in laws]
-    for k in range(runs):
-        g = graph if graph is not None else generate_regular(
-            num_nodes, degree, graph_seed + 7919 * k
-        )
-        for params, stack, trajs in zip(laws, stacks, run_lists):
-            traj = run_single(g, params, run_streams[k], dt_out)
-            if not stack:
-                stack.update((name, np.empty((runs, len(traj.t)))) for name in SERIES_NAMES)
-            for name, rows in stack.items():
-                rows[k] = traj.series(name)
-            trajs.append(Trajectory(
-                trajs[0].t if trajs else traj.t,
-                **{name: rows[k] for name, rows in stack.items()},
-                meta=traj.meta, extra=traj.extra,
-            ))
+    with _ensemble_results(job, runs) as streamed:
+        for k, run in enumerate(streamed):
+            for traj, stack, trajs in zip(run, stacks, run_lists):
+                if not stack:
+                    stack.update((name, np.empty((runs, len(traj.t)))) for name in SERIES_NAMES)
+                for name, rows in stack.items():
+                    rows[k] = traj.series(name)
+                trajs.append(Trajectory(
+                    trajs[0].t if trajs else traj.t,
+                    **{name: rows[k] for name, rows in stack.items()},
+                    meta=traj.meta, extra=traj.extra,
+                ))
 
     results = []
     for params, stack, trajs in zip(laws, stacks, run_lists):

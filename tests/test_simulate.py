@@ -1,12 +1,15 @@
 """Simulator: conservation, determinism, exactness sanity."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import nmsir as nm
+from nmsir import simulate
 from nmsir.network import RegularGraph
 from nmsir.trajectory import SERIES_NAMES
 
@@ -201,7 +204,7 @@ def test_initial_nodes_outside_the_graph_rejected():
             nm.run_single(graph, p, 0, initial_nodes=nodes)
 
 
-def _assert_same_ensemble(together, alone):
+def _assert_equal_ensembles(together, alone):
     for (mean, std), (mean_1, std_1) in zip(together, alone, strict=True):
         for name in SERIES_NAMES:
             assert np.array_equal(mean.series(name), mean_1.series(name)), name
@@ -214,6 +217,12 @@ def _assert_same_ensemble(together, alone):
             for name in SERIES_NAMES:
                 assert np.array_equal(run.series(name), run_1.series(name)), name
             assert run.meta == run_1.meta and run.extra == run_1.extra
+
+
+def _assert_same_ensemble(together, alone):
+    _assert_equal_ensembles(together, alone)
+    for mean, std in together:
+        runs = mean.extra["runs"]
         # The runs are rows of one stack per series, on one shared grid, and
         # the mean and std are those of the stacked rows.
         assert all(run.t is mean.t for run in runs)
@@ -261,6 +270,75 @@ def test_supplied_graph_is_recorded_as_itself(small_graph):
     _assert_same_ensemble(supplied, named)
     assert supplied[0][0].meta["graph_seed"] == 3
     assert supplied[0][0].meta["fresh_graph_per_run"] is False
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _counting_workers(monkeypatch):
+    """Record the worker count that each run_ensembles call chooses."""
+    counts, choose = [], simulate._worker_count
+
+    def count(runs):
+        counts.append(choose(runs))
+        return counts[-1]
+
+    monkeypatch.setattr(simulate, "_worker_count", count)
+    return counts
+
+
+@pytest.mark.parametrize("cpus, runs, supplied", [(2, 5, False), (2, 4, True), (2, 1, False),
+                                                  (4, 3, False), (4, 2, True)])
+def test_output_does_not_depend_on_the_worker_count(monkeypatch, small_graph, cpus, runs,
+                                                    supplied):
+    laws = [_params(dist, t_end=10.0)
+            for dist in (nm.Exponential(2 / 3), nm.UniformInterval(1, 2))]
+    common = dict(num_nodes=150, degree=6, runs=runs, base_seed=3, graph_seed=8, dt_out=0.25)
+    if supplied:
+        common.update(graph=small_graph)
+    counts = _counting_workers(monkeypatch)
+    _usable_cpus(monkeypatch, 1)
+    serial = nm.run_ensembles(laws, **common)
+    _usable_cpus(monkeypatch, cpus)
+    pooled = nm.run_ensembles(laws, **common)
+    assert counts == [1, min(cpus, runs)]
+    assert multiprocessing.active_children() == []
+    # Series, meta and extra (the diag counters) of every run, and the stacks.
+    _assert_same_ensemble(pooled, serial)
+
+
+class _FailingLaw(nm.Exponential):
+    """An exponential law whose draws fail, naming the process they ran in."""
+
+    def sample(self, rng, size=None):
+        raise ZeroDivisionError(f"no periods in process {os.getpid()}")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_error_in_a_run_reaches_the_caller(monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    laws = [_params(nm.Exponential(2 / 3), t_end=5.0), _params(_FailingLaw(2 / 3), t_end=5.0)]
+    with pytest.raises(ZeroDivisionError, match=r"^no periods in process \d+$") as raised:
+        nm.run_ensembles(laws, num_nodes=100, degree=4, runs=6, base_seed=1)
+    pid = int(str(raised.value).rsplit(" ", 1)[1])
+    assert (pid == os.getpid()) == (cpus == 1)
+    assert multiprocessing.active_children() == []
+
+
+def _ensembles_in_a_worker(laws, common):
+    return nm.run_ensembles(laws, **common)
+
+
+def test_ensembles_inside_a_pool_worker_run_in_that_worker(monkeypatch):
+    # A daemonic pool worker may not fork workers of its own.
+    _usable_cpus(monkeypatch, 2)
+    laws = [_params(nm.GammaErlang(3, 2.0), t_end=6.0)]
+    common = dict(num_nodes=120, degree=6, runs=4, base_seed=7, graph_seed=2, dt_out=0.5)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inside = pool.apply_async(_ensembles_in_a_worker, (laws, common)).get(timeout=120)
+    _assert_equal_ensembles(inside, nm.run_ensembles(laws, **common))
+    assert multiprocessing.active_children() == []
 
 
 def test_star_graph_instant_transmission_infects_all_leaves():
@@ -378,11 +456,13 @@ def test_run_matches_reference_event_loop(law):
         assert welch.pvalue > REFERENCE_ALPHA, (law, name, ours[:, k].mean(), theirs[:, k].mean())
 
 
-def test_initial_infected_bounds(small_graph):
+def test_initial_infected_bounds(monkeypatch, small_graph):
     with pytest.raises(ValueError):
         nm.run_single(
             small_graph, _params(nm.Exponential(1.0), i0=10**6), seed=0
         )
+    # run_ensembles checks its input before it starts any run or worker.
+    counts = _counting_workers(monkeypatch)
     with pytest.raises(ValueError):
         nm.run_ensembles(
             [_params(nm.Exponential(1.0))],
@@ -392,10 +472,15 @@ def test_initial_infected_bounds(small_graph):
             base_seed=1,
             graph=small_graph,
         )
+    with pytest.raises(ValueError, match="initial_infected exceeds"):
+        nm.run_ensembles([_params(nm.Exponential(1.0), i0=201)],
+                         num_nodes=200, degree=8, runs=4, base_seed=1)
+    assert counts == []
 
 
-def test_output_step_must_be_positive_and_finite(small_graph):
+def test_output_step_must_be_positive_and_finite(monkeypatch, small_graph):
     # The output grid needs a positive, finite step.
+    counts = _counting_workers(monkeypatch)
     p = _params(nm.Exponential(1.0), t_end=5.0)
     for dt_out in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="dt_out"):
@@ -404,3 +489,4 @@ def test_output_step_must_be_positive_and_finite(small_graph):
             nm.run_ensembles(
                 [p], num_nodes=200, degree=8, runs=2, base_seed=1, dt_out=dt_out
             )
+    assert counts == []
