@@ -1,10 +1,12 @@
-"""Cross-validating the generic solver against closed-form special cases.
+"""Cross-validating the generic solvers against closed-form special cases.
 
 For particular recovery laws the renewal systems collapse to ODEs or DDEs:
-exponential gives the classical Markovian pairwise equations, a fixed period
-gives a discrete-delay system, an Erlang period a stage chain, and a uniform
-period a distributed-delay system.  Each is integrated independently with RK4
-and compared with the generic renewal solver in the sup norm.
+exponential gives the classical Markovian equations, a fixed period a
+discrete-delay system, an Erlang period a stage chain, and a uniform period a
+distributed-delay system.  ``solve_reference_pairwise`` and
+``solve_reference_meanfield`` integrate that system independently with RK4
+for whichever law they are given; each is compared with the generic renewal
+solver of its model in the sup norm.
 """
 
 import time
@@ -18,33 +20,38 @@ from nmsir import (
     GammaErlang,
     SolverConfig,
     UniformInterval,
-    solve_fixed_delay_pairwise,
-    solve_gamma_chain,
-    solve_markovian_pairwise,
+    solve_meanfield,
     solve_pairwise,
-    solve_uniform_delay_pairwise,
+    solve_reference_meanfield,
+    solve_reference_pairwise,
 )
 
 N, DEGREE, H = 1000, 15, 1e-3
 
-CASES = [
-    ("exponential", Exponential(2 / 3), solve_markovian_pairwise),
-    ("fixed", FixedDuration(1.5), solve_fixed_delay_pairwise),
-    ("gamma", GammaErlang(3, 2 / 3), solve_gamma_chain),
-    ("uniform", UniformInterval(1, 2), solve_uniform_delay_pairwise),
+LAWS = [
+    ("exponential", Exponential(2 / 3)),
+    ("fixed", FixedDuration(1.5)),
+    ("gamma", GammaErlang(3, 2 / 3)),
+    ("uniform", UniformInterval(1, 2)),
+]
+MODELS = [
+    ("pairwise", solve_pairwise, solve_reference_pairwise),
+    ("mean-field", solve_meanfield, solve_reference_meanfield),
 ]
 
 print(f"step size h={H}; comparing [I](t) over t in [0, 25]")
-for name, dist, reference in CASES:
-    params = EpidemicParams(tau=0.35, dist=dist, initial_infected=5, t_end=25.0)
-    start = time.perf_counter()
-    generic = solve_pairwise(
-        params, num_nodes=N, degree=DEGREE, config=SolverConfig(h=H)
-    )
-    ref = reference(params, num_nodes=N, degree=DEGREE, h=H)
-    elapsed = time.perf_counter() - start
-    rel = np.max(np.abs(generic.I - ref.I)) / np.max(ref.I)
-    print(f"{name:<12} rel sup-norm difference {rel:.2e}   ({elapsed:.1f}s both solves)")
+for model, generic_solve, reference in MODELS:
+    for name, dist in LAWS:
+        params = EpidemicParams(tau=0.35, dist=dist, initial_infected=5, t_end=25.0)
+        start = time.perf_counter()
+        generic = generic_solve(params, num_nodes=N, degree=DEGREE, config=SolverConfig(h=H))
+        ref = reference(params, num_nodes=N, degree=DEGREE, h=H)
+        elapsed = time.perf_counter() - start
+        rel = np.max(np.abs(generic.I - ref.I)) / np.max(ref.I)
+        print(
+            f"{model:<10} {name:<12} rel sup-norm difference {rel:.2e}"
+            f"   ({elapsed:.1f}s both solves)"
+        )
 
 print(
     "\nThe gamma case doubles as a check of the stage-resolved link equations:"

@@ -6,7 +6,7 @@ Library layout:
 * :mod:`nmsir.network`    -- regular random graphs and edge-list I/O
 * :mod:`nmsir.simulate`   -- exact stochastic simulation (first-passage percolation)
 * :mod:`nmsir.solvers`    -- renewal-form mean-field and pairwise solvers
-* :mod:`nmsir.reference`  -- closed-form special-case solvers (cross-checks)
+* :mod:`nmsir.reference`  -- closed-form special-case references, one per model (cross-checks)
 * :mod:`nmsir.analysis`   -- reproduction numbers and final-size relations
 * :mod:`nmsir.cli`        -- command-line harness (``nmsir`` entry point)
 """
@@ -32,14 +32,7 @@ from .recovery import (
     UniformInterval,
     parse_distribution,
 )
-from .reference import (
-    solve_fixed_delay_meanfield,
-    solve_fixed_delay_pairwise,
-    solve_gamma_chain,
-    solve_markovian_meanfield,
-    solve_markovian_pairwise,
-    solve_uniform_delay_pairwise,
-)
+from .reference import solve_reference_meanfield, solve_reference_pairwise
 from .simulate import run_ensembles, run_single
 from .solvers import (
     SolverError,
@@ -74,12 +67,8 @@ __all__ = [
     "run_ensembles",
     "run_single",
     "save_edge_list",
-    "solve_fixed_delay_meanfield",
-    "solve_fixed_delay_pairwise",
-    "solve_gamma_chain",
-    "solve_markovian_meanfield",
-    "solve_markovian_pairwise",
     "solve_meanfield",
     "solve_pairwise",
-    "solve_uniform_delay_pairwise",
+    "solve_reference_meanfield",
+    "solve_reference_pairwise",
 ]

@@ -27,15 +27,10 @@ import numpy as np
 
 from .analysis import final_size_meanfield, final_size_pairwise, reproduction_numbers
 from .network import generate_regular, save_edge_list
-from .recovery import parse_distribution
+from .recovery import Exponential, FixedDuration, GammaErlang, UniformInterval, parse_distribution
+from .reference import solve_reference_pairwise
 from .simulate import run_ensembles
 from .solvers import SolverError, solve_meanfield, solve_pairwise
-from .reference import (
-    solve_fixed_delay_pairwise,
-    solve_gamma_chain,
-    solve_markovian_pairwise,
-    solve_uniform_delay_pairwise,
-)
 from .trajectory import EpidemicParams, SolverConfig, Trajectory, _format_value, write_csv
 
 __all__ = ["ConfigError", "ExperimentConfig", "build_config", "main"]
@@ -249,11 +244,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# Each `special:` model is the pairwise reference, for a law of one kind.
 _SPECIAL_SOLVERS = {
-    "special:markovian": solve_markovian_pairwise,
-    "special:fixed": solve_fixed_delay_pairwise,
-    "special:gamma": solve_gamma_chain,
-    "special:uniform": solve_uniform_delay_pairwise,
+    "special:markovian": Exponential,
+    "special:fixed": FixedDuration,
+    "special:gamma": GammaErlang,
+    "special:uniform": UniformInterval,
 }
 
 
@@ -264,7 +260,13 @@ def solve_model(cfg: ExperimentConfig, model: str, dist_spec: str | None = None)
         solve = solve_pairwise if model == "pairwise" else solve_meanfield
         return solve(params, config=SolverConfig(h=cfg.solver_h), **common)
     if model in _SPECIAL_SOLVERS:
-        return _SPECIAL_SOLVERS[model](params, h=cfg.solver_h, **common)
+        law = _SPECIAL_SOLVERS[model]
+        if not isinstance(params.dist, law):
+            raise ConfigError(
+                f"{model} needs a recovery law of kind {law.kind!r}, "
+                f"got {params.dist.spec_string()!r}"
+            )
+        return solve_reference_pairwise(params, h=cfg.solver_h, **common)
     raise ConfigError(f"unknown model {model!r}")
 
 

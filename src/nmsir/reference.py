@@ -1,25 +1,38 @@
-"""Closed-form special-case solvers used as cross-checks and fast paths.
+"""Closed-form special-case references: one per model, generic over the recovery law.
 
 For particular recovery laws the general renewal systems collapse to ordinary
-or delay differential equations:
+or delay differential equations, which ``solve_reference_pairwise`` and
+``solve_reference_meanfield`` build for the law they are given.  The model
+gives the head of the state ([S], and [SS] if pairwise) and the incidence:
+tau [SI] pairwise, where each S-S link breaks at rate c = tau (n-1)/n
+[SI]/[S], and tau n/N [S] [I] mean-field.  Each law gives its node part
+and, in the pairwise model, its link part:
 
-* exponential       -> the classical Markovian pairwise / mean-field ODEs,
-* fixed duration    -> DDEs with one discrete delay plus a state jump when
-                       the initial (newborn) infecteds all recover at sigma,
-* Erlang (gamma)    -> a linear chain of K exponential stages for both nodes
-                       and links,
-* uniform interval  -> distributed delays over a moving window, reduced here
-                       to discrete-delay form through a damped cumulative
-                       auxiliary variable (the windowed integrals telescope).
+* a chain of K exponential stages of rate r (Erlang; the exponential law is
+  K = 1): nodes and links pass through the stages, and links also leave at
+  rate c + tau (the linear chain trick; MacDonald 1978, *Time Lags in
+  Biological Models*).  The stages are in ``extra``;
+* a fixed period sigma: the incidence delayed by sigma leaves [I] and the
+  link inflow delayed by sigma, damped by exp(-(Phi(t) - Phi(t - sigma)))
+  with Phi' = c + tau, leaves [SI]; the newborn (initial) infecteds recover
+  in one jump at sigma, with their surviving links;
+* a uniform period on [A, B]: the windowed integrals telescope, so
+  (S(t-B) - S(t-A))/(B-A) leaves [I], and the newborns leave as the constant
+  flux I0/(B-A) on [A, B] (Hethcote & Tudor 1980, *J. Math. Biol.* 9:37).
+  The [SI] window is the difference of the running integral W of the link
+  inflow c [SS] exp(Phi) at its two ends.  W overflows once Phi passes
+  about 709, so the state carries V = exp(-Phi) W, with
+  V' = c [SS] - (c + tau) V, and the window reads
+  (exp(Phi_a - Phi) V_a - exp(Phi_b - Phi) V_b)/(B-A).
 
-All solvers use fixed-step classical RK4 on the same grid, initial counts,
-meta and snapped law as the generic solver (``trajectory._SolveSetup``): a
+Both references use fixed-step classical RK4 on the same grid, initial
+counts and snapped law as the generic solver (``trajectory._SolveSetup``): a
 sigma, a or b off the step grid moves to the nearest node, noted in the
-meta's ``grid_snap``, exactly as in the generic solves.  Every
-exponential of the rate integral Phi enters as a difference
-exp(-(Phi(t) - Phi(u))) <= 1, so no horizon overflows.  Branch switches and
-state jumps are aligned to grid nodes, and each step evaluates the branch
-chosen by its *starting* node so that every step integrates a smooth piece.
+meta's ``grid_snap``, exactly as in the generic solves.  Every exponential
+of Phi enters as a difference exp(-(Phi(t) - Phi(u))) <= 1, so no horizon
+overflows.  Branch switches and state jumps are aligned to grid nodes, and
+each step evaluates the branch chosen by its *starting* node so that every
+step integrates a smooth piece.
 
 Every delay is a whole number of steps, at least one, so the delayed states
 a step needs are known before it starts: the method of steps (Bellen &
@@ -27,41 +40,33 @@ Zennaro 2003, *Numerical Methods for Delay Differential Equations*).  The
 march computes them in numpy for a block of steps at once, a block being no
 longer than the shortest delay: the stored node rows at node stage times,
 and the cubic Hermite interpolant of the stored history at mid-step times.
-Each reference's ``lag_terms`` turns them into the terms of its right-hand
-side that depend on delayed states only, so each RK4 stage computes only
-the terms in its own state.  Otherwise the march runs on Python floats:
-states and RK4 stages are tuples, and the node history is one flat
+Each law's ``lag_terms`` turns them into the terms of its right-hand side
+that depend on delayed states only, so each RK4 stage computes only the
+terms in its own state.  Otherwise the march runs on Python floats: states
+and RK4 stages are sequences of floats, and the node history is one flat
 ``array('d')`` of states and one of derivatives, viewed by numpy once per
-block and wrapped as an ndarray at the end.  Every operation keeps the
-order of the numpy march kept as an oracle in the tests, so the series are
-bit-identical to it.  At h = 1e-3, t_end = 25 and the fig-1 parameters the
-lag blocks took the uniform reference from 818 to 352 ms and the fixed one
-from 480 to 316 ms (medians of 15 interleaved pairs of fresh processes;
-2-core x86_64, Python 3.11.7, numpy 2.4.6).
+block and wrapped as an ndarray at the end.  Every operation keeps the order of the
+numpy march kept as an oracle in the tests, so the series are bit-identical
+to it.
 
-A step that fails in arithmetic, a state that is not finite, or a count
-below -1e-6 N (a step too coarse to resolve the epidemic, not rounding)
-raises ``SolverError`` with the time it happened.
+A law without a closed form here raises ``ValueError``.  A step that fails
+in arithmetic, a state that is not finite, or a count below -1e-6 N (a step
+too coarse to resolve the epidemic, not rounding) raises ``SolverError``
+with the time it happened.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .recovery import Exponential, FixedDuration, GammaErlang, UniformInterval
+from .recovery import FixedDuration, UniformInterval
 from .trajectory import SERIES_NAMES, EpidemicParams, SolverError, Trajectory, _SolveSetup
 
-__all__ = [
-    "solve_markovian_pairwise",
-    "solve_markovian_meanfield",
-    "solve_fixed_delay_pairwise",
-    "solve_fixed_delay_meanfield",
-    "solve_gamma_chain",
-    "solve_uniform_delay_pairwise",
-]
+__all__ = ["solve_reference_pairwise", "solve_reference_meanfield"]
 
 
 # Counts may dip below zero by rounding only; this fraction of N is the floor.
@@ -83,22 +88,6 @@ def _trajectory(run: _SolveSetup, *series, extra=None) -> Trajectory:
                 f"below -{_NEGATIVE_FLOOR:g} N; reduce the step size h={run.h}"
             )
     return traj
-
-
-def _setup(model: str, law: type, params: EpidemicParams, num_nodes, degree, h) -> _SolveSetup:
-    """The grid, initial counts and meta of a reference solve for recovery ``law``."""
-    if not isinstance(params.dist, law):
-        raise ValueError(
-            f"{model} reference requires a {law.__name__} recovery law, "
-            f"got {type(params.dist).__name__}"
-        )
-    return _SolveSetup(model, params, num_nodes=num_nodes, degree=degree, h=h)
-
-
-def _pair_rates(tau: float, link: float, S: float, SS: float, SI: float):
-    """c = link [SI]/[S] and d[S], d[SS], d[I], d[SI] of the pairwise model without recovery."""
-    c = link * SI / S
-    return c, -tau * SI, -2.0 * c * SS, tau * SI, c * SS - c * SI - tau * SI
 
 
 def _delayed(Uv, Dv, pre_jump: dict, tq, h: float):
@@ -155,7 +144,7 @@ def _march_delay_rk4(
     u = tuple(map(float, u0))
     m = len(u)
     U, D = array("d", u), array("d")  # flat rows: node states, node derivatives
-    pre_jump: dict[int, tuple[tuple, tuple]] = {}
+    pre_jump: dict[int, tuple] = {}
     half, sixth = 0.5 * h, h / 6.0
     block = min([int(round(d / h)) for d in lags] + [steps, _MAX_BLOCK])
 
@@ -189,13 +178,11 @@ def _march_delay_rk4(
                 mids = ends = None  # the last block's tuples go before the next is built
                 mids, ends = lag_block(k, min(block, steps - k))
             mid, lag = mids[i], ends[i]
-            k2 = rhs(t0 + half, tuple([x + half * d for x, d in zip(u, k1)]), mid, t0)
-            k3 = rhs(t0 + half, tuple([x + half * d for x, d in zip(u, k2)]), mid, t0)
-            k4 = rhs(t0 + h, tuple([x + h * d for x, d in zip(u, k3)]), lag, t0)
-            u = tuple(
-                [x + sixth * (a + 2.0 * b + 2.0 * c + d)
+            k2 = rhs(t0 + half, [x + half * d for x, d in zip(u, k1)], mid, t0)
+            k3 = rhs(t0 + half, [x + half * d for x, d in zip(u, k2)], mid, t0)
+            k4 = rhs(t0 + h, [x + h * d for x, d in zip(u, k3)], lag, t0)
+            u = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
                  for x, a, b, c, d in zip(u, k1, k2, k3, k4)]
-            )
             jump = jumps.get(k + 1)
             if jump is not None:
                 pre_jump[k + 1] = (u, rhs((k + 1) * h, u, lag, t0))
@@ -216,221 +203,177 @@ def _march_delay_rk4(
     return states
 
 
-def solve_markovian_pairwise(
-    params: EpidemicParams,
-    *,
-    num_nodes: float,
-    degree: float,
-    h: float = 1e-3,
+def solve_reference_pairwise(
+    params: EpidemicParams, *, num_nodes: float, degree: float, h: float = 1e-3
 ) -> Trajectory:
-    """Classic four-equation Markovian pairwise SIR (exponential recovery)."""
-    run = _setup("special:markovian", Exponential, params, num_nodes, degree, h)
-    gamma = params.dist.rate
-    tau, n = params.tau, run.n
-    link = tau * (n - 1.0) / n
-
-    def rhs(t, u, lag, t0):
-        S, SS, I, SI = u
-        _, dS, dSS, dI, dSI = _pair_rates(tau, link, S, SS, SI)
-        return (dS, dSS, dI - gamma * I, dSI - gamma * SI)
-
-    S, SS, I, SI = _march_delay_rk4(rhs, run.pair_state(), h, run.steps).T
-    return _trajectory(run, S, I, SI, SS)
+    """The pairwise model as the ODE or DDE of its recovery law (see the module docstring)."""
+    return _solve(True, params, num_nodes, degree, h)
 
 
-def solve_markovian_meanfield(
-    params: EpidemicParams,
-    *,
-    num_nodes: float,
-    degree: float,
-    h: float = 1e-3,
+def solve_reference_meanfield(
+    params: EpidemicParams, *, num_nodes: float, degree: float, h: float = 1e-3
 ) -> Trajectory:
-    """Classical mean-field SIR ODE with rate tau*n/N (exponential recovery)."""
-    run = _setup("special:markovian_meanfield", Exponential, params, num_nodes, degree, h)
-    gamma = params.dist.rate
-    coupling = params.tau * run.n / run.N
-
-    def rhs(t, u, lag, t0):
-        S, I = u
-        return (-coupling * S * I, coupling * S * I - gamma * I)
-
-    S, I = _march_delay_rk4(rhs, [run.S0, run.I0], h, run.steps).T
-    return _trajectory(run, S, I)
+    """The mean-field model as the ODE or DDE of its recovery law (see the module docstring)."""
+    return _solve(False, params, num_nodes, degree, h)
 
 
-def solve_fixed_delay_pairwise(
-    params: EpidemicParams,
-    *,
-    num_nodes: float,
-    degree: float,
-    h: float = 1e-3,
-) -> Trajectory:
-    """Pairwise model with a fixed infectious period: method of steps.
+class _Model(NamedTuple):
+    pairwise: bool
+    tau: float
+    link: float  # c = link [SI]/[S]
+    coupling: float  # the mean-field incidence is coupling [S] [I]
+    head: int  # states before the first node state: [S], and [SS] if pairwise
 
-    On [0, sigma) the system is the no-recovery pairwise ODE; at sigma the
-    newborn initial infecteds recover in one jump ([I] -= I0 and [SI] loses
-    its surviving initial links); past sigma the delayed removal terms are
-    active, weighted by the accumulated exponential factor.
+
+class _Law(NamedTuple):
+    """A recovery law's part of a reference's right-hand side.
+
+    The state ``u`` is the model's head, ``stages`` node states and, in the
+    pairwise model, ``stages`` link states and the ``aux`` states.
+    ``node(inc, u, lag, t0)`` gives the node derivatives from the incidence
+    ``inc``, and ``link(c, SS, u, lag, t0)`` those of the link and aux
+    states; ``lags``, ``lag_terms`` and ``jumps`` are as in
+    ``_march_delay_rk4``.
     """
-    run = _setup("special:fixed", FixedDuration, params, num_nodes, degree, h)
-    sigma = run.dist.sigma
-    tau, n = params.tau, run.n
-    link = tau * (n - 1.0) / n
-    half = 0.5 * h
-    u0 = run.pair_state() + [0.0]
-    SI0 = u0[3]
 
-    def lag_terms(delayed):
-        Sd, SSd, Id, SId, phid = delayed
-        return tau * SId, link * (SSd * SId / Sd), phid
-
-    def rhs(t, u, lag, t0):
-        S, SS, I, SI, phi = u
-        c, dS, dSS, dI, dSI = _pair_rates(tau, link, S, SS, SI)
-        dphi = c + tau
-        if t0 > sigma - half:
-            removal, link_removal, phid = lag
-            dI -= removal
-            dSI -= link_removal * math.exp(-(phi - phid))
-        return (dS, dSS, dI, dSI, dphi)
-
-    def recover_newborns(u):
-        S, SS, I, SI, phi = u
-        return (S, SS, I - run.I0, SI - SI0 * math.exp(-phi), phi)
-
-    S, SS, I, SI, phi = _march_delay_rk4(
-        rhs, u0, h, run.steps, {run.jump: recover_newborns}, [sigma], lag_terms
-    ).T
-    return _trajectory(run, S, I, SI, SS, extra={"Phi": phi})
+    stages: int
+    aux: tuple
+    node: Callable
+    link: Callable
+    lags: tuple = ()
+    lag_terms: Callable | None = None
+    jumps: dict | None = None
 
 
-def solve_fixed_delay_meanfield(
-    params: EpidemicParams,
-    *,
-    num_nodes: float,
-    degree: float,
-    h: float = 1e-3,
-) -> Trajectory:
-    """Mean-field model with a fixed infectious period (delayed removal)."""
-    run = _setup("special:fixed_meanfield", FixedDuration, params, num_nodes, degree, h)
-    sigma = run.dist.sigma
-    coupling = params.tau * run.n / run.N
-    half = 0.5 * h
+def _chain_law(model: _Model, K: int, r: float) -> _Law:
+    """K exponential stages of rate r for nodes and links; newborns start in stage one."""
+    tau, at = model.tau, model.head
+    lo = at + K  # the first link stage
+    later_nodes, later_links = range(at + 1, lo), range(lo + 1, lo + K)
 
-    def lag_terms(delayed):
-        Sd, Id = delayed
-        return (coupling * Sd * Id,)
-
-    def rhs(t, u, lag, t0):
-        S, I = u
-        dI = coupling * S * I
-        if t0 > sigma - half:
-            dI -= lag[0]
-        return (-coupling * S * I, dI)
-
-    def recover_newborns(u):
-        return (u[0], u[1] - run.I0)
-
-    S, I = _march_delay_rk4(
-        rhs, [run.S0, run.I0], h, run.steps, {run.jump: recover_newborns}, [sigma], lag_terms
-    ).T
-    return _trajectory(run, S, I)
-
-
-def solve_gamma_chain(
-    params: EpidemicParams,
-    *,
-    num_nodes: float,
-    degree: float,
-    h: float = 1e-3,
-) -> Trajectory:
-    """Multi-stage (Erlang) pairwise chain: K exponential stages of rate K*gamma.
-
-    Nodes follow the standard stage chain; links carry the same stage
-    structure with the pairwise loss terms applied per stage.  The aggregated
-    [I] and [SI] series solve the general model with the Erlang kernel.
-    Stage-resolved series are exposed in ``extra``.
-    """
-    run = _setup("special:gamma", GammaErlang, params, num_nodes, degree, h)
-    K = params.dist.shape
-    stage_rate = params.dist.rate  # K * gamma
-    run.meta["K"] = K
-    tau, n = params.tau, run.n
-    link = tau * (n - 1.0) / n
-
-    # State layout: [S, SS, I_1..I_K, SI_1..SI_K]
-    def rhs(t, u, lag, t0):
-        S, SS = u[0], u[1]
-        SI = sum(u[2 + K :])
-        c = link * SI / S
-        loss = c + tau + stage_rate
-        du = [-tau * SI, -2.0 * c * SS, tau * SI - stage_rate * u[2]]
-        for j in range(3, 2 + K):
-            du.append(stage_rate * (u[j - 1] - u[j]))
-        du.append(c * SS - loss * u[2 + K])
-        for j in range(3 + K, 2 + 2 * K):
-            du.append(stage_rate * u[j - 1] - loss * u[j])
+    def node(inc, u, lag, t0):
+        du = [inc - r * u[at]]
+        for j in later_nodes:
+            du.append(r * (u[j - 1] - u[j]))
         return du
 
-    S0, SS0, I0, SI0 = run.pair_state()
-    u0 = (S0, SS0, I0, *[0.0] * (K - 1), SI0, *[0.0] * (K - 1))
-    U = _march_delay_rk4(rhs, u0, h, run.steps)
-    I_stages = U[:, 2 : 2 + K].T
-    SI_stages = U[:, 2 + K :].T
-    return _trajectory(
-        run, U[:, 0], I_stages.sum(axis=0), SI_stages.sum(axis=0), U[:, 1],
-        extra={"I_stages": I_stages, "SI_stages": SI_stages},
-    )
+    def link(c, SS, u, lag, t0):
+        loss = c + tau + r
+        du = [c * SS - loss * u[lo]]
+        for j in later_links:
+            du.append(r * u[j - 1] - loss * u[j])
+        return du
+
+    return _Law(K, (), node, link)
 
 
-def solve_uniform_delay_pairwise(
-    params: EpidemicParams,
-    *,
-    num_nodes: float,
-    degree: float,
-    h: float = 1e-3,
-) -> Trajectory:
-    """Pairwise model with uniform recovery on [A, B]: distributed delays.
+def _fixed_law(run: _SolveSetup, model: _Model) -> _Law:
+    """Removal of the incidence delayed by sigma; the newborns recover in a jump at sigma."""
+    sigma, I0, half, tau, at = run.dist.sigma, run.I0, 0.5 * run.h, model.tau, model.head
+    SI0 = run.pair_state()[3]
 
-    The moving-window integrals telescope against cumulative quantities:
-    the [I] window equals (S(t-B) - S(t-A))/(B-A), and the [SI] window is
-    the difference of the running integral W of the link inflow
-    c [SS] exp(Phi) at its two ends.  W itself overflows once Phi passes
-    about 709, so the state carries V = exp(-Phi) W, with
-    V' = c [SS] - (c + tau) V, and the window reads
-    (exp(Phi_a - Phi) V_a - exp(Phi_b - Phi) V_b)/(B-A).  The newborn removal
-    is the indicator-gated constant flux on [A, B], handled branch-wise (three
-    regimes t < A, A <= t <= B, t > B with breakpoints on grid nodes).
-    """
-    run = _setup("special:uniform", UniformInterval, params, num_nodes, degree, h)
+    def node(inc, u, lag, t0):
+        return (inc - lag[0],) if t0 > sigma - half else (inc,)
+
+    def link(c, SS, u, lag, t0):
+        _, _, _, SI, phi = u
+        dSI = c * SS - c * SI - tau * SI
+        if t0 > sigma - half:
+            dSI -= lag[1] * math.exp(-(phi - lag[2]))
+        return (dSI, c + tau)
+
+    def lag_terms(d):
+        if model.pairwise:  # rows of S, SS, I, SI, Phi
+            return tau * d[3], model.link * (d[1] * d[3] / d[0]), d[4]
+        return (model.coupling * d[0] * d[1],)
+
+    def recover_newborns(u):
+        u = list(u)
+        u[at] -= I0
+        if model.pairwise:
+            u[at + 1] -= SI0 * math.exp(-u[at + 2])
+        return u
+
+    return _Law(1, (0.0,), node, link, (sigma,), lag_terms, {run.jump: recover_newborns})
+
+
+def _uniform_law(run: _SolveSetup, model: _Model) -> _Law:
+    """Windowed removal over [A, B]; the newborns leave as a constant flux on [A, B]."""
     A, B = run.dist.lower, run.dist.upper
-    tau, n = params.tau, run.n
-    link = tau * (n - 1.0) / n
-    width = B - A
-    half = 0.5 * h
+    width, half, tau = B - A, 0.5 * run.h, model.tau
     newborn_flux = run.I0 / width
-    newborn_link_flux = (n / run.N) * run.S0 * newborn_flux
+    newborn_link_flux = (run.n / run.N) * run.S0 * newborn_flux
 
-    # State layout: [S, SS, I, SI, Phi, V]
-    def lag_terms(at_a, at_b):
-        Sa, _, _, _, phia, Va = at_a
-        Sb, _, _, _, phib, Vb = at_b
-        return (Sb - Sa) / width, phia, Va, phib, Vb
-
-    def rhs(t, u, lag, t0):
-        S, SS, I, SI, phi, V = u
-        c, dS, dSS, dI, dSI = _pair_rates(tau, link, S, SS, SI)
-        dphi = c + tau
-        dV = c * SS - dphi * V
+    def node(inc, u, lag, t0):
         if t0 > A - half:
-            removal, phia, Va, phib, Vb = lag
-            dI -= removal
+            inc -= lag[0]
+            if t0 < B - half:
+                inc -= newborn_flux
+        return (inc,)
+
+    def link(c, SS, u, lag, t0):
+        _, _, _, SI, phi, V = u
+        dSI, dphi = c * SS - c * SI - tau * SI, c + tau
+        if t0 > A - half:
+            _, phia, Va, phib, Vb = lag
             dSI -= (math.exp(phia - phi) * Va - math.exp(phib - phi) * Vb) / width
             if t0 < B - half:
-                dI -= newborn_flux
                 dSI -= newborn_link_flux * math.exp(-phi)
-        return (dS, dSS, dI, dSI, dphi, dV)
+        return (dSI, dphi, c * SS - dphi * V)
 
-    U = _march_delay_rk4(rhs, run.pair_state() + [0.0, 0.0], h, run.steps, None, [A, B], lag_terms)
-    S, SS, I, SI, phi, _ = U.T
-    return _trajectory(run, S, I, SI, SS, extra={"Phi": phi})
+    def lag_terms(at_a, at_b):  # pairwise rows: S, SS, I, SI, Phi, V
+        links = (at_a[4], at_a[5], at_b[4], at_b[5]) if model.pairwise else ()
+        return ((at_b[0] - at_a[0]) / width, *links)
+
+    return _Law(1, (0.0, 0.0), node, link, (A, B), lag_terms)
+
+
+def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, h) -> Trajectory:
+    """The reference of either model for the snapped law of ``params``."""
+    model_name = "reference_pairwise" if pairwise else "reference_meanfield"
+    run = _SolveSetup(model_name, params, num_nodes=num_nodes, degree=degree, h=h)
+    tau, n = params.tau, run.n
+    model = _Model(pairwise, tau, tau * (n - 1.0) / n, tau * n / run.N, 2 if pairwise else 1)
+    chain = run.dist._stage_chain()
+    if chain is not None:
+        law = _chain_law(model, *chain)
+    elif isinstance(run.dist, FixedDuration):
+        law = _fixed_law(run, model)
+    elif isinstance(run.dist, UniformInterval):
+        law = _uniform_law(run, model)
+    else:
+        raise ValueError(f"no closed-form reference for a {type(run.dist).__name__} recovery law")
+    K, node, link = law.stages, law.node, law.link
+    S0, SS0, I0, SI0 = run.pair_state()
+    rest = (0.0,) * (K - 1)  # newborns and their links start in stage one
+    lo, hi = 2 + K, 2 + 2 * K  # the link stages of the pairwise state
+    link_rate, coupling = model.link, model.coupling
+
+    def pairwise_rhs(t, u, lag, t0):
+        S, SS = u[0], u[1]
+        SI = u[lo] if K == 1 else sum(u[lo:hi])  # one stage needs no sum()
+        c = link_rate * SI / S
+        inc = tau * SI
+        return [-inc, -2.0 * c * SS, *node(inc, u, lag, t0), *link(c, SS, u, lag, t0)]
+
+    def meanfield_rhs(t, u, lag, t0):
+        inc = coupling * u[0] * (u[1] if K == 1 else sum(u[1:]))
+        return [-inc, *node(inc, u, lag, t0)]
+
+    if pairwise:
+        rhs, u0 = pairwise_rhs, (S0, SS0, I0, *rest, SI0, *rest, *law.aux)
+    else:
+        rhs, u0 = meanfield_rhs, (S0, I0, *rest)
+    U = _march_delay_rk4(rhs, u0, h, run.steps, law.jumps, law.lags, law.lag_terms)
+    I_stages = U[:, model.head : model.head + K].T
+    extra = {"I_stages": I_stages} if chain is not None else {}
+    if not pairwise:
+        return _trajectory(run, U[:, 0], I_stages.sum(axis=0), extra=extra)
+    SI_stages = U[:, lo:hi].T
+    if chain is not None:
+        extra["SI_stages"] = SI_stages
+    else:
+        extra["Phi"] = U[:, hi]
+    return _trajectory(
+        run, U[:, 0], I_stages.sum(axis=0), SI_stages.sum(axis=0), U[:, 1], extra=extra
+    )

@@ -28,12 +28,7 @@ FIG1 = {
 }
 ALL4 = dict(FIG1, fixed=nm.FixedDuration(1.5))
 
-REFERENCES = {
-    "exp": (nm.solve_markovian_pairwise, 1e-3),
-    "fixed": (nm.solve_fixed_delay_pairwise, 1e-3),
-    "gamma": (nm.solve_gamma_chain, 1e-2),
-    "uniform": (nm.solve_uniform_delay_pairwise, 1e-2),
-}
+REFERENCE_TOL = {"exp": 1e-3, "fixed": 1e-3, "gamma": 1e-2, "uniform": 1e-2}
 
 
 def _params(dist, t_end=25.0, i0=I0):
@@ -159,10 +154,10 @@ def test_criterion_3_special_case_equivalence(fine_pairwise_runs):
     details = []
     ok = True
     for name, dist in ALL4.items():
-        ref_solver, tol = REFERENCES[name]
+        tol = REFERENCE_TOL[name]
         generic, gen_time = fine_pairwise_runs[name]
         start = time.perf_counter()
-        ref = ref_solver(_params(dist), num_nodes=N, degree=DEG, h=1e-3)
+        ref = nm.solve_reference_pairwise(_params(dist), num_nodes=N, degree=DEG, h=1e-3)
         ref_time = time.perf_counter() - start
         rel = rel_sup_diff(generic.I, ref.I)
         case_time = gen_time + ref_time
@@ -285,7 +280,7 @@ def test_criterion_7_gamma_stage_identity():
     dist = FIG1["gamma"]
     shape, stage_rate = 3, dist.rate
     h = 1e-3
-    traj = nm.solve_gamma_chain(_params(dist), num_nodes=N, degree=DEG, h=h)
+    traj = nm.solve_reference_pairwise(_params(dist), num_nodes=N, degree=DEG, h=h)
     m = len(traj.t) - 1
     ages = np.arange(m + 1) * h
     incidence = TAU * traj.SI

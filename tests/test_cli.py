@@ -306,6 +306,23 @@ def test_solve_special_models(tmp_path):
     assert (tmp_path / "solve_special_gamma.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "model,kind,spec",
+    [("special:markovian", "exp", "gamma:shape=1,rate=2"),
+     ("special:fixed", "fixed", "uniform:a=1,b=2"),
+     ("special:gamma", "gamma", "exp:rate=0.6667"),
+     ("special:uniform", "uniform", "fixed:sigma=1.5")],
+)
+def test_special_model_rejects_law_of_another_kind(tmp_path, capsys, model, kind, spec):
+    argv = ["solve", "--model", model, "--set", f"epidemic.dist={spec}", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    given = nm.parse_distribution(spec).spec_string()
+    assert f"{model} needs a recovery law of kind {kind!r}, got {given!r}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_analytics_table_and_csv(tmp_path, capsys):
     rc = main(
         ["analytics", "--out", str(tmp_path), "--set",
