@@ -31,6 +31,8 @@ exponential stages) with K running stage sums updated by a positive
 lower-triangular recursion (the linear chain trick; MacDonald 1978, Hurtado
 and Kirosingh 2019), O(steps K^2) in all, up to ``_MAX_STAGES`` stages.
 The pairwise [I] is one FFT convolution for every law, O(steps log steps).
+One builder serves both models with their closures, and
+``trajectory._SolveSetup`` checks its inputs by the model's rule.
 
 Support breakpoints (sigma, or the uniform endpoints) are snapped to the
 grid, by ``trajectory._SolveSetup`` for every deterministic solve, so the
@@ -51,7 +53,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .recovery import RecoveryDistribution
 from .trajectory import EpidemicParams, SolverConfig, SolverError, Trajectory, _SolveSetup
 
 __all__ = [
@@ -87,22 +88,6 @@ _PHI_RESCALE = 300.0
 # for K = 6, 0.93-1.06 for K = 7 and 1.05-1.16 for K = 8 at h = 1e-2; over
 # 25000 steps at 0.47-0.62 for K = 3-6 and 0.68-0.79 for K = 7-8.
 _MAX_STAGES = 6
-
-
-def _survival_grids(dist: RecoveryDistribution, h: float, steps: int, jump: int | None):
-    """Survival samples on the age grid, quadrature and pointwise.
-
-    The quadrature variant replaces the value at the point-mass node ``jump``
-    by the midpoint of the one-sided limits, which makes the composite
-    trapezoid act as a piecewise rule on the two smooth sides of the jump.
-    For laws with continuous survival (``jump`` None) both variants agree.
-    """
-    ages = np.arange(steps + 1) * h
-    xi_point = np.asarray(dist.survival(ages))
-    xi_quad = xi_point.copy()
-    if jump is not None and jump <= steps:
-        xi_quad[jump] = 0.5
-    return xi_quad, xi_point
 
 
 def _corrector_converged(delta: float, delta_prev: float, xs: float, ys: float) -> bool:
@@ -341,58 +326,6 @@ def _infected_from_incidence(
     return h * (conv - ends) + boundary
 
 
-class _Renewal(NamedTuple):
-    """A marched model plus the grid pieces its post-processing needs."""
-
-    x: np.ndarray
-    y: np.ndarray
-    phi: np.ndarray
-    y_hist: np.ndarray
-    xi_quad: np.ndarray
-    b_infected: np.ndarray
-
-
-def _solve_renewal(
-    run: _SolveSetup,
-    *,
-    deriv_x,
-    state_factor,
-    exponent_rate,
-    boundary_scale: float = 1.0,
-) -> _Renewal:
-    """Kernel and boundary set-up and the march of one model.
-
-    ``boundary_scale`` converts the initial-infected profile into the units
-    of the renewal variable y (1 for [I], the initial link density for [SI]).
-    The march keeps its history as stage sums for a chain law of at most
-    ``_MAX_STAGES`` stages, else every weight (windowed for a bounded
-    support).
-    """
-    h, steps = run.h, run.steps
-    xi_quad, xi_point = _survival_grids(run.dist, h, steps, run.jump)
-    # The initial infecteds are newborn: their profile is I0 xi(t).
-    b_infected = run.I0 * xi_point
-    chain = run.dist._stage_chain()
-    if chain is not None and chain[0] <= _MAX_STAGES:
-        history = _stage_history(*chain, h)
-    else:
-        history = _weight_history(xi_quad, h, steps, run.window)
-
-    x, y, phi, y_hist = _march_renewal(
-        deriv_x=deriv_x,
-        state_factor=state_factor,
-        exponent_rate=exponent_rate,
-        xi_quad=xi_quad,
-        boundary=boundary_scale * b_infected,
-        jump=run.jump,
-        x0=run.S0,
-        h=h,
-        steps=steps,
-        history=history,
-    )
-    return _Renewal(x, y, phi, y_hist, xi_quad, b_infected)
-
-
 def solve_meanfield(
     params: EpidemicParams,
     *,
@@ -405,20 +338,7 @@ def solve_meanfield(
     The trajectory's pair columns are the closure values [SI] = (n/N) S I and
     [SS] = (n/N) S^2.
     """
-    config = config or SolverConfig()
-    run = _SolveSetup(
-        "meanfield", params, num_nodes=num_nodes, degree=degree, h=config.h,
-        allow_no_susceptibles=True,
-    )
-
-    coupling = params.tau * run.n / run.N
-    sol = _solve_renewal(
-        run,
-        deriv_x=lambda s, i: -coupling * s * i,
-        state_factor=lambda s, i: coupling * s * i,
-        exponent_rate=None,
-    )
-    return run.trajectory(sol.x, sol.y)
+    return _solve(False, params, num_nodes, degree, (config or SolverConfig()).h)
 
 
 def solve_pairwise(
@@ -435,36 +355,67 @@ def solve_pairwise(
     the survival kernel.  ``extra`` carries the accumulated rate integral Phi
     and an independently integrated [SS] series for drift diagnostics.
     """
-    config = config or SolverConfig()
-    if degree < 2:
-        raise ValueError("pairwise model needs degree >= 2")
-    run = _SolveSetup("pairwise", params, num_nodes=num_nodes, degree=degree, h=config.h)
-    S0 = run.S0
+    return _solve(True, params, num_nodes, degree, (config or SolverConfig()).h)
 
-    tau, n, N = params.tau, run.n, run.N
-    kappa = (n - 1.0) / N * S0 ** (2.0 / n)
-    alpha = (n - 2.0) / n
-    link_ratio = tau * (n - 1.0) / n
 
-    # The march passes Python floats, which raise or turn complex where numpy
-    # gave nan: an iterate with [S] <= 0 yields nan, and the corrector reports
-    # the step as not contracting.
-    sol = _solve_renewal(
-        run,
-        deriv_x=lambda s, si: -tau * si,
-        state_factor=lambda s, si: tau * kappa * s**alpha * si if s >= 0.0 else math.nan,
-        exponent_rate=lambda s, si: link_ratio * si / s + tau if s else math.nan,
-        boundary_scale=(n / N) * S0,
+def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, h) -> Trajectory:
+    """The renewal solve of either model for the snapped law of ``params``.
+
+    The history keeps stage sums for a chain law of at most ``_MAX_STAGES``
+    stages, else every weight (windowed for a bounded support).
+    """
+    model = "pairwise" if pairwise else "meanfield"
+    run = _SolveSetup(model, params, num_nodes=num_nodes, degree=degree, h=h)
+    tau, n, N, S0, steps, jump = params.tau, run.n, run.N, run.S0, run.steps, run.jump
+    # The initial infecteds are newborn: their profile is I0 xi(t).  The
+    # quadrature copy of xi then takes the midpoint of the one-sided limits at
+    # the point-mass node, which makes the composite trapezoid act as a
+    # piecewise rule on the two smooth sides of the jump.
+    xi_quad = np.array(run.dist.survival(np.arange(steps + 1) * h))
+    b_infected = run.I0 * xi_quad
+    if jump is not None and jump <= steps:
+        xi_quad[jump] = 0.5
+    chain = run.dist._stage_chain()
+    if chain is not None and chain[0] <= _MAX_STAGES:
+        history = _stage_history(*chain, h)
+    else:
+        history = _weight_history(xi_quad, h, steps, run.window)
+
+    if pairwise:
+        kappa = (n - 1.0) / N * S0 ** (2.0 / n)
+        alpha = (n - 2.0) / n
+        link_ratio = tau * (n - 1.0) / n
+        # The march passes Python floats, which raise or turn complex where
+        # numpy gave nan: an iterate with [S] <= 0 yields nan, and the
+        # corrector reports the step as not contracting.
+        closures = dict(
+            deriv_x=lambda s, si: -tau * si,
+            state_factor=lambda s, si: tau * kappa * s**alpha * si if s >= 0.0 else math.nan,
+            exponent_rate=lambda s, si: link_ratio * si / s + tau if s else math.nan,
+        )
+        boundary_scale = (n / N) * S0  # y is [SI]: the newborns' links to [S]0
+    else:
+        coupling = tau * n / N
+        closures = dict(
+            deriv_x=lambda s, i: -coupling * s * i,
+            state_factor=lambda s, i: coupling * s * i,
+            exponent_rate=None,
+        )
+        boundary_scale = 1.0
+    x, y, phi, y_hist = _march_renewal(
+        **closures, xi_quad=xi_quad, boundary=boundary_scale * b_infected, jump=jump,
+        x0=S0, h=h, steps=steps, history=history,
     )
-    S, SI, h = sol.x, sol.y, config.h
-    SS = (n / N) * S0 ** (2.0 / n) * S ** (2.0 * (n - 1.0) / n)
-    I = _infected_from_incidence(tau * sol.y_hist, sol.xi_quad, sol.b_infected, h)
+    del history  # stored weights held past the march raise the peak RSS of long solves
+    if not pairwise:
+        return run.trajectory(x, y)
 
+    S, SI = x, y
+    SS = (n / N) * S0 ** (2.0 / n) * S ** (2.0 * (n - 1.0) / n)
+    I = _infected_from_incidence(tau * y_hist, xi_quad, b_infected, h)
     # Independent [SS] integration (trapezoid of its own rate equation) for
     # first-integral drift diagnostics; the update is linear-implicit exact.
     c = 2.0 * link_ratio * SI / S
     ratio = (1.0 - 0.5 * h * c[:-1]) / (1.0 + 0.5 * h * c[1:])
     ss_independent = (n / N) * S0**2 * np.concatenate(([1.0], np.cumprod(ratio)))
-    return run.trajectory(
-        S, I, SI, SS, extra={"Phi": sol.phi, "SS_independent": ss_independent}
-    )
+    return run.trajectory(S, I, SI, SS, extra={"Phi": phi, "SS_independent": ss_independent})

@@ -215,10 +215,11 @@ class _SolveSetup:
 
     Everything comes from ``params`` and the step size: I0 is
     ``params.initial_infected``, S0 = N - I0, and the grid is ``t = k h`` for
-    ``k = 0..round(params.t_end/h)``.  The counts are checked here for every
-    solve: I0 may not exceed N, and S0 must be positive unless
-    ``allow_no_susceptibles``.  Solvers may update or extend ``meta`` before
-    :meth:`trajectory`.
+    ``k = 0..round(params.t_end/h)``.  The inputs are checked here for every
+    solve, by the rule of its ``model``: I0 may not exceed N, and a pairwise
+    model (a name ending in ``pairwise``) needs degree >= 2 and S0 > 0, where
+    a mean-field one accepts S0 = 0.  Solvers may update or extend ``meta``
+    before :meth:`trajectory`.
 
     The law is put on the grid here for every solve: ``dist`` has its
     breakpoints on the nearest nodes (``meta["grid_snap"]`` notes any move),
@@ -226,9 +227,10 @@ class _SolveSetup:
     ``window`` the last node of a bounded support, capped at ``steps``.
     """
 
-    def __init__(
-        self, model, params: EpidemicParams, *, num_nodes, degree, h, allow_no_susceptibles=False
-    ):
+    def __init__(self, model: str, params: EpidemicParams, *, num_nodes, degree, h):
+        pairwise = model.endswith("pairwise")
+        if pairwise and degree < 2:
+            raise ValueError("pairwise model needs degree >= 2")
         if not (num_nodes > 0 and degree > 0):
             raise ValueError("degree and num_nodes must be positive")
         if not 0.0 < h < math.inf:
@@ -237,7 +239,7 @@ class _SolveSetup:
         self.N, self.n = float(num_nodes), float(degree)
         self.I0 = float(params.initial_infected)
         self.S0 = self.N - self.I0
-        if self.S0 < 0.0 or (self.S0 == 0.0 and not allow_no_susceptibles):
+        if self.S0 < 0.0 or (self.S0 == 0.0 and pairwise):
             raise ValueError(
                 f"initial_infected={params.initial_infected} leaves no susceptible "
                 f"among num_nodes={num_nodes}"

@@ -306,6 +306,16 @@ def test_solve_special_models(tmp_path):
     assert (tmp_path / "solve_special_gamma.csv").exists()
 
 
+def test_special_model_refuses_degree_below_two(tmp_path, capsys):
+    # The closed-form pairwise reference has the pairwise solve's input rule.
+    argv = ["solve", "--model", "special:markovian", "--set", "network.n=1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "pairwise model needs degree >= 2" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "model,kind,spec",
     [("special:markovian", "exp", "gamma:shape=1,rate=2"),

@@ -200,10 +200,10 @@ _SOLVE_CASES = {
 }
 
 
-def _solve(solver, params, h):
+def _solve(solver, params, h, degree=DEG):
     if solver in (nm.solve_pairwise, nm.solve_meanfield):
-        return solver(params, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
-    return solver(params, num_nodes=N, degree=DEG, h=h)
+        return solver(params, num_nodes=N, degree=degree, config=nm.SolverConfig(h=h))
+    return solver(params, num_nodes=N, degree=degree, h=h)
 
 
 @pytest.mark.parametrize("solver,dist,extra_keys", _SOLVE_CASES.values(), ids=list(_SOLVE_CASES))
@@ -223,19 +223,28 @@ def test_deterministic_solves_share_setup(solver, dist, extra_keys):
 )
 def test_seeding_comes_from_params_and_is_checked_once(solver, dist):
     # I0 is params.initial_infected and S0 = N - I0.  Seeding more than N
-    # nodes is rejected by every solve, seeding all N by every solve but the
-    # generic mean-field one, which then keeps [S] = 0.
+    # nodes is rejected by every solve.  The input rule is the model's, so
+    # the generic solve and the reference of a model agree: seeding all N is
+    # refused by a pairwise solve and kept at [S] = 0 by a mean-field one,
+    # and a degree below 2 is refused by a pairwise solve only.
     traj = _solve(solver, _params(dist, i0=7, t_end=2.0), 0.05)
     assert (traj.meta["I0"], traj.meta["S0"]) == (7.0, N - 7.0)
     assert traj.S[0] == N - 7.0
     with pytest.raises(ValueError, match="no susceptible"):
         _solve(solver, _params(dist, i0=N + 1, t_end=2.0), 0.05)
     everyone = _params(dist, i0=N, t_end=2.0)
-    if solver is nm.solve_meanfield:
-        assert np.all(_solve(solver, everyone, 0.05).S == 0.0)
-    else:
+    pairwise = solver in (nm.solve_pairwise, PW)
+    if pairwise:
         with pytest.raises(ValueError, match="no susceptible"):
             _solve(solver, everyone, 0.05)
+    else:
+        assert np.all(_solve(solver, everyone, 0.05).S == 0.0)
+    for degree in (1, 1.5):
+        if pairwise:
+            with pytest.raises(ValueError, match="pairwise model needs degree >= 2"):
+                _solve(solver, _params(dist, t_end=2.0), 0.05, degree)
+        else:
+            assert np.all(np.isfinite(_solve(solver, _params(dist, t_end=2.0), 0.05, degree).I))
 
 
 @pytest.mark.parametrize("solver,dist", _REFERENCES.values(), ids=list(_REFERENCES))
