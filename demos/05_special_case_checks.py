@@ -45,7 +45,7 @@ for model, generic_solve, reference in MODELS:
         params = EpidemicParams(tau=0.35, dist=dist, initial_infected=5, t_end=25.0)
         start = time.perf_counter()
         generic = generic_solve(params, num_nodes=N, degree=DEGREE, config=SolverConfig(h=H))
-        ref = reference(params, num_nodes=N, degree=DEGREE, h=H)
+        ref = reference(params, num_nodes=N, degree=DEGREE, config=SolverConfig(h=H))
         elapsed = time.perf_counter() - start
         rel = np.max(np.abs(generic.I - ref.I)) / np.max(ref.I)
         print(

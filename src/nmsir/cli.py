@@ -203,7 +203,8 @@ def _out_path(cfg: ExperimentConfig, name: str) -> Path:
     return out / f"{cfg.outputs_prefix}{name}"
 
 
-def _meta_with_config(cfg: ExperimentConfig, **extra) -> dict:
+def _meta_with_config(cfg: ExperimentConfig, *solves: Trajectory, **extra) -> dict:
+    """``command``, the configuration, ``extra``, then the ``grid_snap`` notes of ``solves``."""
     meta = {"command": extra.pop("command")}
     # Output location is environmental, not part of the run: leaving it out
     # keeps equal-seed runs byte-identical regardless of where they land.
@@ -211,6 +212,9 @@ def _meta_with_config(cfg: ExperimentConfig, **extra) -> dict:
         (k, v) for k, v in cfg.flatten().items() if not k.startswith("outputs.")
     )
     meta.update(extra)
+    snaps = ";".join(solve.meta["grid_snap"] for solve in solves if "grid_snap" in solve.meta)
+    if snaps:
+        meta["grid_snap"] = snaps
     return meta
 
 
@@ -246,36 +250,33 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 # Each `special:` model is the pairwise reference, for a law of one kind.
 _SPECIAL_SOLVERS = {
-    "special:markovian": Exponential,
-    "special:fixed": FixedDuration,
-    "special:gamma": GammaErlang,
-    "special:uniform": UniformInterval,
+    "special:markovian": (solve_reference_pairwise, Exponential),
+    "special:fixed": (solve_reference_pairwise, FixedDuration),
+    "special:gamma": (solve_reference_pairwise, GammaErlang),
+    "special:uniform": (solve_reference_pairwise, UniformInterval),
 }
 
 
 def solve_model(cfg: ExperimentConfig, model: str, dist_spec: str | None = None) -> Trajectory:
     params = _epidemic_params(cfg, dist_spec)
-    common = dict(num_nodes=cfg.network_num_nodes, degree=cfg.network_degree)
-    if model in ("pairwise", "meanfield"):
-        solve = solve_pairwise if model == "pairwise" else solve_meanfield
-        return solve(params, config=SolverConfig(h=cfg.solver_h), **common)
     if model in _SPECIAL_SOLVERS:
-        law = _SPECIAL_SOLVERS[model]
+        solve, law = _SPECIAL_SOLVERS[model]
         if not isinstance(params.dist, law):
             raise ConfigError(
                 f"{model} needs a recovery law of kind {law.kind!r}, "
                 f"got {params.dist.spec_string()!r}"
             )
-        return solve_reference_pairwise(params, h=cfg.solver_h, **common)
-    raise ConfigError(f"unknown model {model!r}")
+    elif model in ("pairwise", "meanfield"):
+        solve = solve_pairwise if model == "pairwise" else solve_meanfield
+    else:
+        raise ConfigError(f"unknown model {model!r}")
+    return solve(params, num_nodes=cfg.network_num_nodes, degree=cfg.network_degree,
+                 config=SolverConfig(h=cfg.solver_h))
 
 
 def cmd_solve(cfg: ExperimentConfig, model: str) -> int:
     traj = solve_model(cfg, model)
-    snap_note = traj.meta.get("grid_snap")
-    traj.meta = _meta_with_config(cfg, command="solve", model=model)
-    if snap_note:
-        traj.meta["grid_snap"] = snap_note
+    traj.meta = _meta_with_config(cfg, traj, command="solve", model=model)
     path = _out_path(cfg, f"solve_{model.replace(':', '_')}.csv")
     traj.to_csv(path)
     print(f"wrote {path}")
@@ -326,11 +327,9 @@ def _in_se(gap: float, se: float) -> float:
     return gap / se if se > 0.0 else math.copysign(math.inf, gap)
 
 
-def _compare_one(cfg: ExperimentConfig, spec: str, ensemble: tuple[Trajectory, Trajectory]):
-    """One law's metrics per method, gate results, curve columns and grid-snap note."""
+def _compare_one(cfg: ExperimentConfig, ensemble: tuple[Trajectory, Trajectory], pw, mf):
+    """One law's metrics per method, gate results and curve columns, given its two solves."""
     mean, std = ensemble
-    pw = solve_model(cfg, "pairwise", spec)
-    mf = solve_model(cfg, "meanfield", spec)
     N = cfg.network_num_nodes
     sim_peak, sim_final = mean.peak_infected()[1], mean.final_size(N)
     rows = {}
@@ -371,7 +370,7 @@ def _compare_one(cfg: ExperimentConfig, spec: str, ensemble: tuple[Trajectory, T
         "S_pairwise": np.interp(mean.t, pw.t, pw.S),
         "S_meanfield": np.interp(mean.t, mf.t, mf.S),
     }
-    return rows, checks, curves, pw.meta.get("grid_snap")
+    return rows, checks, curves
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
@@ -380,15 +379,18 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     # result and file name is in memory before the first file is written, so
     # a compare that fails writes nothing.
     ensembles = _ensembles(cfg, [_epidemic_params(cfg, spec) for spec in specs])
-    results = [_compare_one(cfg, spec, ens) for spec, ens in zip(specs, ensembles)]
-    meta = _meta_with_config(cfg, command="compare")
-    all_ok = all(ok for _, checks, _, _ in results for ok, _ in checks.values())
+    # Both solves snap a law's breakpoints alike, so the pairwise one's notes
+    # stand for the law's; the simulator runs it as given.
+    pw_solves, results = [], []
+    for spec, ens in zip(specs, ensembles):
+        pw_solves.append(solve_model(cfg, "pairwise", spec))
+        results.append(_compare_one(cfg, ens, pw_solves[-1], solve_model(cfg, "meanfield", spec)))
+    all_ok = all(ok for _, checks, _ in results for ok, _ in checks.values())
     summary, curve_files, report = [], [], []
-    for idx, (spec, (rows, checks, curves, snap)) in enumerate(zip(specs, results)):
+    for idx, (spec, pw_solve, (rows, checks, curves)) in enumerate(zip(specs, pw_solves, results)):
         tag = parse_distribution(spec).kind
         columns = zip(*(curve.tolist() for curve in curves.values()))
-        # Both solves snap the law's breakpoints alike; the simulator runs it as given.
-        curve_meta = {**meta, "dist": spec, **({"grid_snap": snap} if snap else {})}
+        curve_meta = _meta_with_config(cfg, pw_solve, command="compare", dist=spec)
         curve_files.append((f"compare_{idx}_{tag}.csv", tag, curve_meta, list(curves), columns))
         for method, m in rows.items():
             summary.append([spec, method] + [m[k] for k in _SUMMARY_HEADER[2:]])
@@ -409,8 +411,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     for name, _, curve_meta, header, columns in curve_files:
         write_csv(_out_path(cfg, name), curve_meta, header, columns)
     summary_path = _out_path(cfg, "compare_summary.csv")
-    snaps = ";".join(snap for *_, snap in results if snap)
-    write_csv(summary_path, {**meta, "grid_snap": snaps} if snaps else meta,
+    write_csv(summary_path, _meta_with_config(cfg, *pw_solves, command="compare"),
               _SUMMARY_HEADER, summary)
     for line in report:
         print(line)

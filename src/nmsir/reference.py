@@ -64,7 +64,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .recovery import FixedDuration, UniformInterval
-from .trajectory import SERIES_NAMES, EpidemicParams, SolverError, Trajectory, _SolveSetup
+from .trajectory import SERIES_NAMES, EpidemicParams, SolverConfig, SolverError, Trajectory
+from .trajectory import _SolveSetup
 
 __all__ = ["solve_reference_pairwise", "solve_reference_meanfield"]
 
@@ -123,7 +124,7 @@ def _march_delay_rk4(
 ):
     """Classical RK4 with node history, method-of-steps lag blocks, node jumps.
 
-    ``rhs(t, u, lag, t0)`` receives the step's starting node time ``t0``
+    ``rhs(u, lag, t0)`` receives the step's starting node time ``t0``
     for branch decisions; states and derivatives are sequences of floats.
     ``lags`` are delays on the step grid, each at least one step, and
     ``lag`` is the tuple of floats that ``lag_terms`` makes of the history
@@ -171,21 +172,21 @@ def _march_delay_rk4(
         lag = lag_at(np.zeros(1))[0]
         for k in range(steps):
             t0 = k * h
-            k1 = rhs(t0, u, lag, t0)
+            k1 = rhs(u, lag, t0)
             D.extend(k1)
             i = k % block
             if i == 0:
                 mids = ends = None  # the last block's tuples go before the next is built
                 mids, ends = lag_block(k, min(block, steps - k))
             mid, lag = mids[i], ends[i]
-            k2 = rhs(t0 + half, [x + half * d for x, d in zip(u, k1)], mid, t0)
-            k3 = rhs(t0 + half, [x + half * d for x, d in zip(u, k2)], mid, t0)
-            k4 = rhs(t0 + h, [x + h * d for x, d in zip(u, k3)], lag, t0)
+            k2 = rhs([x + half * d for x, d in zip(u, k1)], mid, t0)
+            k3 = rhs([x + half * d for x, d in zip(u, k2)], mid, t0)
+            k4 = rhs([x + h * d for x, d in zip(u, k3)], lag, t0)
             u = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
                  for x, a, b, c, d in zip(u, k1, k2, k3, k4)]
             jump = jumps.get(k + 1)
             if jump is not None:
-                pre_jump[k + 1] = (u, rhs((k + 1) * h, u, lag, t0))
+                pre_jump[k + 1] = (u, rhs(u, lag, t0))
                 u = jump(u)
             U.extend(u)
     except ArithmeticError as exc:
@@ -204,17 +205,17 @@ def _march_delay_rk4(
 
 
 def solve_reference_pairwise(
-    params: EpidemicParams, *, num_nodes: float, degree: float, h: float = 1e-3
+    params: EpidemicParams, *, num_nodes: float, degree: float, config: SolverConfig | None = None
 ) -> Trajectory:
     """The pairwise model as the ODE or DDE of its recovery law (see the module docstring)."""
-    return _solve(True, params, num_nodes, degree, h)
+    return _solve(True, params, num_nodes, degree, config)
 
 
 def solve_reference_meanfield(
-    params: EpidemicParams, *, num_nodes: float, degree: float, h: float = 1e-3
+    params: EpidemicParams, *, num_nodes: float, degree: float, config: SolverConfig | None = None
 ) -> Trajectory:
     """The mean-field model as the ODE or DDE of its recovery law (see the module docstring)."""
-    return _solve(False, params, num_nodes, degree, h)
+    return _solve(False, params, num_nodes, degree, config)
 
 
 class _Model(NamedTuple):
@@ -328,11 +329,11 @@ def _uniform_law(run: _SolveSetup, model: _Model) -> _Law:
     return _Law(1, (0.0, 0.0), node, link, (A, B), lag_terms)
 
 
-def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, h) -> Trajectory:
+def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, config) -> Trajectory:
     """The reference of either model for the snapped law of ``params``."""
     model_name = "reference_pairwise" if pairwise else "reference_meanfield"
-    run = _SolveSetup(model_name, params, num_nodes=num_nodes, degree=degree, h=h)
-    tau, n = params.tau, run.n
+    run = _SolveSetup(model_name, params, num_nodes=num_nodes, degree=degree, config=config)
+    tau, n, h = params.tau, run.n, run.h
     model = _Model(pairwise, tau, tau * (n - 1.0) / n, tau * n / run.N, 2 if pairwise else 1)
     chain = run.dist._stage_chain()
     if chain is not None:
@@ -349,14 +350,14 @@ def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, h) -> Traj
     lo, hi = 2 + K, 2 + 2 * K  # the link stages of the pairwise state
     link_rate, coupling = model.link, model.coupling
 
-    def pairwise_rhs(t, u, lag, t0):
+    def pairwise_rhs(u, lag, t0):
         S, SS = u[0], u[1]
         SI = u[lo] if K == 1 else sum(u[lo:hi])  # one stage needs no sum()
         c = link_rate * SI / S
         inc = tau * SI
         return [-inc, -2.0 * c * SS, *node(inc, u, lag, t0), *link(c, SS, u, lag, t0)]
 
-    def meanfield_rhs(t, u, lag, t0):
+    def meanfield_rhs(u, lag, t0):
         inc = coupling * u[0] * (u[1] if K == 1 else sum(u[1:]))
         return [-inc, *node(inc, u, lag, t0)]
 

@@ -95,6 +95,13 @@ def _check_run(num_nodes: int, params: EpidemicParams, dt_out: float) -> None:
         raise ValueError(f"dt_out must be positive and finite, got {dt_out}")
 
 
+def _meta(source: str, num_nodes, degree, params: EpidemicParams, I0, dt_out, **own) -> dict:
+    """The head that every run's and ensemble's meta shares, then its ``own`` keys."""
+    return {"source": source, "N": num_nodes, "n": degree, "tau": params.tau,
+            "dist": params.dist.spec_string(), "I0": I0, "t_end": params.t_end,
+            "dt_out": dt_out, **own}
+
+
 def run_single(
     graph: RegularGraph,
     params: EpidemicParams,
@@ -152,20 +159,13 @@ def run_single(
     first_rec = np.where(ia_u <= ia_v, ir[u], ir[v])
     si = linked - counts(np.minimum(first_rec, np.maximum(ia_u, ia_v)))
     total = int(np.count_nonzero(infected))
-    meta = {
-        "source": "simulation",
-        "N": num_nodes,
-        "n": graph.degree,
-        "tau": params.tau,
-        "dist": dist.spec_string(),
-        "I0": len(seeds),
-        "t_end": params.t_end,
-        "dt_out": dt_out,
-        "final_size": float(total),
-        "last_infection_time": float(a[infected].max()) if total else 0.0,
-        "last_recovery_time": float(r[infected].max()) if total else 0.0,
-        "total_infections": total,
-    }
+    meta = _meta(
+        "simulation", num_nodes, graph.degree, params, len(seeds), dt_out,
+        final_size=float(total),
+        last_infection_time=float(a[infected].max()) if total else 0.0,
+        last_recovery_time=float(r[infected].max()) if total else 0.0,
+        total_infections=total,
+    )
     diag = {"sweeps": sweeps, "kept_edges": kept.size, "infections": total}
     return Trajectory(
         grid, (num_nodes - ever).astype(float), (ever - recovered).astype(float),
@@ -174,7 +174,7 @@ def run_single(
 
 
 def _ensemble_run(k: int, job: dict = _JOB) -> list[Trajectory]:
-    """Run k of every law of ``job``: graph k, or the supplied graph, under stream k."""
+    """Run k of every law of ``job``: graph k, or the one shared graph, under stream k."""
     graph = job["graph"] if "graph" in job else generate_regular(
         job["num_nodes"], job["degree"], job["graph_seed"] + 7919 * k
     )
@@ -234,16 +234,16 @@ def run_ensembles(
     base_seed: int,
     graph_seed: int = 1,
     fresh_graph_per_run: bool = True,
-    graph: RegularGraph | None = None,
     dt_out: float = 0.1,
 ) -> list[tuple[Trajectory, Trajectory]]:
     """Run independent realisations of each law; one pointwise (mean, std) per law.
 
-    Per-run RNG streams are spawned from ``base_seed``, and per-run graph
-    seeds from ``graph_seed`` when ``fresh_graph_per_run`` is set; a fixed
-    ``graph`` may be supplied instead, and the meta then records its shape
-    and seed, with ``fresh_graph_per_run`` false.  Two calls with equal seeds
-    produce bit-identical output.  The run index is the outer loop: graph k
+    Per-run RNG streams are spawned from ``base_seed``.  With
+    ``fresh_graph_per_run`` run k has the graph of seed ``graph_seed + 7919
+    k``; without it every run shares the one graph of ``graph_seed``, built
+    once here and handed to the workers with the job.  The seeds name the
+    graphs, and the meta records them.  Two calls with equal seeds produce
+    bit-identical output.  The run index is the outer loop: graph k
     is built once and run k of every law uses it, with stream k of
     ``base_seed``, so each law's ensemble is bit-identical to a one-law call
     for that law alone.
@@ -266,17 +266,12 @@ def run_ensembles(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    if graph is None and not fresh_graph_per_run:
-        graph = generate_regular(num_nodes, degree, graph_seed)
-    if graph is not None:
-        num_nodes, degree = graph.num_nodes, graph.degree
-        graph_seed, fresh_graph_per_run = graph.seed, False
     for params in laws:
         _check_run(num_nodes, params, dt_out)
     job = {"laws": list(laws), "streams": np.random.SeedSequence(base_seed).spawn(runs),
            "dt_out": dt_out, "num_nodes": num_nodes, "degree": degree, "graph_seed": graph_seed}
-    if graph is not None:
-        job["graph"] = graph
+    if not fresh_graph_per_run:
+        job["graph"] = generate_regular(num_nodes, degree, graph_seed)
 
     # Per law: one (runs, len(t)) array per series, filled row by row.
     stacks: list[dict[str, np.ndarray]] = [{} for _ in laws]
@@ -296,20 +291,11 @@ def run_ensembles(
 
     results = []
     for params, stack, trajs in zip(laws, stacks, run_lists):
-        meta = {
-            "source": "simulation_ensemble",
-            "N": num_nodes,
-            "n": degree,
-            "tau": params.tau,
-            "dist": params.dist.spec_string(),
-            "I0": params.initial_infected,
-            "t_end": params.t_end,
-            "dt_out": dt_out,
-            "runs": runs,
-            "base_seed": base_seed,
-            "graph_seed": graph_seed,
-            "fresh_graph_per_run": fresh_graph_per_run,
-        }
+        meta = _meta(
+            "simulation_ensemble", num_nodes, degree, params, params.initial_infected, dt_out,
+            runs=runs, base_seed=base_seed, graph_seed=graph_seed,
+            fresh_graph_per_run=fresh_graph_per_run,
+        )
         grid = trajs[0].t
         mean = Trajectory(
             grid, **{k: np.mean(v, axis=0) for k, v in stack.items()},

@@ -338,7 +338,7 @@ def solve_meanfield(
     The trajectory's pair columns are the closure values [SI] = (n/N) S I and
     [SS] = (n/N) S^2.
     """
-    return _solve(False, params, num_nodes, degree, (config or SolverConfig()).h)
+    return _solve(False, params, num_nodes, degree, config)
 
 
 def solve_pairwise(
@@ -355,18 +355,18 @@ def solve_pairwise(
     the survival kernel.  ``extra`` carries the accumulated rate integral Phi
     and an independently integrated [SS] series for drift diagnostics.
     """
-    return _solve(True, params, num_nodes, degree, (config or SolverConfig()).h)
+    return _solve(True, params, num_nodes, degree, config)
 
 
-def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, h) -> Trajectory:
+def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, config) -> Trajectory:
     """The renewal solve of either model for the snapped law of ``params``.
 
     The history keeps stage sums for a chain law of at most ``_MAX_STAGES``
     stages, else every weight (windowed for a bounded support).
     """
     model = "pairwise" if pairwise else "meanfield"
-    run = _SolveSetup(model, params, num_nodes=num_nodes, degree=degree, h=h)
-    tau, n, N, S0, steps, jump = params.tau, run.n, run.N, run.S0, run.steps, run.jump
+    run = _SolveSetup(model, params, num_nodes=num_nodes, degree=degree, config=config)
+    tau, n, N, S0, h, steps, jump = params.tau, run.n, run.N, run.S0, run.h, run.steps, run.jump
     # The initial infecteds are newborn: their profile is I0 xi(t).  The
     # quadrature copy of xi then takes the midpoint of the one-sided limits at
     # the point-mass node, which makes the composite trapezoid act as a

@@ -213,7 +213,8 @@ class Trajectory:
 class _SolveSetup:
     """What every deterministic solve shares: counts, step grid, law, meta, assembly.
 
-    Everything comes from ``params`` and the step size: I0 is
+    Everything comes from ``params`` and ``config`` (``SolverConfig()`` if
+    None, which has already refused a bad step): I0 is
     ``params.initial_infected``, S0 = N - I0, and the grid is ``t = k h`` for
     ``k = 0..round(params.t_end/h)``.  The inputs are checked here for every
     solve, by the rule of its ``model``: I0 may not exceed N, and a pairwise
@@ -227,14 +228,13 @@ class _SolveSetup:
     ``window`` the last node of a bounded support, capped at ``steps``.
     """
 
-    def __init__(self, model: str, params: EpidemicParams, *, num_nodes, degree, h):
+    def __init__(self, model: str, params: EpidemicParams, *, num_nodes, degree, config):
         pairwise = model.endswith("pairwise")
         if pairwise and degree < 2:
             raise ValueError("pairwise model needs degree >= 2")
         if not (num_nodes > 0 and degree > 0):
             raise ValueError("degree and num_nodes must be positive")
-        if not 0.0 < h < math.inf:
-            raise ValueError(f"step size h must be positive and finite, got {h}")
+        h = (config or SolverConfig()).h
         self.params, self.h = params, h
         self.N, self.n = float(num_nodes), float(degree)
         self.I0 = float(params.initial_infected)

@@ -157,7 +157,9 @@ def test_criterion_3_special_case_equivalence(fine_pairwise_runs):
         tol = REFERENCE_TOL[name]
         generic, gen_time = fine_pairwise_runs[name]
         start = time.perf_counter()
-        ref = nm.solve_reference_pairwise(_params(dist), num_nodes=N, degree=DEG, h=1e-3)
+        ref = nm.solve_reference_pairwise(
+            _params(dist), num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-3)
+        )
         ref_time = time.perf_counter() - start
         rel = rel_sup_diff(generic.I, ref.I)
         case_time = gen_time + ref_time
@@ -280,7 +282,9 @@ def test_criterion_7_gamma_stage_identity():
     dist = FIG1["gamma"]
     shape, stage_rate = 3, dist.rate
     h = 1e-3
-    traj = nm.solve_reference_pairwise(_params(dist), num_nodes=N, degree=DEG, h=h)
+    traj = nm.solve_reference_pairwise(
+        _params(dist), num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h)
+    )
     m = len(traj.t) - 1
     ages = np.arange(m + 1) * h
     incidence = TAU * traj.SI

@@ -412,10 +412,11 @@ def test_compare_reports_each_gate_margin_in_standard_errors(tmp_path, capsys):
 
 
 def test_compare_records_the_solves_grid_snap(tmp_path, capsys):
-    # The simulator runs sigma = 1.55 while both solves run sigma = 1.6.
+    # The simulator runs sigma = 1.55 and [1.03, 2.07] while both solves
+    # run sigma = 1.6 and [1.0, 2.1]; the summary joins the laws' notes.
     rc = main(
         ["compare", *SMALL, "--out", str(tmp_path), "--set", "solver.h=0.1",
-         "--set", "compare.distributions=fixed:sigma=1.55;exp:rate=0.6667",
+         "--set", "compare.distributions=fixed:sigma=1.55;exp:rate=0.6667;uniform:a=1.03,b=2.07",
          "--set", "compare.enforce=false"]
     )
     assert rc == 0
@@ -426,7 +427,8 @@ def test_compare_records_the_solves_grid_snap(tmp_path, capsys):
 
     assert meta("compare_0_fixed.csv")["grid_snap"] == "sigma:1.55->1.6"
     assert "grid_snap" not in meta("compare_1_exp.csv")
-    assert meta("compare_summary.csv")["grid_snap"] == "sigma:1.55->1.6"
+    assert meta("compare_2_uniform.csv")["grid_snap"] == "a:1.03->1.0;b:2.07->2.1"
+    assert meta("compare_summary.csv")["grid_snap"] == "sigma:1.55->1.6;a:1.03->1.0;b:2.07->2.1"
 
 
 @pytest.mark.parametrize("fresh", ["true", "false"])

@@ -44,7 +44,7 @@ def test_exponential_references_match_classical_odes():
     # the SIR ODE with rate tau n/N, each integrated here independently.
     gamma = 2 / 3
     p = _params(nm.Exponential(gamma), t_end=20.0)
-    pw = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, h=1e-2)
+    pw = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
     oracle = _pairwise_oracle(pw.t, gamma)
     for k, name in enumerate(("S", "SS", "I", "SI")):
         assert np.max(np.abs(pw.series(name) - oracle[k])) < 1e-6 * N, name
@@ -55,7 +55,7 @@ def test_exponential_references_match_classical_odes():
         S, I = u
         return [-coupling * S * I, coupling * S * I - gamma * I]
 
-    mf = nm.solve_reference_meanfield(p, num_nodes=N, degree=DEG, h=1e-2)
+    mf = nm.solve_reference_meanfield(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
     sol = solve_ivp(sir, (0.0, mf.t[-1]), [N - 5.0, 5.0], t_eval=mf.t, rtol=1e-11, atol=1e-11)
     assert np.max(np.abs(mf.S - sol.y[0])) < 1e-6 * N
     assert np.max(np.abs(mf.I - sol.y[1])) < 1e-6 * N
@@ -65,14 +65,14 @@ def test_markovian_instant_recovery_limit():
     # gamma -> infinity (approximated by 1e3): nodes recover before they can
     # transmit, so the epidemic never takes off and the final size stays ~I0.
     p = _params(nm.Exponential(1000.0), t_end=5.0)
-    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, h=1e-3)
+    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-3))
     assert traj.final_size(N) < 5.1
     assert traj.I[-1] < 1e-6
 
 
 def test_fixed_delay_before_sigma_is_no_recovery_branch():
     p = _params(nm.FixedDuration(1.5), t_end=1.4)
-    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, h=1e-2)
+    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
     oracle = _pairwise_oracle(traj.t)
     assert np.max(np.abs(traj.S - oracle[0])) < 1e-6 * N
     assert np.max(np.abs(traj.I - oracle[2])) < 1e-6 * N
@@ -80,7 +80,7 @@ def test_fixed_delay_before_sigma_is_no_recovery_branch():
 
 def test_uniform_before_lower_endpoint_is_no_recovery_branch():
     p = _params(nm.UniformInterval(1, 2), t_end=0.9)
-    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, h=1e-2)
+    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
     oracle = _pairwise_oracle(traj.t)
     assert np.max(np.abs(traj.I - oracle[2])) < 1e-6 * N
 
@@ -91,7 +91,7 @@ def test_sigma_off_grid_snapped_as_in_generic_solve():
     p = _params(nm.FixedDuration(1.5), t_end=5.0)
     generic = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.04))
     for solve in (nm.solve_reference_pairwise, nm.solve_reference_meanfield):
-        traj = solve(p, num_nodes=N, degree=DEG, h=0.04)
+        traj = solve(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.04))
         assert traj.meta["grid_snap"] == generic.meta["grid_snap"]
         assert traj.meta["grid_snap"].startswith("sigma:1.5->")
         assert traj.meta["dist"] == generic.meta["dist"] != "fixed:sigma=1.5"
@@ -101,7 +101,7 @@ def test_uniform_endpoints_off_grid_snapped_as_in_generic_solve():
     p = _params(nm.UniformInterval(1.03, 2.07), t_end=5.0)
     generic = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.05))
     for solve in (nm.solve_reference_pairwise, nm.solve_reference_meanfield):
-        traj = solve(p, num_nodes=N, degree=DEG, h=0.05)
+        traj = solve(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.05))
         assert traj.meta["grid_snap"] == generic.meta["grid_snap"]
         assert traj.meta["grid_snap"].startswith("a:1.03->1.05;b:2.07->2.05")
         assert traj.meta["dist"] == generic.meta["dist"]
@@ -115,7 +115,7 @@ def test_law_without_closed_form_rejected():
     p = _params(Unchained(2 / 3), t_end=1.0)
     for solve in (nm.solve_reference_pairwise, nm.solve_reference_meanfield):
         with pytest.raises(ValueError, match="no closed-form reference for a Unchained"):
-            solve(p, num_nodes=N, degree=DEG, h=1e-2)
+            solve(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
 
 
 @pytest.mark.parametrize(
@@ -126,7 +126,7 @@ def test_law_without_closed_form_rejected():
 )
 def test_first_integral_drift_below_1e5(dist):
     p = _params(dist, t_end=25.0)
-    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, h=1e-3)
+    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-3))
     u = traj.SS / traj.S ** (2.0 * (DEG - 1) / DEG)
     assert np.max(np.abs(u / u[0] - 1.0)) < 1e-5
 
@@ -138,7 +138,7 @@ def test_first_integral_drift_below_1e5(dist):
 )
 def test_final_size_satisfies_pairwise_relation(dist):
     p = _params(dist, t_end=40.0)
-    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, h=2e-3)
+    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=2e-3))
     rep = reproduction_numbers(TAU, DEG, N, N - 5.0, dist)
     theorem = final_size_pairwise(rep.r0p, DEG)
     s_traj = traj.S[-1] / (N - 5.0)
@@ -152,7 +152,7 @@ def test_gamma_chain_aggregate_matches_survival_quadrature():
     dist = nm.GammaErlang(3, 2 / 3)
     p = _params(dist, t_end=20.0)
     h = 1e-3
-    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, h=h)
+    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
     m = len(traj.t) - 1
     xi = np.asarray(dist.survival(np.arange(m + 1) * h))
     incidence = TAU * traj.SI
@@ -164,7 +164,7 @@ def test_gamma_chain_aggregate_matches_survival_quadrature():
 
 def test_gamma_chain_stage_layout():
     p = _params(nm.GammaErlang(3, 2 / 3), t_end=5.0)
-    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, h=1e-2)
+    traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
     stages = traj.extra["I_stages"]
     assert stages.shape == (3, len(traj.t))
     np.testing.assert_allclose(stages.sum(axis=0), traj.I, rtol=1e-12)
@@ -201,21 +201,24 @@ _SOLVE_CASES = {
 
 
 def _solve(solver, params, h, degree=DEG):
-    if solver in (nm.solve_pairwise, nm.solve_meanfield):
-        return solver(params, num_nodes=N, degree=degree, config=nm.SolverConfig(h=h))
-    return solver(params, num_nodes=N, degree=degree, h=h)
+    return solver(params, num_nodes=N, degree=degree, config=nm.SolverConfig(h=h))
 
 
 @pytest.mark.parametrize("solver,dist,extra_keys", _SOLVE_CASES.values(), ids=list(_SOLVE_CASES))
 def test_deterministic_solves_share_setup(solver, dist, extra_keys):
     # Every deterministic solve lays the same grid, writes the same meta keys
-    # in the same order and assembles R as N - S - I.
+    # in the same order and assembles R as N - S - I.  Without a config,
+    # each steps at the default of SolverConfig.
     h, t_end = 0.05, 5.0
     traj = _solve(solver, _params(dist, t_end=t_end), h)
     assert list(traj.meta) == _SOLVE_META_KEYS + extra_keys
     assert traj.meta["t_end"] == 100 * h
     assert np.array_equal(traj.t, np.arange(101) * h)
     assert np.array_equal(traj.R, N - traj.S - traj.I)
+    default = solver(_params(dist, t_end=t_end), num_nodes=N, degree=DEG)
+    h = nm.SolverConfig().h
+    assert default.meta["h"] == h
+    assert np.array_equal(default.t, np.arange(round(t_end / h) + 1) * h)
 
 
 @pytest.mark.parametrize(
@@ -249,11 +252,12 @@ def test_seeding_comes_from_params_and_is_checked_once(solver, dist):
 
 @pytest.mark.parametrize("solver,dist", _REFERENCES.values(), ids=list(_REFERENCES))
 def test_reference_rejects_step_that_is_not_positive_and_finite(solver, dist):
-    # Rejected before the grid is laid, which would divide by h.
+    # SolverConfig refuses the step before any grid is laid, which would
+    # divide by h.
     p = _params(dist, t_end=5.0)
     for h in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="step size"):
-            solver(p, num_nodes=N, degree=DEG, h=h)
+            solver(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
 
 
 def _numpy_march(rhs, u0, h, steps, jumps=None, lags=(), lag_terms=None):
@@ -270,7 +274,7 @@ def _numpy_march(rhs, u0, h, steps, jumps=None, lags=(), lag_terms=None):
         return tuple(float(x) for x in lag_terms(*[lookup(max(0.0, t - d)) for d in lags]))
 
     def rhs_array(t, u, lookup, t0):
-        return np.array(rhs(t, tuple(u.tolist()), lag(t, lookup), t0))
+        return np.array(rhs(tuple(u.tolist()), lag(t, lookup), t0))
 
     def jump_array(jump):
         return lambda u: np.array(jump(tuple(u.tolist())))
@@ -319,9 +323,9 @@ def test_reference_matches_numpy_oracle_march(monkeypatch, case):
     # each reference comes out identical on either march.
     solver, dist, tau, i0, t_end, h = _ORACLE_CASES[case]
     params = nm.EpidemicParams(tau=tau, dist=dist, initial_infected=i0, t_end=t_end)
-    fast = solver(params, num_nodes=N, degree=DEG, h=h)
+    fast = solver(params, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
     monkeypatch.setattr(reference, "_march_delay_rk4", _numpy_march)
-    slow = solver(params, num_nodes=N, degree=DEG, h=h)
+    slow = solver(params, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
     for name in SERIES_NAMES:
         assert np.array_equal(fast.series(name), slow.series(name)), name
     assert fast.extra.keys() == slow.extra.keys()
@@ -345,7 +349,7 @@ def test_references_end_finite_or_raise_solver_error():
                 for i0 in (1, 50, N):
                     params = nm.EpidemicParams(tau=tau, dist=dist, initial_infected=i0, t_end=10.0)
                     try:
-                        traj = solver(params, num_nodes=N, degree=DEG, h=h)
+                        traj = solver(params, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
                     except nm.SolverError as exc:
                         assert "t=" in str(exc)
                         failures += 1
@@ -363,4 +367,4 @@ def test_references_end_finite_or_raise_solver_error():
     params = nm.EpidemicParams(tau=1.0, dist=nm.FixedDuration(1.5), initial_infected=1,
                                t_end=10.0)
     with pytest.raises(nm.SolverError, match="reference I fell to"):
-        MF(params, num_nodes=N, degree=DEG, h=0.1)
+        MF(params, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.1))

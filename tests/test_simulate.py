@@ -75,12 +75,11 @@ def test_deterministic_given_seed(small_graph):
 
 def test_ensemble_deterministic_and_single_run_identity(small_graph):
     p = _params(nm.Exponential(2 / 3))
-    m1, s1 = nm.run_ensembles(
-        [p], num_nodes=0, degree=0, runs=1, base_seed=5, graph=small_graph
-    )[0]
-    m2, s2 = nm.run_ensembles(
-        [p], num_nodes=0, degree=0, runs=1, base_seed=5, graph=small_graph
-    )[0]
+    # small_graph is the graph of seed 3.
+    common = dict(num_nodes=200, degree=8, runs=1, base_seed=5, graph_seed=3,
+                  fresh_graph_per_run=False)
+    m1, s1 = nm.run_ensembles([p], **common)[0]
+    m2, s2 = nm.run_ensembles([p], **common)[0]
     for name in ("S", "I", "R", "SI", "SS"):
         np.testing.assert_array_equal(m1.series(name), m2.series(name))
         np.testing.assert_array_equal(s1.series(name), np.zeros(len(s1.t)))
@@ -250,26 +249,11 @@ def test_ensembles_run_together_match_ensembles_run_alone(all_dists, fresh):
             single = nm.run_single(graph, p, np.random.default_rng(streams[k]), 0.25)
             for name in SERIES_NAMES:
                 assert np.array_equal(mean.extra["runs"][k].series(name), single.series(name))
-    # A supplied graph takes the place of the generated ones.
-    graph = nm.generate_regular(150, 6, seed=2)
-    common.update(graph=graph, num_nodes=0, degree=0)
+    # One shared graph of another shape and seed.
+    common.update(num_nodes=150, degree=6, graph_seed=2, fresh_graph_per_run=False)
     _assert_same_ensemble(
         nm.run_ensembles(laws, **common), [nm.run_ensembles([p], **common)[0] for p in laws]
     )
-
-
-def test_supplied_graph_is_recorded_as_itself(small_graph):
-    # small_graph is generate_regular(200, 8, 3): running on it is running on
-    # the one graph of seed 3, in series and in meta.
-    laws = [_params(nm.Exponential(2 / 3), t_end=8.0), _params(nm.FixedDuration(1.5), t_end=8.0)]
-    common = dict(runs=3, base_seed=5, dt_out=0.25)
-    supplied = nm.run_ensembles(laws, num_nodes=0, degree=0, graph=small_graph, **common)
-    named = nm.run_ensembles(
-        laws, num_nodes=200, degree=8, graph_seed=3, fresh_graph_per_run=False, **common
-    )
-    _assert_same_ensemble(supplied, named)
-    assert supplied[0][0].meta["graph_seed"] == 3
-    assert supplied[0][0].meta["fresh_graph_per_run"] is False
 
 
 def _usable_cpus(monkeypatch, count):
@@ -288,15 +272,14 @@ def _counting_workers(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("cpus, runs, supplied", [(2, 5, False), (2, 4, True), (2, 1, False),
-                                                  (4, 3, False), (4, 2, True)])
-def test_output_does_not_depend_on_the_worker_count(monkeypatch, small_graph, cpus, runs,
-                                                    supplied):
+@pytest.mark.parametrize("cpus, runs, one_graph", [(2, 5, False), (2, 4, True), (2, 1, False),
+                                                   (4, 3, False), (4, 2, True)])
+def test_output_does_not_depend_on_the_worker_count(monkeypatch, cpus, runs, one_graph):
+    # With one graph, the parent builds it and hands it to the workers.
     laws = [_params(dist, t_end=10.0)
             for dist in (nm.Exponential(2 / 3), nm.UniformInterval(1, 2))]
-    common = dict(num_nodes=150, degree=6, runs=runs, base_seed=3, graph_seed=8, dt_out=0.25)
-    if supplied:
-        common.update(graph=small_graph)
+    common = dict(num_nodes=150, degree=6, runs=runs, base_seed=3, graph_seed=8, dt_out=0.25,
+                  fresh_graph_per_run=not one_graph)
     counts = _counting_workers(monkeypatch)
     _usable_cpus(monkeypatch, 1)
     serial = nm.run_ensembles(laws, **common)
@@ -465,12 +448,7 @@ def test_initial_infected_bounds(monkeypatch, small_graph):
     counts = _counting_workers(monkeypatch)
     with pytest.raises(ValueError):
         nm.run_ensembles(
-            [_params(nm.Exponential(1.0))],
-            num_nodes=0,
-            degree=0,
-            runs=0,
-            base_seed=1,
-            graph=small_graph,
+            [_params(nm.Exponential(1.0))], num_nodes=200, degree=8, runs=0, base_seed=1
         )
     with pytest.raises(ValueError, match="initial_infected exceeds"):
         nm.run_ensembles([_params(nm.Exponential(1.0), i0=201)],

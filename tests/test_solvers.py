@@ -46,7 +46,7 @@ def test_meanfield_matches_reference_meanfield(dist, tau):
     # (gamma, uniform); the gaps are below 1e-5 for every law at both tau.
     p = nm.EpidemicParams(tau=tau, dist=dist, initial_infected=5, t_end=25.0)
     mf = nm.solve_meanfield(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-3))
-    ref = nm.solve_reference_meanfield(p, num_nodes=N, degree=DEG, h=1e-3)
+    ref = nm.solve_reference_meanfield(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-3))
     assert rel_sup_diff(mf.I, ref.I) < 1e-4
     assert rel_sup_diff(mf.S, ref.S) < 1e-4
 
@@ -54,7 +54,7 @@ def test_meanfield_matches_reference_meanfield(dist, tau):
 def test_pairwise_exponential_matches_markovian_ode():
     p = _params(nm.Exponential(2 / 3))
     pw = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-3))
-    ref = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, h=1e-3)
+    ref = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-3))
     assert rel_sup_diff(pw.I, ref.I) < 1e-3
     assert rel_sup_diff(pw.SI, ref.SI) < 1e-3
 
@@ -64,7 +64,7 @@ def test_pairwise_gamma_matches_stage_chain_coarse():
     # wiring at a cheaper step size.
     p = _params(nm.GammaErlang(3, 2 / 3))
     pw = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=5e-3))
-    ref = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, h=5e-3)
+    ref = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=5e-3))
     assert rel_sup_diff(pw.I, ref.I) < 1e-2
 
 
@@ -505,7 +505,7 @@ def test_windowed_kind_matches_full_kind(monkeypatch, solve, law):
     dist = WINDOW_LAWS[law]
     params = _params(dist)
     cfg = nm.SolverConfig(h=1e-2)
-    assert _SolveSetup("pairwise", params, num_nodes=N, degree=DEG, h=1e-2).window is not None
+    assert _SolveSetup("pairwise", params, num_nodes=N, degree=DEG, config=cfg).window is not None
     windowed = solve(params, num_nodes=N, degree=DEG, config=cfg)
     with monkeypatch.context() as m:
         m.setattr(type(dist), "support_upper", lambda self: math.inf)
