@@ -43,9 +43,8 @@ for name, dist in laws.items():
         f"sample var {draws.var():.4f} (exact {dist.variance():.4f})"
     )
 
-# Survival and hazard behave differently across the families: the fixed law
-# is a point mass, so it exposes no finite density and consumers must branch
-# through has_point_mass().
+# The fixed law is a point mass: its survival drops from 1 to 0 at sigma, and
+# consumers treat that atom explicitly through has_point_mass().
 fixed = laws["fixed"]
 atom, location = fixed.has_point_mass()
 print(f"\nfixed law point mass: {atom} at sigma={location}")

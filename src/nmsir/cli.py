@@ -10,8 +10,9 @@ no output.
 
 Exit codes: 0 success, 2 configuration/validation error, a failed solve
 (solver error or floating-point overflow) or a file that cannot be read or
-written (a missing config file, an output directory that does not exist), 3
-acceptance threshold failure in compare mode.
+written (a missing config file, a ``graph-gen --edges-out`` path in a
+directory that does not exist), 3 acceptance threshold failure in compare
+mode.  The ``--out`` directory is created, parents included, when missing.
 """
 
 from __future__ import annotations

@@ -10,17 +10,17 @@ implemented:
   (so the mean is ``1/gamma``, the sum of ``K`` exponential stages),
 * :class:`UniformInterval` -- uniform on ``(a, b)`` with ``0 < a < b``.
 
-Each distribution exposes the density ``pdf``, cumulative ``cdf``, survival
-function ``survival`` (probability the period exceeds an age), hazard,
-the Laplace transform of the density, moments, and sampling from a
+Each distribution exposes what the models read: the survival function
+``survival`` (probability the period exceeds an age, the renewal kernel), the
+Laplace transform of the period's law, moments, and sampling from a
 caller-owned :class:`numpy.random.Generator`.  :class:`RecoveryDistribution`
-checks every age and transform argument once and derives ``cdf`` (1 - survival)
-and the hazard; a law states only its formulas, on float arrays of valid ages.
+checks every age and transform argument once and writes every spec string
+from the table that parses it; a law states only its formulas, on float
+arrays of valid ages.
 
-The fixed duration is a point mass: it has no finite density, so ``pdf``
-raises and consumers must branch through :meth:`~RecoveryDistribution.
-has_point_mass` and treat the atom explicitly (delayed terms, exact
-truncation of memory integrals).
+The fixed duration is a point mass; consumers branch through
+:meth:`~RecoveryDistribution.has_point_mass` and treat the atom explicitly
+(delayed terms, exact truncation of memory integrals).
 
 Instances are immutable value objects and safe to share across threads;
 sampling mutates only the generator passed in.
@@ -56,15 +56,6 @@ def _snap(value: float, name: str, h: float, notes: list[str]) -> float:
     return snapped
 
 
-def _on_ages(fn, a):
-    """``fn`` applied to the ages ``a`` as a float array; a float for a scalar age."""
-    arr = np.asarray(a, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("age must be nonnegative")
-    values = fn(arr)
-    return float(values) if arr.ndim == 0 else values
-
-
 class RecoveryDistribution(abc.ABC):
     """Common interface of the infectious-period laws."""
 
@@ -74,38 +65,19 @@ class RecoveryDistribution(abc.ABC):
     def _survival(self, a: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def _pdf(self, a: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
     def _laplace(self, tau: float) -> float: ...
 
     def survival(self, a):
-        """Survival xi(a) = P(period > a) at age ``a >= 0``."""
-        return _on_ages(self._survival, a)
-
-    def cdf(self, a):
-        """Cumulative F(a) = P(period <= a)."""
-        return _on_ages(self._cdf, a)
-
-    def _cdf(self, a):
-        return 1.0 - self._survival(a)
-
-    def pdf(self, a):
-        """Density f(a) of the infectious period at age ``a >= 0``."""
-        return _on_ages(self._pdf, a)
-
-    def hazard(self, a):
-        """Hazard f(a)/xi(a); defined only where the survival is positive."""
-        return _on_ages(self._hazard, a)
-
-    def _hazard(self, a):
-        xi = self._survival(a)
-        if np.any(xi <= 0.0):
-            raise ValueError("hazard undefined where survival is zero")
-        return self._pdf(a) / xi
+        """Survival xi(a) = P(period > a) at age ``a >= 0``; a float for a scalar age."""
+        ages = np.asarray(a, dtype=float)
+        if np.any(ages < 0.0):
+            raise ValueError("age must be nonnegative")
+        xi = self._survival(ages)
+        return float(xi) if ages.ndim == 0 else xi
 
     def laplace_pdf(self, tau: float) -> float:
-        """Laplace transform of the density, int_0^inf f(a) exp(-tau a) da."""
+        """Laplace transform of the period's law, E[exp(-tau T)]; equal to
+        ``1 - tau int_0^inf xi(a) exp(-tau a) da``, a point mass included."""
         tau = float(tau)
         if tau < 0.0:
             raise ValueError("transform argument tau must be nonnegative")
@@ -132,9 +104,12 @@ class RecoveryDistribution(abc.ABC):
         """
         return math.inf
 
-    @abc.abstractmethod
     def spec_string(self) -> str:
-        """Round-trippable text form, e.g. ``exp:rate=0.6667``."""
+        """Round-trippable text form, e.g. ``exp:rate=0.6667``, written from
+        the ``_SPEC_FORMS`` row that parses it."""
+        _, attrs = _SPEC_FORMS[self.kind]
+        params = ",".join(f"{key}={getattr(self, attr)!r}" for key, attr in attrs.items())
+        return f"{self.kind}:{params}"
 
     def _on_grid(self, h: float) -> tuple["RecoveryDistribution", list[str]]:
         """The law with its breakpoints on the step grid of ``h``, and notes
@@ -162,13 +137,6 @@ class Exponential(RecoveryDistribution):
     def _survival(self, a):
         return np.exp(-self.rate * a)
 
-    def _pdf(self, a):
-        return self.rate * np.exp(-self.rate * a)
-
-    def _cdf(self, a):
-        # 1 - exp(-rate a) would lose the relative precision of small ages.
-        return -np.expm1(-self.rate * a)
-
     def _laplace(self, tau):
         return self.rate / (self.rate + tau)
 
@@ -181,16 +149,17 @@ class Exponential(RecoveryDistribution):
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
 
-    def spec_string(self):
-        return f"exp:rate={self.rate!r}"
-
     def _stage_chain(self):
         return (1, self.rate)
 
 
 @dataclass(frozen=True)
 class FixedDuration(RecoveryDistribution):
-    """Degenerate law: every infectious period lasts exactly ``sigma``."""
+    """Degenerate law: every infectious period lasts exactly ``sigma``.
+
+    A point mass has no density, and no route reads one: its survival is a
+    step at ``sigma`` and its transform ``exp(-tau sigma)``.
+    """
 
     sigma: float
     kind: ClassVar[str] = "fixed"
@@ -202,18 +171,6 @@ class FixedDuration(RecoveryDistribution):
 
     def _survival(self, a):
         return (a < self.sigma).astype(float)
-
-    def _pdf(self, a):
-        raise ValueError(
-            "fixed duration is a point mass with no finite density; "
-            "branch via has_point_mass() instead of calling pdf"
-        )
-
-    def _hazard(self, a):
-        # No density, so no f/xi: zero before the atom, undefined from it on.
-        if np.any(a >= self.sigma):
-            raise ValueError("hazard undefined where survival is zero")
-        return np.zeros_like(a)
 
     def _laplace(self, tau):
         return math.exp(-tau * self.sigma)
@@ -238,9 +195,6 @@ class FixedDuration(RecoveryDistribution):
     def _on_grid(self, h):
         notes: list[str] = []
         return FixedDuration(_snap(self.sigma, "sigma", h, notes)), notes
-
-    def spec_string(self):
-        return f"fixed:sigma={self.sigma!r}"
 
 
 @dataclass(frozen=True)
@@ -286,18 +240,6 @@ class GammaErlang(RecoveryDistribution):
             acc = acc + term
         return np.exp(-x) * acc
 
-    def _pdf(self, a):
-        r, k = self.rate, self.shape
-        if k == 1:
-            return r * np.exp(-r * a)
-        with np.errstate(divide="ignore"):
-            logs = np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), 0.0)
-        return np.where(
-            a > 0.0,
-            np.exp(k * math.log(r) + (k - 1) * logs - r * a - math.lgamma(k)),
-            0.0,
-        )
-
     def _laplace(self, tau):
         return (self.rate / (self.rate + tau)) ** self.shape
 
@@ -313,9 +255,6 @@ class GammaErlang(RecoveryDistribution):
             return float(rng.exponential(1.0 / self.rate, size=self.shape).sum())
         stage_shape = (self.shape,) + tuple(np.atleast_1d(size))
         return rng.exponential(1.0 / self.rate, size=stage_shape).sum(axis=0)
-
-    def spec_string(self):
-        return f"gamma:shape={self.shape},rate={self.rate!r}"
 
     def _stage_chain(self):
         return (self.shape, self.rate)
@@ -345,10 +284,6 @@ class UniformInterval(RecoveryDistribution):
     def _survival(self, a):
         return 1.0 - np.clip((a - self.lower) / self.width, 0.0, 1.0)
 
-    def _pdf(self, a):
-        inside = (a > self.lower) & (a < self.upper)
-        return np.where(inside, 1.0 / self.width, 0.0)
-
     def _laplace(self, tau):
         if tau < self._SERIES_TAU:
             return 1.0 - tau * (self.lower + self.upper) / 2.0
@@ -375,16 +310,14 @@ class UniformInterval(RecoveryDistribution):
             raise ValueError("uniform interval collapsed after grid snapping")
         return UniformInterval(lo, hi), notes
 
-    def spec_string(self):
-        return f"uniform:a={self.lower!r},b={self.upper!r}"
 
-
-# kind -> (constructor, parameter names in its argument order).
+# kind -> (constructor, {spec key: attribute} in its argument order); the one
+# statement of each spec form, read by parse_distribution and spec_string.
 _SPEC_FORMS = {
-    Exponential.kind: (Exponential, ("rate",)),
-    FixedDuration.kind: (FixedDuration, ("sigma",)),
-    GammaErlang.kind: (GammaErlang.from_shape_rate, ("shape", "rate")),
-    UniformInterval.kind: (UniformInterval, ("a", "b")),
+    Exponential.kind: (Exponential, {"rate": "rate"}),
+    FixedDuration.kind: (FixedDuration, {"sigma": "sigma"}),
+    GammaErlang.kind: (GammaErlang.from_shape_rate, {"shape": "shape", "rate": "rate"}),
+    UniformInterval.kind: (UniformInterval, {"a": "lower", "b": "upper"}),
 }
 
 
@@ -408,7 +341,8 @@ def parse_distribution(spec: str) -> RecoveryDistribution:
     kind = kind.strip().lower()
     if kind not in _SPEC_FORMS:
         raise ValueError(f"unknown distribution kind {kind!r} in {spec!r}")
-    make, expected = _SPEC_FORMS[kind]
+    make, attrs = _SPEC_FORMS[kind]
+    expected = tuple(attrs)
     params: dict[str, float] = {}
     for item in body.split(","):
         item = item.strip()

@@ -11,7 +11,7 @@ and, in the pairwise model, its link part:
 * a chain of K exponential stages of rate r (Erlang; the exponential law is
   K = 1): nodes and links pass through the stages, and links also leave at
   rate c + tau (the linear chain trick; MacDonald 1978, *Time Lags in
-  Biological Models*).  The stages are in ``extra``;
+  Biological Models*).  The node stages are in ``extra["I_stages"]``;
 * a fixed period sigma: the incidence delayed by sigma leaves [I] and the
   link inflow delayed by sigma, damped by exp(-(Phi(t) - Phi(t - sigma)))
   with Phi' = c + tau, leaves [SI]; the newborn (initial) infecteds recover
@@ -370,11 +370,8 @@ def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, config) ->
     extra = {"I_stages": I_stages} if chain is not None else {}
     if not pairwise:
         return _trajectory(run, U[:, 0], I_stages.sum(axis=0), extra=extra)
-    SI_stages = U[:, lo:hi].T
-    if chain is not None:
-        extra["SI_stages"] = SI_stages
-    else:
+    if chain is None:
         extra["Phi"] = U[:, hi]
     return _trajectory(
-        run, U[:, 0], I_stages.sum(axis=0), SI_stages.sum(axis=0), U[:, 1], extra=extra
+        run, U[:, 0], I_stages.sum(axis=0), U[:, lo:hi].T.sum(axis=0), U[:, 1], extra=extra
     )

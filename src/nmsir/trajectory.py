@@ -235,7 +235,7 @@ class _SolveSetup:
         if not (num_nodes > 0 and degree > 0):
             raise ValueError("degree and num_nodes must be positive")
         h = (config or SolverConfig()).h
-        self.params, self.h = params, h
+        self.h = h
         self.N, self.n = float(num_nodes), float(degree)
         self.I0 = float(params.initial_infected)
         self.S0 = self.N - self.I0

@@ -110,19 +110,20 @@ def test_meanfield_peak_overshoots_the_ensemble(fig1_runs):
 
 
 def test_criterion_2_variance_ordering(fig1_runs):
-    # Laplace transforms against adaptive quadrature, to 1e-6.
+    # Laplace transforms against adaptive quadrature of the survival form,
+    # 1 - tau int xi(a) e^(-tau a) da, to 1e-6.
     quads = {}
     for name, dist in FIG1.items():
         upper = dist.support_upper()
         val, _ = quad(
-            lambda a: dist.pdf(a) * math.exp(-TAU * a),
+            lambda a: dist.survival(a) * math.exp(-TAU * a),
             0.0,
             np.inf if math.isinf(upper) else upper,
             epsabs=1e-12,
             limit=200,
         )
-        quads[name] = val
-        assert abs(dist.laplace_pdf(TAU) - val) < 1e-6, name
+        quads[name] = 1.0 - TAU * val
+        assert abs(dist.laplace_pdf(TAU) - quads[name]) < 1e-6, name
     assert quads["uniform"] < quads["gamma"] < quads["exp"]
     assert quads["uniform"] == pytest.approx(0.5946, abs=1e-4)
     assert quads["gamma"] == pytest.approx(0.6164, abs=1e-4)

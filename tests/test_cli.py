@@ -129,6 +129,17 @@ def test_edge_list_into_missing_directory_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_missing_out_directory_is_created(tmp_path, capsys):
+    # Unlike --edges-out, --out names a directory the command creates,
+    # parents included.
+    out = tmp_path / "a" / "b"
+    assert main(["solve", "--set", "epidemic.t_end=1", "--out", str(out)]) == 0
+    path = out / "solve_pairwise.csv"
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    meta = Trajectory.from_csv(path).meta
+    assert config_from_meta(meta) == build_config({"epidemic.t_end": "1"})
+
+
 @pytest.mark.parametrize(
     "args, message",
     [(["--set", "simulation.save_runs=maybe"], "expected a boolean"),

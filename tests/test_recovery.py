@@ -19,22 +19,15 @@ CONTINUOUS = [d for d in ALL if not d.has_point_mass()[0]]
 
 
 def _quad_points(dist):
-    # Help the adaptive quadrature across kinks.
+    # Help the adaptive quadrature across kinks and jumps of the survival.
     if isinstance(dist, nm.UniformInterval):
         return [dist.lower, dist.upper]
+    if isinstance(dist, nm.FixedDuration):
+        return [dist.sigma]
     return None
 
 
 # -- pointwise closed-form examples -----------------------------------------
-
-
-def test_pdf_examples():
-    assert nm.GammaErlang(3, 2.0 / 3.0).pdf(0.0) == 0.0
-    assert nm.GammaErlang(1, 0.75).pdf(0.0) == 0.75  # one stage: the rate
-    assert nm.UniformInterval(1, 2).pdf(1.5) == 1.0
-    assert nm.Exponential(2.0 / 3.0).pdf(1.5) == pytest.approx(
-        0.24525296078096154, abs=1e-12
-    )
 
 
 def test_survival_examples():
@@ -76,53 +69,18 @@ def test_laplace_uniform_tiny_tau_series():
 @pytest.mark.parametrize("tau", [0.1, 0.35, 1.0, 5.0])
 @pytest.mark.parametrize("dist", ALL, ids=lambda d: d.kind)
 def test_laplace_matches_quadrature(dist, tau):
-    if dist.has_point_mass()[0]:
-        # Point mass: the transform is e^(-tau sigma) by definition.
-        assert dist.laplace_pdf(tau) == pytest.approx(
-            math.exp(-tau * dist.sigma), abs=1e-14
-        )
-        return
+    # Survival form, L = 1 - tau int xi(a) e^(-tau a) da (integration by
+    # parts), which holds for the point mass too.
     upper = dist.support_upper()
     val, err = quad(
-        lambda a: dist.pdf(a) * math.exp(-tau * a),
+        lambda a: dist.survival(a) * math.exp(-tau * a),
         0.0,
         np.inf if math.isinf(upper) else upper,
         points=_quad_points(dist),
         epsabs=1e-12,
         limit=200,
     )
-    assert dist.laplace_pdf(tau) == pytest.approx(val, abs=1e-8)
-
-
-@pytest.mark.parametrize("dist", CONTINUOUS, ids=lambda d: d.kind)
-def test_pdf_normalised(dist):
-    upper = dist.support_upper()
-    val, _ = quad(
-        dist.pdf,
-        0.0,
-        np.inf if math.isinf(upper) else upper,
-        points=_quad_points(dist),
-        epsabs=1e-12,
-        limit=200,
-    )
-    assert val == pytest.approx(1.0, abs=1e-8)
-
-
-@pytest.mark.parametrize("dist", CONTINUOUS, ids=lambda d: d.kind)
-def test_survival_equals_tail_integral(dist):
-    upper = dist.support_upper()
-    for a in [0.0, 0.3, 1.2, 1.9, 3.5]:
-        if a >= upper:
-            continue
-        tail, _ = quad(
-            dist.pdf,
-            a,
-            np.inf if math.isinf(upper) else upper,
-            points=_quad_points(dist),
-            epsabs=1e-12,
-            limit=200,
-        )
-        assert dist.survival(a) == pytest.approx(tail, abs=1e-8)
+    assert dist.laplace_pdf(tau) == pytest.approx(1.0 - tau * val, abs=1e-8)
 
 
 @pytest.mark.parametrize("dist", ALL, ids=lambda d: d.kind)
@@ -137,24 +95,6 @@ def test_mean_equals_survival_integral(dist):
         limit=200,
     )
     assert dist.mean() == pytest.approx(val, abs=1e-8)
-
-
-@pytest.mark.parametrize("dist", CONTINUOUS, ids=lambda d: d.kind)
-def test_hazard_times_survival_is_pdf(dist):
-    ages = [0.1, 0.5, 1.1, 1.45]
-    for a in ages:
-        if a >= dist.support_upper():
-            continue
-        assert dist.hazard(a) * dist.survival(a) == pytest.approx(
-            dist.pdf(a), abs=1e-12
-        )
-
-
-def test_fixed_hazard_zero_before_atom_and_undefined_after():
-    dist = nm.FixedDuration(1.5)
-    assert dist.hazard(1.0) == 0.0
-    with pytest.raises(ValueError):
-        dist.hazard(1.5)
 
 
 def test_moments_match_headline_table():
@@ -177,13 +117,6 @@ def test_rejects_negative_age_and_tau():
             dist.survival(-0.1)
         with pytest.raises(ValueError):
             dist.laplace_pdf(-0.5)
-    with pytest.raises(ValueError):
-        nm.Exponential(2 / 3).pdf(-1.0)
-
-
-def test_fixed_pdf_rejected():
-    with pytest.raises(ValueError, match="point mass"):
-        nm.FixedDuration(1.5).pdf(1.5)
 
 
 def test_parameter_validation():
@@ -333,7 +266,7 @@ def test_sampling_ks_below_one_percent_critical(dist):
     rng = np.random.default_rng(123)
     n = 100_000
     draws = np.asarray(dist.sample(rng, size=n), dtype=float)
-    stat = stats.kstest(draws, lambda a: np.asarray(dist.cdf(a))).statistic
+    stat = stats.kstest(draws, lambda a: 1.0 - np.asarray(dist.survival(a))).statistic
     critical_1pct = 1.6276 / math.sqrt(n)
     assert stat < critical_1pct
 

@@ -91,22 +91,23 @@ def test_independent_ss_drift_shrinks_with_h():
 
 def test_node_conservation_with_independent_recovered_quadrature():
     # S + I + R_indep = N where R_indep integrates incidence against the cdf
-    # (piecewise trapezoid: a jump node carries the average of its one-sided
-    # limits, as for any discontinuous integrand).
+    # F = 1 - xi (piecewise trapezoid: a jump node carries the average of its
+    # one-sided limits, as for any discontinuous integrand).
     for dist in (nm.Exponential(2 / 3), nm.FixedDuration(1.5), nm.UniformInterval(1, 2)):
         p = _params(dist)
         pw = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.01))
         h = 0.01
         m = len(pw.t) - 1
         ages = np.arange(m + 1) * h
-        cdf = np.asarray(dist.cdf(ages))
+        F = 1.0 - dist.survival(ages)
+        cdf = F.copy()
         atom, loc = dist.has_point_mass()
         if atom:
             cdf[int(round(loc / h))] = 0.5
         incidence = 0.35 * pw.SI
         conv = np.convolve(incidence, cdf)[: m + 1]
         ends = 0.5 * (incidence[0] * cdf + incidence * cdf[0])
-        r_indep = h * (conv - ends) + 5.0 * np.asarray(dist.cdf(ages))
+        r_indep = h * (conv - ends) + 5.0 * F
         assert np.max(np.abs(pw.S + pw.I + r_indep - N)) < 1e-3 * N
 
 
