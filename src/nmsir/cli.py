@@ -8,11 +8,11 @@ the exact configuration (seeds included), so any result file can be
 reproduced byte-for-byte from its own header.  A command that fails writes
 no output.
 
-Exit codes: 0 success, 2 configuration/validation error, a failed solve
-(solver error or floating-point overflow) or a file that cannot be read or
-written (a missing config file, a ``graph-gen --edges-out`` path in a
-directory that does not exist), 3 acceptance threshold failure in compare
-mode.  The ``--out`` directory is created, parents included, when missing.
+Exit codes: 0 success; 2 a configuration or validation error, a failed solve
+(solver error or floating-point overflow), a file that cannot be read or
+written (a missing config file, an ``--edges-out`` path in a missing
+directory) or an input too large for memory; 3 a compare threshold failure.
+The ``--out`` directory is created, parents included, when missing.
 """
 
 from __future__ import annotations
@@ -515,8 +515,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(_assemble_config(args), args)
-    except (ConfigError, ValueError, SolverError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, SolverError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: numerical failure ({type(exc).__name__}: {exc})", file=sys.stderr)

@@ -18,10 +18,11 @@ forms instead of the differentiated equations keeps the kernel bounded: the
 survival function is a step for a fixed infectious period and kinked for a
 uniform one, whereas the differentiated kernel would be a Dirac delta.
 
-Discretisation: composite trapezoid over the history on the step grid, with
-the implicit current-time value resolved by a fixed-point corrector (this is
-the degree-1 collocation choice).  Phi is accumulated once per step and
-differenced, never recomputed by nested quadrature.
+Discretisation: composite trapezoid over the history on the step grid (the
+degree-1 collocation choice).  The implicit current-time value is solved in
+closed form for the mean-field model, a quadratic in the new incidence, and
+by a fixed-point corrector for the pairwise one.  Phi is accumulated once per
+step and differenced, never recomputed by nested quadrature.
 
 The history is a plain weighted sum of three kinds.  The full kind stores
 every weight and takes one numpy dot product per step, O(steps^2) in all;
@@ -31,8 +32,8 @@ exponential stages) with K running stage sums updated by a positive
 lower-triangular recursion (the linear chain trick; MacDonald 1978, Hurtado
 and Kirosingh 2019), O(steps K^2) in all, up to ``_MAX_STAGES`` stages.
 The pairwise [I] is one FFT convolution for every law, O(steps log steps).
-One builder serves both models with their closures, and
-``trajectory._SolveSetup`` checks its inputs by the model's rule.
+One march serves both models, each giving it a step solve and an incidence,
+and ``trajectory._SolveSetup`` checks its inputs by the model's rule.
 
 Support breakpoints (sigma, or the uniform endpoints) are snapped to the
 grid, by ``trajectory._SolveSetup`` for every deterministic solve, so the
@@ -64,29 +65,26 @@ __all__ = [
 
 
 class StepContractionError(SolverError):
-    """A renewal step failed to converge or overflowed; the step size is too large."""
+    """A renewal step did not converge, had no nonnegative root or overflowed: h is too large."""
 
 
-# Sweeps the corrector may run in all while it still contracts; a step that
-# needs more is reported rather than marched on.
+# Sweeps the pairwise corrector may run in all while it still contracts; a
+# step that needs more is reported rather than marched on.
 _MAX_CORRECTOR_SWEEPS = 50
 
-# Estimated remaining fixed-point error per step, relative to max(1, |x|, |y|).
+# Pairwise corrector's remaining error per step, relative to max(1, |x|, |y|).
 _CORRECTOR_TOL = 1e-5
 
 # Phi(t) - Phi_ref at which the stored history weights are rescaled: exp()
 # of it stays far below overflow (about 709) with room for one step's rise.
 _PHI_RESCALE = 300.0
 
-# Largest stage count K of a chain law whose march history runs as K stage
-# sums (:func:`_stage_history`).  The stage update costs O(K^2) Python float
-# operations per step, the full kind's dot product O(k) numpy work at step
-# k, so the crossover is in K.  Paired, interleaved mean-field solves of
-# both kinds (tau = 0.35, Erlang K, h = 1e-2 over 1000, 2500 and 4000 steps
-# and h = 1e-3 over 25000; 2-core x86_64, Python 3.11, numpy 2.4) put the
-# stage kind's time at 0.69-0.87 of the full kind's for K = 3-5, 0.87-0.93
-# for K = 6, 0.93-1.06 for K = 7 and 1.05-1.16 for K = 8 at h = 1e-2; over
-# 25000 steps at 0.47-0.62 for K = 3-6 and 0.68-0.79 for K = 7-8.
+# Largest stage count K of a chain law whose history runs as K stage sums
+# (:func:`_stage_history`), O(K^2) float operations per step against the
+# full kind's O(k) dot product.  Paired mean-field solves (tau = 0.35,
+# Erlang K, h = 1e-2 over 1000-4000 steps; 2-core x86_64, Python 3.11, numpy
+# 2.4) put the stage kind's time at 0.69-0.87 of the full kind's for
+# K = 3-5, 0.87-0.93 for K = 6, 0.93-1.06 for K = 7 and 1.05-1.16 for K = 8.
 _MAX_STAGES = 6
 
 
@@ -112,10 +110,9 @@ class _History(NamedTuple):
     """The renewal march's memory of its pushed weights w_0, w_1, ...
 
     ``next_sum()`` is h sum_i w_i xi_{k+1-i} over the k+1 weights pushed so
-    far, the history sum for the step to node k+1 without its half term;
-    ``push(w)`` appends the next weight; ``rescale(f)`` multiplies every
-    pushed weight by f.  The march applies the trapezoid end rule: it
-    pushes half of node 0's weight and adds the new node's half term.
+    far, the history sum for the step to node k+1 without its half term
+    (the step adds it); ``push(w)`` appends the next weight; ``rescale(f)``
+    multiplies every pushed weight by f.
     """
 
     next_sum: Callable[[], float]
@@ -187,47 +184,24 @@ def _stage_history(stages: int, rate: float, h: float) -> _History:
     return _History(next_sum, push, rescale)
 
 
-def _march_renewal(
-    *,
-    deriv_x,
-    state_factor,
-    exponent_rate,
-    xi_quad: np.ndarray,
-    boundary: np.ndarray,
-    jump: int | None = None,
-    x0: float,
-    h: float,
-    steps: int,
-    history: _History,
-):
-    """Advance the coupled ODE + renewal system on a uniform grid.
+def _march_renewal(*, step, weight, boundary: np.ndarray, jump: int | None = None, x0: float,
+                   h: float, history: _History):
+    """Advance the coupled ODE + renewal system on the grid of ``boundary``.
 
-    Returns (x, y, phi, y_hist) arrays of length steps+1.  ``history``
-    holds the committed weights B_i * exp(Phi_i - Phi_ref), node 0's halved
-    (the trapezoid end rule), relative to a reference Phi_ref that starts
-    at 0, and gives one history sum per step: O(k) at step k for the full
-    kind, O(window) for the windowed kind, O(K^2) for the stage kind of a
-    K-stage chain law.  The history is damped by exp(-(Phi(t) - Phi_ref))
-    once per step, so each corrector iteration costs O(1) after that one
-    sum.  Once Phi(t) - Phi_ref exceeds ``_PHI_RESCALE`` the history is
-    rescaled and Phi_ref moves to Phi(t), so exp() never overflows however
-    long the horizon; while Phi stays below that the arithmetic is the
-    plain B_i * exp(Phi_i) scheme.  The boundary term keeps the absolute
-    damping exp(-Phi(t)).
-
-    Each step runs two corrector sweeps, the fewest that give
-    :func:`_corrector_converged` a contraction ratio q, then keeps sweeping
-    until that test passes with x and y (both counts) nonnegative, up to
-    ``_MAX_CORRECTOR_SWEEPS``.  Only the test decides: a ratio q >= 1 on an
-    early sweep may come from the predictor rather than the iteration, and
-    the sign of an unconverged count alternates from sweep to sweep.  The
-    tolerance scales with the larger unknown, so a small y could pass it
-    negative, and x = [S] would then rise.  ``StepContractionError`` means a
-    non-finite residual, that cap, or an ``ArithmeticError`` in the step.
+    Returns (x, y, phi, y_hist) arrays of the boundary's length.  Per step
+    the model's ``step(k, x_k, y_k, y_{k-1}, Phi_k, hist, b_left, Phi_ref,
+    damp_ref)`` returns the new (x, y, Phi, scale_out), y on the left of a
+    jump and scale_out = exp(-Phi) its boundary damping, and ``weight(x, y)``
+    the incidence B.  ``history`` holds B_i * exp(Phi_i - Phi_ref), node 0's
+    halved (the trapezoid end rule), and gives one sum per step, which the
+    step damps by exp(-(Phi - Phi_ref)).  Once Phi - Phi_ref passes
+    ``_PHI_RESCALE`` the history is rescaled and Phi_ref moves to Phi, so
+    exp() never overflows however long the horizon.  An ``ArithmeticError``
+    in a step is reported as ``StepContractionError``.
 
     When the boundary term drops at node ``jump`` (newborn infecteds under a
     point-mass recovery law all leave at sigma, making y itself jump there),
-    the step landing on the jump iterates on the left limit, which is the
+    the step landing on the jump solves for the left limit, which is the
     boundary one node earlier (a point mass survives with probability 1
     before its atom); the committed series carries the right limit and the
     history buffer their midpoint, mirroring the kernel treatment, so the
@@ -235,59 +209,23 @@ def _march_renewal(
     """
     # Per-step work runs on Python floats and lists, because numpy scalar
     # arithmetic costs several times more per operation.
-    damped = exponent_rate is not None
     b = boundary.tolist()
-    xi0 = float(xi_quad[0])
     next_sum, push = history.next_sum, history.push
 
     xk, yk, phik = float(x0), b[0], 0.0
-    y_prev = yk
+    y_prev = yk  # so a linear predictor starts from y_0
     x, y, phi, y_hist = [xk], [yk], [phik], [yk]
-    push(0.5 * state_factor(xk, yk))  # the trapezoid's half end weight
+    push(0.5 * weight(xk, yk))  # the trapezoid's half end weight
     phi_ref, damp_ref = 0.0, 1.0
 
     try:
-        for k in range(steps):
-            hist = next_sum()
-
+        for k in range(len(b) - 1):
             at_jump = k + 1 == jump
             b_left = b[k] if at_jump else b[k + 1]
-            fk = deriv_x(xk, yk)
-            gk = exponent_rate(xk, yk) if damped else 0.0
-            xs = xk + h * fk
-            # Linear extrapolation predictor keeps the corrector well inside its
-            # contraction budget; the bootstrap step has no history to
-            # extrapolate from.
-            ys = yk + (yk - y_prev) if k else yk
-            phis = phik + h * gk
-            scale_hist = scale_out = 1.0
-            delta = delta_prev = math.inf
-            sweeps = 0
-            while True:
-                if damped:
-                    phis = phik + 0.5 * h * (gk + exponent_rate(xs, ys))
-                    scale_hist = math.exp(phi_ref - phis)
-                    scale_out = scale_hist * damp_ref
-                mem = scale_hist * hist + 0.5 * h * state_factor(xs, ys) * xi0
-                y_new = mem + scale_out * b_left
-                x_new = xk + 0.5 * h * (fk + deriv_x(xs, y_new))
-                delta_prev = delta
-                delta = abs(y_new - ys) + abs(x_new - xs)
-                xs, ys = x_new, y_new
-                sweeps += 1
-                if sweeps == 1:
-                    continue
-                if xs >= 0.0 and ys >= 0.0 and _corrector_converged(delta, delta_prev, xs, ys):
-                    break
-                if not math.isfinite(delta) or sweeps >= _MAX_CORRECTOR_SWEEPS:
-                    q = delta / delta_prev if delta_prev > 0.0 else math.inf
-                    raise StepContractionError(
-                        f"corrector did not converge at t={(k + 1) * h:.6g}: residual "
-                        f"{delta:.3e}, ratio q={q:.3g}, x={xs:.6g} after {sweeps} sweeps; "
-                        f"reduce the step size h={h}"
-                    )
-            y_prev = yk
-            xk, yk, phik = xs, ys + scale_out * (b[k + 1] - b_left), phis
+            xs, ys, phis, scale_out = step(
+                k, xk, yk, y_prev, phik, next_sum(), b_left, phi_ref, damp_ref
+            )
+            y_prev, xk, yk, phik = yk, xs, ys + scale_out * (b[k + 1] - b_left), phis
             yh = ys + scale_out * (0.5 * (b_left + b[k + 1]) - b_left) if at_jump else yk
             x.append(xk)
             y.append(yk)
@@ -296,14 +234,91 @@ def _march_renewal(
             if phis - phi_ref > _PHI_RESCALE:
                 history.rescale(math.exp(phi_ref - phis))
                 phi_ref, damp_ref = phis, math.exp(-phis)
-            rise = math.exp(phis - phi_ref) if damped else 1.0
-            push(state_factor(xs, yh) * rise)
+            push(weight(xs, yh) * math.exp(phis - phi_ref))
     except ArithmeticError as exc:
         raise StepContractionError(
             f"renewal march failed in the step to t={(k + 1) * h:.6g} "
             f"({type(exc).__name__}: {exc}); reduce the step size h={h}"
         ) from exc
     return np.array(x), np.array(y), np.array(phi), np.array(y_hist)
+
+
+def _meanfield_step(coupling: float, xi0: float, h: float):
+    """The mean-field (step, weight) pair: each step solved in closed form.
+
+    With the new incidence w = c x y (c = tau n/N), C = x_k + h f_k/2 and
+    A = hist + b_left, the trapezoid equations x = C - h w/2 and
+    y = A + h xi0 w/2 turn w = c x y into a2 w^2 + a1 w - c C A = 0, with
+    a2 = c h^2 xi0/4 and a1 = 1 - h c (C xi0 - A)/2.  Its nonnegative root is
+    taken as 2 c C A / (a1 + sqrt(a1^2 + 4 a2 c C A)), which does not
+    cancel.  No sweep leaves a residual, so S + I = N holds to rounding
+    before the first recovery.  C < 0, A < 0 or a denominator <= 0 leave no
+    nonnegative root, and the step fails.
+    """
+    half_h = 0.5 * h
+    a2 = 0.25 * coupling * h * h * xi0
+
+    def step(k, xk, yk, y_prev, phik, hist, b_left, phi_ref, damp_ref):
+        C = xk - half_h * (coupling * xk * yk)
+        A = hist + b_left
+        cca = coupling * C * A
+        a1 = 1.0 - half_h * coupling * (C * xi0 - A)
+        root = a1 + math.sqrt(a1 * a1 + 4.0 * a2 * cca) if C >= 0.0 and A >= 0.0 else math.nan
+        if not root > 0.0:
+            raise StepContractionError(
+                f"mean-field step to t={(k + 1) * h:.6g} has no nonnegative solution "
+                f"([S] part {C:.6g}, [I] part {A:.6g}); reduce the step size h={h}"
+            )
+        w = 2.0 * cca / root
+        return C - half_h * w, A + half_h * xi0 * w, 0.0, 1.0
+
+    return step, lambda s, i: coupling * s * i
+
+
+def _pairwise_step(tau: float, n: float, N: float, S0: float, xi0: float, h: float):
+    """The pairwise (step, weight) pair: a fixed-point corrector on ([S], [SI]).
+
+    The sweep writes out x' = -tau [SI] and the module docstring's B and G;
+    an iterate with [S] <= 0 gives nan, not a complex power.  The predictor
+    takes an Euler x and extrapolates y linearly.  Two sweeps run, the
+    fewest that give :func:`_corrector_converged` a contraction ratio q, then
+    more until it passes with both counts nonnegative (its tolerance scales
+    with the larger one, so the smaller could pass it negative), up to
+    ``_MAX_CORRECTOR_SWEEPS``.  Only the test decides: an early q >= 1 may
+    come from the predictor, and an unconverged count alternates in sign.
+    """
+    half_h = 0.5 * h
+    tau_kappa = tau * ((n - 1.0) / N * S0 ** (2.0 / n))
+    alpha, link_ratio = (n - 2.0) / n, tau * (n - 1.0) / n
+
+    def step(k, xk, yk, y_prev, phik, hist, b_left, phi_ref, damp_ref):
+        fk = -tau * yk
+        gk = link_ratio * yk / xk + tau if xk else math.nan
+        xs, ys = xk + h * fk, yk + (yk - y_prev)
+        delta, sweeps = math.inf, 0
+        while True:
+            phis = phik + half_h * (gk + (link_ratio * ys / xs + tau if xs else math.nan))
+            scale_hist = math.exp(phi_ref - phis)
+            scale_out = scale_hist * damp_ref
+            incidence = tau_kappa * xs**alpha * ys if xs >= 0.0 else math.nan
+            y_new = scale_hist * hist + half_h * incidence * xi0 + scale_out * b_left
+            x_new = xk + half_h * (fk - tau * y_new)
+            delta_prev, delta = delta, abs(y_new - ys) + abs(x_new - xs)
+            xs, ys = x_new, y_new
+            sweeps += 1
+            if sweeps == 1:
+                continue
+            if xs >= 0.0 and ys >= 0.0 and _corrector_converged(delta, delta_prev, xs, ys):
+                return xs, ys, phis, scale_out
+            if not math.isfinite(delta) or sweeps >= _MAX_CORRECTOR_SWEEPS:
+                q = delta / delta_prev if delta_prev > 0.0 else math.inf
+                raise StepContractionError(
+                    f"corrector did not converge at t={(k + 1) * h:.6g}: residual "
+                    f"{delta:.3e}, ratio q={q:.3g}, x={xs:.6g} after {sweeps} sweeps; "
+                    f"reduce the step size h={h}"
+                )
+
+    return step, lambda s, si: tau_kappa * s**alpha * si if s >= 0.0 else math.nan
 
 
 def _infected_from_incidence(
@@ -381,30 +396,15 @@ def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, config) ->
     else:
         history = _weight_history(xi_quad, h, steps, run.window)
 
+    xi0 = float(xi_quad[0])
     if pairwise:
-        kappa = (n - 1.0) / N * S0 ** (2.0 / n)
-        alpha = (n - 2.0) / n
-        link_ratio = tau * (n - 1.0) / n
-        # The march passes Python floats, which raise or turn complex where
-        # numpy gave nan: an iterate with [S] <= 0 yields nan, and the
-        # corrector reports the step as not contracting.
-        closures = dict(
-            deriv_x=lambda s, si: -tau * si,
-            state_factor=lambda s, si: tau * kappa * s**alpha * si if s >= 0.0 else math.nan,
-            exponent_rate=lambda s, si: link_ratio * si / s + tau if s else math.nan,
-        )
-        boundary_scale = (n / N) * S0  # y is [SI]: the newborns' links to [S]0
+        step, weight = _pairwise_step(tau, n, N, S0, xi0, h)
+        boundary = (n / N) * S0 * b_infected  # y is [SI]: the newborns' links to [S]0
     else:
-        coupling = tau * n / N
-        closures = dict(
-            deriv_x=lambda s, i: -coupling * s * i,
-            state_factor=lambda s, i: coupling * s * i,
-            exponent_rate=None,
-        )
-        boundary_scale = 1.0
+        step, weight = _meanfield_step(tau * n / N, xi0, h)
+        boundary = b_infected
     x, y, phi, y_hist = _march_renewal(
-        **closures, xi_quad=xi_quad, boundary=boundary_scale * b_infected, jump=jump,
-        x0=S0, h=h, steps=steps, history=history,
+        step=step, weight=weight, boundary=boundary, jump=jump, x0=S0, h=h, history=history
     )
     del history  # stored weights held past the march raise the peak RSS of long solves
     if not pairwise:
@@ -415,7 +415,7 @@ def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, config) ->
     I = _infected_from_incidence(tau * y_hist, xi_quad, b_infected, h)
     # Independent [SS] integration (trapezoid of its own rate equation) for
     # first-integral drift diagnostics; the update is linear-implicit exact.
-    c = 2.0 * link_ratio * SI / S
+    c = 2.0 * (tau * (n - 1.0) / n) * SI / S
     ratio = (1.0 - 0.5 * h * c[:-1]) / (1.0 + 0.5 * h * c[1:])
     ss_independent = (n / N) * S0**2 * np.concatenate(([1.0], np.cumprod(ratio)))
     return run.trajectory(S, I, SI, SS, extra={"Phi": phi, "SS_independent": ss_independent})

@@ -228,6 +228,26 @@ def test_arithmetic_overflow_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: numerical failure") and "OverflowError" in err
 
 
+@pytest.mark.parametrize(
+    "exc, message",
+    [(MemoryError("Unable to allocate 186. GiB for an array with shape (25000000001,)"),
+      "error: Unable to allocate 186. GiB"),
+     (MemoryError(), "error: MemoryError")],
+    ids=["numpy", "bare"],
+)
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch, exc, message):
+    # An input too large for memory ends in one error line and exit 2, not
+    # a traceback; the solve is made to raise, nothing is allocated.
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "solve_pairwise", out_of_memory)
+    assert main(["solve", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_uniform_reference_survives_phi_past_overflow(tmp_path, monkeypatch):
     # Phi reaches about 840 here; the reference carries exp(-Phi)-damped
     # window integrals, so exp(Phi) (overflow past 709) is never formed.
