@@ -2,27 +2,27 @@
 
 Both epidemic models reduce to the same computational shape: one ordinary
 differential equation advanced alongside a Volterra renewal equation whose
-kernel is the survival function of the infectious period, optionally damped
-by an exponential of a cumulative rate integral:
+kernel is the survival function of the infectious period:
 
     x'(t) = f(x, y)
-    y(t)  = int_0^t B(x(u), y(u)) exp(-(Phi(t) - Phi(u))) xi(t - u) du
-            + exp(-Phi(t)) b(t)
-    Phi(t) = int_0^t G(x(s), y(s)) ds
+    y(t)  = D(t) [int_0^t W(u) xi(t - u) e^(-d (t-u)) du + x(0)^(-beta) e^(-d t) b(t)]
 
-For the mean-field model x = [S], y = [I], B = tau (n/N) S I and G = 0; for
-the pairwise model x = [S], y = [SI], B = tau kappa S^((n-2)/n) [SI] with
-kappa = (n-1)/N [S]0^(2/n) (the [SS] series is eliminated through its first
-integral) and G = tau (n-1)/n [SI]/[S] + tau.  Integrating these *renewal*
-forms instead of the differentiated equations keeps the kernel bounded: the
-survival function is a step for a fixed infectious period and kinked for a
-uniform one, whereas the differentiated kernel would be a Dirac delta.
+For the mean-field model x = [S], y = [I], D = 1, beta = d = 0 and
+W = tau (n/N) S I.  For the pairwise model x = [S], y = [SI] and every S-I
+link is damped by exp(-int_u^t (tau + tau beta [SI]/[S]) ds), with
+beta = (n-1)/n.  Since [S]' = -tau [SI], that damping is exactly
+([S](t)/[S](u))^beta e^(-tau (t-u)), the first integral that also gives
+[SS]; so D = [S]^beta, d = tau and W = tau kappa [S]^(-1/n) [SI], with
+kappa = (n-1)/N [S]0^(2/n).  Integrating these *renewal* forms instead of
+the differentiated equations keeps the kernel bounded: the survival
+function is a step for a fixed infectious period and kinked for a uniform
+one, whereas the differentiated kernel would be a Dirac delta.
 
 Discretisation: composite trapezoid over the history on the step grid (the
 degree-1 collocation choice).  The implicit current-time value is solved in
-closed form for the mean-field model, a quadratic in the new incidence, and
-by a fixed-point corrector for the pairwise one.  Phi is accumulated once per
-step and differenced, never recomputed by nested quadrature.
+closed form for the mean-field model, a quadratic in the new incidence.  A
+pairwise step is linear in [SI] given [S], so [SI] is solved exactly and a
+fixed-point corrector sweeps [S] alone.
 
 The history is a plain weighted sum of three kinds.  The full kind stores
 every weight and takes one numpy dot product per step, O(steps^2) in all;
@@ -72,12 +72,8 @@ class StepContractionError(SolverError):
 # step that needs more is reported rather than marched on.
 _MAX_CORRECTOR_SWEEPS = 50
 
-# Pairwise corrector's remaining error per step, relative to max(1, |x|, |y|).
+# Pairwise corrector's remaining [S] error per step, relative to max(1, [S]).
 _CORRECTOR_TOL = 1e-5
-
-# Phi(t) - Phi_ref at which the stored history weights are rescaled: exp()
-# of it stays far below overflow (about 709) with room for one step's rise.
-_PHI_RESCALE = 300.0
 
 # Largest stage count K of a chain law whose history runs as K stage sums
 # (:func:`_stage_history`), O(K^2) float operations per step against the
@@ -88,14 +84,15 @@ _PHI_RESCALE = 300.0
 _MAX_STAGES = 6
 
 
-def _corrector_converged(delta: float, delta_prev: float, xs: float, ys: float) -> bool:
+def _corrector_converged(delta: float, delta_prev: float, scale: float) -> bool:
     """Geometric estimate of the remaining fixed-point error vs ``_CORRECTOR_TOL``.
 
     Successive corrections shrink by the contraction factor q, so the error
-    left after the final sweep is about delta * q / (1 - q).  A step whose
-    iteration does not contract (q >= 1) always fails.
+    left after the final sweep is about delta * q / (1 - q), measured against
+    the tolerance times max(1, |scale|).  A step whose iteration does not
+    contract (q >= 1) always fails.
     """
-    tol = _CORRECTOR_TOL * max(1.0, abs(xs), abs(ys))
+    tol = _CORRECTOR_TOL * max(1.0, abs(scale))
     if delta <= tol:
         return True
     if not math.isfinite(delta_prev) or delta_prev <= 0.0:
@@ -109,26 +106,24 @@ def _corrector_converged(delta: float, delta_prev: float, xs: float, ys: float) 
 class _History(NamedTuple):
     """The renewal march's memory of its pushed weights w_0, w_1, ...
 
-    ``next_sum()`` is h sum_i w_i xi_{k+1-i} over the k+1 weights pushed so
-    far, the history sum for the step to node k+1 without its half term
-    (the step adds it); ``push(w)`` appends the next weight; ``rescale(f)``
-    multiplies every pushed weight by f.
+    ``next_sum()`` is h sum_i w_i K_{k+1-i} over the k+1 weights pushed so
+    far and the model's kernel K, the history sum for the step to node k+1
+    without its half term (the step adds it); ``push(w)`` appends a weight.
     """
 
     next_sum: Callable[[], float]
     push: Callable[[float], None]
-    rescale: Callable[[float], None]
 
 
-def _weight_history(xi_quad: np.ndarray, h: float, steps: int, window: int | None) -> _History:
+def _weight_history(kernel: np.ndarray, h: float, steps: int, window: int | None) -> _History:
     """The full kind (``window`` None) and the windowed kind: every weight stored.
 
     ``next_sum`` is one numpy dot product over the stored weights and the
-    reversed kernel, O(k) at step k and O(steps^2) in all; the windowed kind
-    sums only the last ``window`` weights, for a kernel that is zero past
-    node ``window``.
+    reversed ``kernel``, O(k) at step k and O(steps^2) in all; the windowed
+    kind sums only the last ``window`` weights, for a kernel that is zero
+    past node ``window``.
     """
-    xi_rev = xi_quad[::-1].copy()
+    xi_rev = kernel[::-1].copy()
     weight = np.zeros(steps + 1)
     reach = steps if window is None else window
     count = 0
@@ -142,25 +137,23 @@ def _weight_history(xi_quad: np.ndarray, h: float, steps: int, window: int | Non
         weight[count] = w
         count += 1
 
-    def rescale(factor):
-        weight[:count] *= factor
-
-    return _History(next_sum, push, rescale)
+    return _History(next_sum, push)
 
 
-def _stage_history(stages: int, rate: float, h: float) -> _History:
-    """The stage kind, for the survival xi(a) = e^{-ra} sum_{j<K} (ra)^j / j!.
+def _stage_history(stages: int, rate: float, decay: float, h: float) -> _History:
+    """The stage kind, for the kernel xi(a) e^{-da} with the survival
+    xi(a) = e^{-ra} sum_{j<K} (ra)^j / j!.
 
-    Keeps A_j = sum_i w_i e^{-r(t-t_i)} (r(t-t_i))^j / j! for j < K, whose
-    sum over j is sum_i w_i xi(t - t_i) (the linear chain trick).  No weight
-    is stored: a new weight enters A_0, a rescale multiplies every A_j, and
-    a step moves them on in place, A_j <- sum_{l<=j} c_{j-l} A_l with
-    c_m = e^{-rh} (rh)^m / m!, j running downwards so each A_l (l < j) is
-    read before it is overwritten.  Every coefficient is positive, so
+    Keeps A_j = sum_i w_i e^{-(r+d)(t-t_i)} (r(t-t_i))^j / j! for j < K,
+    whose sum over j is sum_i w_i xi(t - t_i) e^{-d(t-t_i)} (the linear
+    chain trick).  No weight is stored: a new weight enters A_0, and a step
+    moves the sums on in place, A_j <- sum_{l<=j} c_{j-l} A_l with
+    c_m = e^{-(r+d)h} (rh)^m / m!, j running downwards so each A_l (l < j)
+    is read before it is overwritten.  Every coefficient is positive, so
     nothing cancels.  O(K^2) Python float operations per step.
     """
     rh = rate * h
-    c = [math.exp(-rh) * rh**m / math.factorial(m) for m in range(stages)]
+    c = [math.exp(-(rate + decay) * h) * rh**m / math.factorial(m) for m in range(stages)]
     c0 = c[0]
     # (j, [(l, c_{j-l}) for l < j]) for j = K-1 .. 0.
     rows = [(j, list(zip(range(j), c[j:0:-1]))) for j in range(stages - 1, -1, -1)]
@@ -177,27 +170,20 @@ def _stage_history(stages: int, rate: float, h: float) -> _History:
     def push(w):
         sums[0] += w
 
-    def rescale(factor):
-        for j in range(stages):
-            sums[j] *= factor
-
-    return _History(next_sum, push, rescale)
+    return _History(next_sum, push)
 
 
 def _march_renewal(*, step, weight, boundary: np.ndarray, jump: int | None = None, x0: float,
                    h: float, history: _History):
     """Advance the coupled ODE + renewal system on the grid of ``boundary``.
 
-    Returns (x, y, phi, y_hist) arrays of the boundary's length.  Per step
-    the model's ``step(k, x_k, y_k, y_{k-1}, Phi_k, hist, b_left, Phi_ref,
-    damp_ref)`` returns the new (x, y, Phi, scale_out), y on the left of a
-    jump and scale_out = exp(-Phi) its boundary damping, and ``weight(x, y)``
-    the incidence B.  ``history`` holds B_i * exp(Phi_i - Phi_ref), node 0's
-    halved (the trapezoid end rule), and gives one sum per step, which the
-    step damps by exp(-(Phi - Phi_ref)).  Once Phi - Phi_ref passes
-    ``_PHI_RESCALE`` the history is rescaled and Phi_ref moves to Phi, so
-    exp() never overflows however long the horizon.  An ``ArithmeticError``
-    in a step is reported as ``StepContractionError``.
+    Returns (x, y, y_hist) arrays of the boundary's length.  Per step the
+    model's ``step(k, x_k, y_k, y_{k-1}, hist, b_left)`` returns the new
+    (x, y, damp), y on the left of a jump and damp the factor the step put
+    on its boundary value b_left, and ``weight(x, y)`` the history weight W.
+    ``history`` holds the weights, node 0's halved (the trapezoid end rule),
+    and gives one sum per step.  An ``ArithmeticError`` in a step is
+    reported as ``StepContractionError``.
 
     When the boundary term drops at node ``jump`` (newborn infecteds under a
     point-mass recovery law all leave at sigma, making y itself jump there),
@@ -212,35 +198,28 @@ def _march_renewal(*, step, weight, boundary: np.ndarray, jump: int | None = Non
     b = boundary.tolist()
     next_sum, push = history.next_sum, history.push
 
-    xk, yk, phik = float(x0), b[0], 0.0
+    xk, yk = float(x0), b[0]
     y_prev = yk  # so a linear predictor starts from y_0
-    x, y, phi, y_hist = [xk], [yk], [phik], [yk]
+    x, y, y_hist = [xk], [yk], [yk]
     push(0.5 * weight(xk, yk))  # the trapezoid's half end weight
-    phi_ref, damp_ref = 0.0, 1.0
 
     try:
         for k in range(len(b) - 1):
             at_jump = k + 1 == jump
             b_left = b[k] if at_jump else b[k + 1]
-            xs, ys, phis, scale_out = step(
-                k, xk, yk, y_prev, phik, next_sum(), b_left, phi_ref, damp_ref
-            )
-            y_prev, xk, yk, phik = yk, xs, ys + scale_out * (b[k + 1] - b_left), phis
-            yh = ys + scale_out * (0.5 * (b_left + b[k + 1]) - b_left) if at_jump else yk
+            xs, ys, damp = step(k, xk, yk, y_prev, next_sum(), b_left)
+            y_prev, xk, yk = yk, xs, ys + damp * (b[k + 1] - b_left)
+            yh = ys + damp * (0.5 * (b_left + b[k + 1]) - b_left) if at_jump else yk
             x.append(xk)
             y.append(yk)
-            phi.append(phik)
             y_hist.append(yh)
-            if phis - phi_ref > _PHI_RESCALE:
-                history.rescale(math.exp(phi_ref - phis))
-                phi_ref, damp_ref = phis, math.exp(-phis)
-            push(weight(xs, yh) * math.exp(phis - phi_ref))
+            push(weight(xs, yh))
     except ArithmeticError as exc:
         raise StepContractionError(
             f"renewal march failed in the step to t={(k + 1) * h:.6g} "
             f"({type(exc).__name__}: {exc}); reduce the step size h={h}"
         ) from exc
-    return np.array(x), np.array(y), np.array(phi), np.array(y_hist)
+    return np.array(x), np.array(y), np.array(y_hist)
 
 
 def _meanfield_step(coupling: float, xi0: float, h: float):
@@ -258,7 +237,7 @@ def _meanfield_step(coupling: float, xi0: float, h: float):
     half_h = 0.5 * h
     a2 = 0.25 * coupling * h * h * xi0
 
-    def step(k, xk, yk, y_prev, phik, hist, b_left, phi_ref, damp_ref):
+    def step(k, xk, yk, y_prev, hist, b_left):
         C = xk - half_h * (coupling * xk * yk)
         A = hist + b_left
         cca = coupling * C * A
@@ -270,46 +249,46 @@ def _meanfield_step(coupling: float, xi0: float, h: float):
                 f"([S] part {C:.6g}, [I] part {A:.6g}); reduce the step size h={h}"
             )
         w = 2.0 * cca / root
-        return C - half_h * w, A + half_h * xi0 * w, 0.0, 1.0
+        return C - half_h * w, A + half_h * xi0 * w, 1.0
 
     return step, lambda s, i: coupling * s * i
 
 
 def _pairwise_step(tau: float, n: float, N: float, S0: float, xi0: float, h: float):
-    """The pairwise (step, weight) pair: a fixed-point corrector on ([S], [SI]).
+    """The pairwise (step, weight) pair: [SI] solved exactly, a corrector on [S].
 
-    The sweep writes out x' = -tau [SI] and the module docstring's B and G;
-    an iterate with [S] <= 0 gives nan, not a complex power.  The predictor
-    takes an Euler x and extrapolates y linearly.  Two sweeps run, the
-    fewest that give :func:`_corrector_converged` a contraction ratio q, then
-    more until it passes with both counts nonnegative (its tolerance scales
-    with the larger one, so the smaller could pass it negative), up to
-    ``_MAX_CORRECTOR_SWEEPS``.  Only the test decides: an early q >= 1 may
-    come from the predictor, and an unconverged count alternates in sign.
+    The history holds W = tau kappa [S]^(-1/n) [SI] against xi(a) e^(-tau a),
+    so with A = hist + [S]0^(-beta) e^(-tau t_{k+1}) b_left the step's
+    renewal equation [SI] = [S]^beta A + h xi0 tau kappa [S]^alpha [SI]/2
+    (alpha = (n-2)/n) is linear in [SI]: [SI] = [S]^beta A / (1 - h xi0 tau
+    kappa [S]^alpha/2).  The jump's left limit b_left is damped at t_{k+1}
+    too, like the rest of the step.  A fixed-point sweep then takes
+    [S] <- [S]_k - h tau ([SI]_k + [SI])/2 from a predictor that
+    extrapolates [SI] linearly; an iterate [S] < 0, or one whose
+    denominator is not positive (no [SI] >= 0 solves the step), gives nan
+    and fails the step at once.  Two sweeps run, the fewest that give
+    :func:`_corrector_converged` a contraction ratio q, then more until it
+    passes with [S] >= 0, up to ``_MAX_CORRECTOR_SWEEPS``.  Only the test
+    decides: an early q >= 1 may come from the predictor.
     """
-    half_h = 0.5 * h
+    half_h_tau = 0.5 * h * tau
     tau_kappa = tau * ((n - 1.0) / N * S0 ** (2.0 / n))
-    alpha, link_ratio = (n - 2.0) / n, tau * (n - 1.0) / n
+    alpha, beta, inv_n = (n - 2.0) / n, (n - 1.0) / n, 1.0 / n
+    implicit, boundary_scale = 0.5 * h * xi0 * tau_kappa, S0**-beta
 
-    def step(k, xk, yk, y_prev, phik, hist, b_left, phi_ref, damp_ref):
-        fk = -tau * yk
-        gk = link_ratio * yk / xk + tau if xk else math.nan
-        xs, ys = xk + h * fk, yk + (yk - y_prev)
+    def step(k, xk, yk, y_prev, hist, b_left):
+        damp_s0 = boundary_scale * math.exp(-tau * (k + 1) * h)
+        A = hist + damp_s0 * b_left
+        xs = xk - half_h_tau * (3.0 * yk - y_prev)
         delta, sweeps = math.inf, 0
         while True:
-            phis = phik + half_h * (gk + (link_ratio * ys / xs + tau if xs else math.nan))
-            scale_hist = math.exp(phi_ref - phis)
-            scale_out = scale_hist * damp_ref
-            incidence = tau_kappa * xs**alpha * ys if xs >= 0.0 else math.nan
-            y_new = scale_hist * hist + half_h * incidence * xi0 + scale_out * b_left
-            x_new = xk + half_h * (fk - tau * y_new)
-            delta_prev, delta = delta, abs(y_new - ys) + abs(x_new - xs)
-            xs, ys = x_new, y_new
+            den = 1.0 - implicit * xs**alpha if xs >= 0.0 else math.nan
+            ys = xs**beta * A / den if den > 0.0 else math.nan
+            x_new = xk - half_h_tau * (yk + ys)
+            delta_prev, delta = delta, abs(x_new - xs)
             sweeps += 1
-            if sweeps == 1:
-                continue
-            if xs >= 0.0 and ys >= 0.0 and _corrector_converged(delta, delta_prev, xs, ys):
-                return xs, ys, phis, scale_out
+            if sweeps > 1 and x_new >= 0.0 and _corrector_converged(delta, delta_prev, x_new):
+                return x_new, ys, xs**beta * damp_s0
             if not math.isfinite(delta) or sweeps >= _MAX_CORRECTOR_SWEEPS:
                 q = delta / delta_prev if delta_prev > 0.0 else math.inf
                 raise StepContractionError(
@@ -317,8 +296,9 @@ def _pairwise_step(tau: float, n: float, N: float, S0: float, xi0: float, h: flo
                     f"{delta:.3e}, ratio q={q:.3g}, x={xs:.6g} after {sweeps} sweeps; "
                     f"reduce the step size h={h}"
                 )
+            xs = x_new
 
-    return step, lambda s, si: tau_kappa * s**alpha * si if s >= 0.0 else math.nan
+    return step, lambda s, si: tau_kappa * si / s**inv_n if s > 0.0 else 0.0
 
 
 def _infected_from_incidence(
@@ -366,9 +346,11 @@ def solve_pairwise(
     """Solve the link-level model reduced to ([S], [SI]) by its first integral.
 
     [SS] is reconstructed exactly from the conserved ratio
-    [SS] [S]^(-2(n-1)/n); [I] is recovered from the incidence history against
-    the survival kernel.  ``extra`` carries the accumulated rate integral Phi
-    and an independently integrated [SS] series for drift diagnostics.
+    [SS] [S]^(-2(n-1)/n), and the same integral damps each S-I link by
+    ([S](t)/[S](u))^((n-1)/n) e^(-tau (t-u)); [I] is recovered from the
+    incidence history against the survival kernel.  ``extra`` carries the
+    links' damping exponent Phi = (n-1)/n ln([S]0/[S]) + tau t and an
+    independently integrated [SS] series for drift diagnostics.
     """
     return _solve(True, params, num_nodes, degree, config)
 
@@ -386,24 +368,26 @@ def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, config) ->
     # quadrature copy of xi then takes the midpoint of the one-sided limits at
     # the point-mass node, which makes the composite trapezoid act as a
     # piecewise rule on the two smooth sides of the jump.
-    xi_quad = np.array(run.dist.survival(np.arange(steps + 1) * h))
+    ages = np.arange(steps + 1) * h
+    xi_quad = np.array(run.dist.survival(ages))
     b_infected = run.I0 * xi_quad
     if jump is not None and jump <= steps:
         xi_quad[jump] = 0.5
-    chain = run.dist._stage_chain()
-    if chain is not None and chain[0] <= _MAX_STAGES:
-        history = _stage_history(*chain, h)
-    else:
-        history = _weight_history(xi_quad, h, steps, run.window)
 
     xi0 = float(xi_quad[0])
     if pairwise:
         step, weight = _pairwise_step(tau, n, N, S0, xi0, h)
         boundary = (n / N) * S0 * b_infected  # y is [SI]: the newborns' links to [S]0
+        decay = tau  # a link's own loss rate damps its history kernel
     else:
         step, weight = _meanfield_step(tau * n / N, xi0, h)
-        boundary = b_infected
-    x, y, phi, y_hist = _march_renewal(
+        boundary, decay = b_infected, 0.0
+    chain = run.dist._stage_chain()
+    if chain is not None and chain[0] <= _MAX_STAGES:
+        history = _stage_history(*chain, decay, h)
+    else:
+        history = _weight_history(xi_quad * np.exp(-decay * ages), h, steps, run.window)
+    x, y, y_hist = _march_renewal(
         step=step, weight=weight, boundary=boundary, jump=jump, x0=S0, h=h, history=history
     )
     del history  # stored weights held past the march raise the peak RSS of long solves
@@ -413,8 +397,10 @@ def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, config) ->
     S, SI = x, y
     SS = (n / N) * S0 ** (2.0 / n) * S ** (2.0 * (n - 1.0) / n)
     I = _infected_from_incidence(tau * y_hist, xi_quad, b_infected, h)
-    # Independent [SS] integration (trapezoid of its own rate equation) for
+    # The link damping's rate integral, by the [S] first integral, and an
+    # independent [SS] integration (trapezoid of its own rate equation), for
     # first-integral drift diagnostics; the update is linear-implicit exact.
+    phi = (n - 1.0) / n * np.log(S0 / S) + tau * ages
     c = 2.0 * (tau * (n - 1.0) / n) * SI / S
     ratio = (1.0 - 0.5 * h * c[:-1]) / (1.0 + 0.5 * h * c[1:])
     ss_independent = (n / N) * S0**2 * np.concatenate(([1.0], np.cumprod(ratio)))

@@ -30,6 +30,12 @@ __all__ = [
 SERIES_NAMES = ("S", "I", "R", "SI", "SS")
 _META_TAG = "# meta:"
 
+# Most steps t_end/h a deterministic solve takes: ten times the 1e4-1e5 range
+# SolverConfig names.  A step orders of magnitude too small is refused at once
+# rather than left to run for hours (the history costs O(steps^2) for most
+# laws) or to exhaust memory (the march keeps about 200 bytes a step).
+_MAX_STEPS = 1_000_000
+
 
 class SolverError(RuntimeError):
     """Raised when a deterministic solve cannot be completed with the given configuration."""
@@ -66,6 +72,7 @@ class SolverConfig:
     K <= 6 stages, and O(steps) per step, O(steps^2) overall, for the
     others, so there ``t_end/h`` should stay in the 1e4-1e5 range on a
     desktop; the pairwise [I] adds one O(steps log steps) FFT convolution.
+    A solve refuses more than 1e6 steps.
     """
 
     h: float = 1e-2
@@ -216,11 +223,12 @@ class _SolveSetup:
     Everything comes from ``params`` and ``config`` (``SolverConfig()`` if
     None, which has already refused a bad step): I0 is
     ``params.initial_infected``, S0 = N - I0, and the grid is ``t = k h`` for
-    ``k = 0..round(params.t_end/h)``.  The inputs are checked here for every
-    solve, by the rule of its ``model``: I0 may not exceed N, and a pairwise
-    model (a name ending in ``pairwise``) needs degree >= 2 and S0 > 0, where
-    a mean-field one accepts S0 = 0.  Solvers may update or extend ``meta``
-    before :meth:`trajectory`.
+    ``k = 0..round(params.t_end/h)``, at most ``_MAX_STEPS`` steps.  The
+    inputs are checked here for every solve, by the rule of its ``model``:
+    I0 may not exceed N, and a pairwise model (a name ending in
+    ``pairwise``) needs degree >= 2 and S0 > 0, where a mean-field one
+    accepts S0 = 0.  Solvers may update or extend ``meta`` before
+    :meth:`trajectory`.
 
     The law is put on the grid here for every solve: ``dist`` has its
     breakpoints on the nearest nodes (``meta["grid_snap"]`` notes any move),
@@ -243,6 +251,11 @@ class _SolveSetup:
             raise ValueError(
                 f"initial_infected={params.initial_infected} leaves no susceptible "
                 f"among num_nodes={num_nodes}"
+            )
+        if params.t_end / h > _MAX_STEPS:
+            raise ValueError(
+                f"t_end/h = {params.t_end / h:.4g} steps exceeds the limit of {_MAX_STEPS} "
+                "steps for a deterministic solve; increase the step size h"
             )
         self.steps = int(round(params.t_end / h))
         if self.steps < 1:

@@ -2,7 +2,10 @@
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +248,38 @@ def test_memory_error_exits_2(tmp_path, capsys, monkeypatch, exc, message):
     assert main(["solve", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("h", ["1e-6", "1e-9"])
+def test_step_count_past_the_limit_exits_2(tmp_path, capsys, h):
+    # t_end = 25 at these steps is 2.5e7 and 2.5e10 steps: the solve is
+    # refused before anything is allocated, rather than running for minutes
+    # or running out of memory.
+    assert main(["solve", "--set", f"solver.h={h}", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end/h") and "limit of 1000000 steps" in err
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_oversized_grid_in_an_ensemble_worker_exits_2(tmp_path):
+    # dt_out = 1e-12 asks each run for a 2.5e13-point output grid (182 TiB).
+    # The worker that runs it fails to allocate it, and the MemoryError it
+    # hands back must end in one error line and exit 2, with no file
+    # written.  The address space is capped, so no machine can grant it.
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (16 << 30, 16 << 30))"
+    argv = ["simulate", "--set", "network.N=200", "--set", "network.n=8",
+            "--set", "simulation.dt_out=1e-12", "--set", "simulation.runs=2",
+            "--out", str(tmp_path)]
+    run = subprocess.run(
+        [sys.executable, "-c", f"{cap}; import sys; from nmsir.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(nm.__file__).resolve().parents[1])),
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: Unable to allocate") and run.stderr.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 

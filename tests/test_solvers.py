@@ -192,10 +192,11 @@ def test_solves_end_in_valid_series_or_solver_errors(args):
     # Each solve either raises a documented error or returns finite series
     # that conserve N, never gain susceptibles and stay nonnegative, for
     # both models: the mean-field step is solved in closed form, so its [R]
-    # no longer dips below zero before the first recovery.  The first
-    # example overflows exp() in the pairwise corrector.  In the second, a
-    # one-step infectious period, the corrector's tolerance (scaled by [S])
-    # passes a slightly negative [SI] unless the sign of y is checked too.
+    # no longer dips below zero before the first recovery.  In the first
+    # example no nonnegative [SI] solves the first pairwise step (its
+    # denominator is negative at h = 0.1).  The second, a one-step
+    # infectious period, keeps [SI] nonnegative because each step solves it
+    # exactly, from a positive denominator, not to the corrector's tolerance.
     params, num_nodes, degree, h = args
     for solve in (nm.solve_pairwise, nm.solve_meanfield):
         try:
@@ -268,9 +269,9 @@ def test_meanfield_conserves_n_before_first_recovery(dist, first):
 
 
 def test_long_horizon_pairwise_stays_finite():
-    # Phi passes 800 here; the stored history weights are rescaled instead of
-    # overflowing exp(Phi), and the rescale leaves the march over the first
-    # 60 days (Phi below 300) bit-identical to a short solve.  [I] and [R]
+    # Phi passes 800 here, so exp(Phi) would overflow; the links are damped
+    # by ([S](t)/[S](u))^((n-1)/n) e^(-tau (t-u)) <= 1 instead, and the march
+    # over the first 60 days is bit-identical to a short solve.  [I] and [R]
     # come from an FFT whose length follows the horizon, so they agree to
     # rounding only (measured 3.4e-16).
     dist = nm.UniformInterval(1, 2)
@@ -294,11 +295,14 @@ def test_long_horizon_pairwise_stays_finite():
 
 
 def test_fast_epidemic_converges_at_default_step():
-    # tau >= 1.5 needs more than the two corrector sweeps every step runs on
-    # the first steps; the iteration contracts, so the solve must go through
-    # and agree with a ten times finer step.
+    # At h = 0.01 some 30 steps of each solve need more than the two
+    # corrector sweeps every step runs: up to 3 sweeps from t = 0.36 at
+    # tau = 1.5, 4 from t = 0.2 at tau = 2 and 6 from t = 0.12 at tau = 3.
+    # The iteration contracts, so the solve must go through and agree with a
+    # ten times finer step (measured 1.8e-2 pairwise and 1.77e-2 mean-field
+    # at tau = 3).
     dist = nm.GammaErlang(3, 2 / 3)
-    for tau in (1.5, 2.0):
+    for tau in (1.5, 2.0, 3.0):
         p = nm.EpidemicParams(tau=tau, dist=dist, initial_infected=5, t_end=10.0)
         for solve in (nm.solve_pairwise, nm.solve_meanfield):
             coarse = solve(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.01))
@@ -348,10 +352,11 @@ def test_fig1_meanfield_steps_solve_both_trapezoid_equations():
 
 
 def test_early_ratio_above_one_does_not_stop_the_corrector():
-    # On the step to t = 1.4 the second sweep moves further than the first
-    # (ratio about 1.15), because the first move is measured from the
-    # predictor; the sweeps after it contract at about 0.08.  Only the stop
-    # test decides, so the solve goes through and agrees with a finer step.
+    # The corrector's stop test alone decides when a step is done, whatever
+    # ratio an early sweep shows.  Here, at h = 0.05, the sweeps over [S]
+    # contract at 0.07-0.12 (the slope of the step map, since [SI] is solved
+    # exactly given [S]), and the 16 steps from t = 1.15 on run three or four
+    # sweeps; the solve goes through and agrees with a finer step.
     p = nm.EpidemicParams(tau=0.35, dist=nm.FixedDuration(1.5), initial_infected=7, t_end=2.0)
     coarse = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.05))
     fine = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.005))
@@ -377,7 +382,7 @@ def test_negative_count_iterate_is_not_accepted():
 def test_corrector_never_accepts_a_step_that_does_not_contract(delta, delta_prev):
     # With q = delta/delta_prev >= 1 the geometric error estimate
     # delta q/(1 - q) is negative (or undefined) and would pass any tolerance.
-    assert not solvers._corrector_converged(delta, delta_prev, 0.0, 0.0)
+    assert not solvers._corrector_converged(delta, delta_prev, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -385,10 +390,13 @@ def test_corrector_never_accepts_a_step_that_does_not_contract(delta, delta_prev
     [(nm.solve_pairwise, 1, 5.0, "degree >= 2"),
      (nm.solve_pairwise, 1.5, 5.0, "degree >= 2"),
      (nm.solve_pairwise, DEG, 0.004, "at least one step"),
-     (nm.solve_meanfield, DEG, 0.004, "at least one step")],
+     (nm.solve_meanfield, DEG, 0.004, "at least one step"),
+     (nm.solve_pairwise, DEG, 10000.01, "limit of 1000000 steps"),
+     (nm.solve_reference_meanfield, DEG, 10000.01, "limit of 1000000 steps")],
 )
 def test_solve_setup_rejections(solve, degree, t_end, match):
-    # t_end = 0.004 is below half of h = 0.01, so the grid has no step.
+    # t_end = 0.004 is below half of h = 0.01, so the grid has no step;
+    # t_end = 10000.01 is one step past the limit.
     p = _params(nm.Exponential(2 / 3), t_end=t_end)
     with pytest.raises(ValueError, match=match):
         solve(p, num_nodes=N, degree=degree, config=nm.SolverConfig(h=0.01))
@@ -413,38 +421,36 @@ def test_support_below_half_step_rejected():
 def test_march_renewal_linear_renewal_closed_form():
     # y(t) = int_0^t y(u) xi(t-u) du + xi(t) with the Erlang-2 survival
     # xi(a) = (1 + 2a) e^{-2a} has the Laplace-inverted solution
-    # y(t) = 4/3 - e^{-3t}/3; a constant damping rate g multiplies it by
-    # e^{-gt}.  The step is linear in y, so it is solved directly.  The sup
-    # error must fall at second order, with the history stored in full or
-    # kept as two stage sums of rate 2.
+    # y(t) = 4/3 - e^{-3t}/3; damping every term at a constant rate g, the
+    # kernel by e^{-ga} and the boundary by e^{-gt}, multiplies it by e^{-gt}.
+    # The step is linear in y, so it is solved directly.  The sup error must
+    # fall at second order, with the history stored in full or kept as two
+    # stage sums of rate 2.
     for kind in ("full", "stage"):
-        for g in (None, 0.5):
+        for g in (0.0, 0.5):
             errs = []
             for h in (0.02, 0.01, 0.005):
                 steps = int(round(5.0 / h))
                 ages = np.arange(steps + 1) * h
                 xi = (1.0 + 2.0 * ages) * np.exp(-2.0 * ages)
+                damping = np.exp(-g * ages)
 
-                def linear_step(k, xk, yk, y_prev, phik, hist, b_left, phi_ref, damp_ref):
-                    phis = phik + h * (g or 0.0)
-                    scale_hist = math.exp(phi_ref - phis)
-                    scale_out = scale_hist * damp_ref
-                    ys = (scale_hist * hist + scale_out * b_left) / (1.0 - 0.5 * h * xi[0])
-                    return 0.0, ys, phis, scale_out
+                def linear_step(k, xk, yk, y_prev, hist, b_left):
+                    return 0.0, (hist + b_left) / (1.0 - 0.5 * h * xi[0]), 1.0
 
-                _, y, _, _ = _march_renewal(
+                _, y, _ = _march_renewal(
                     step=linear_step,
                     weight=lambda x, y: y,
-                    boundary=xi,
+                    boundary=xi * damping,
                     x0=0.0,
                     h=h,
                     history=(
-                        solvers._weight_history(xi, h, steps, None)
+                        solvers._weight_history(xi * damping, h, steps, None)
                         if kind == "full"
-                        else solvers._stage_history(2, 2.0, h)
+                        else solvers._stage_history(2, 2.0, g, h)
                     ),
                 )
-                exact = (4.0 / 3.0 - np.exp(-3.0 * ages) / 3.0) * np.exp(-(g or 0.0) * ages)
+                exact = (4.0 / 3.0 - np.exp(-3.0 * ages) / 3.0) * damping
                 errs.append(float(np.max(np.abs(y - exact))))
             for coarse, fine in zip(errs, errs[1:]):
                 assert 3.5 < coarse / fine < 4.5, kind  # order 2 halving
@@ -487,22 +493,22 @@ def _stage_vs_full(monkeypatch, solve, params, h):
     "tau, t_end, h", [(0.35, 25.0, 1e-2), (0.1, 60.0, 1e-3)], ids=["fig1", "tau0.1"]
 )
 def test_stage_kind_matches_full_kind(monkeypatch, solve, law, tau, t_end, h):
-    # Measured: at most 4.5e-15 at fig-1 (h = 1e-2) and 8.6e-14 at
+    # Measured: at most 4.8e-15 at fig-1 (h = 1e-2) and 9.1e-14 at
     # tau = 0.1 (h = 1e-3) over the five series, Phi and SS_independent.
     params = nm.EpidemicParams(tau=tau, dist=STAGE_LAWS[law], initial_infected=5, t_end=t_end)
     worst, _ = _stage_vs_full(monkeypatch, solve, params, h)
     assert worst < 1e-12
 
 
-def test_stage_kind_long_horizon_rescales(monkeypatch):
-    # Phi passes 800, so the stage sums are rescaled at least twice; the
-    # solve stays finite and within rounding of the full kind (measured
-    # 1.2e-15).
+def test_stage_kind_long_horizon_matches_full_kind(monkeypatch):
+    # Phi passes 709, past which exp(Phi) overflows; the stage sums decay at
+    # the kernel's rate plus tau, so the solve stays finite and within
+    # rounding of the full kind (measured 5.4e-16).
     params = nm.EpidemicParams(
         tau=1.0, dist=nm.GammaErlang(3, 2 / 3), initial_infected=5, t_end=800.0
     )
     worst, staged = _stage_vs_full(monkeypatch, nm.solve_pairwise, params, 1e-2)
-    assert staged.extra["Phi"][-1] > 2 * solvers._PHI_RESCALE
+    assert staged.extra["Phi"][-1] > 709.0
     assert worst < 1e-12
 
 
