@@ -22,7 +22,9 @@ Discretisation: composite trapezoid over the history on the step grid (the
 degree-1 collocation choice).  The implicit current-time value is solved in
 closed form for the mean-field model, a quadratic in the new incidence.  A
 pairwise step is linear in [SI] given [S], so [SI] is solved exactly and a
-fixed-point corrector sweeps [S] alone.
+fixed-point corrector sweeps [S] alone, stopping on its own correction: the
+step equation's residual rises with slope at least 1 in [S], so a sweep's
+correction bounds the error of its result (Brunner 2004).
 
 The history is a plain weighted sum of three kinds.  The full kind stores
 every weight and takes one numpy dot product per step, O(steps^2) in all;
@@ -65,14 +67,15 @@ __all__ = [
 
 
 class StepContractionError(SolverError):
-    """A renewal step did not converge, had no nonnegative root or overflowed: h is too large."""
+    """A renewal step had no nonnegative root, did not converge or overflowed: h is too large."""
 
 
-# Sweeps the pairwise corrector may run in all while it still contracts; a
-# step that needs more is reported rather than marched on.
+# Sweeps the pairwise corrector may run in one step; a step that needs more
+# is reported rather than marched on.
 _MAX_CORRECTOR_SWEEPS = 50
 
-# Pairwise corrector's remaining [S] error per step, relative to max(1, [S]).
+# Pairwise corrector's remaining [S] error per step, relative to [S] on its
+# first sweep and to max(1, [S]) on later ones.
 _CORRECTOR_TOL = 1e-5
 
 # Largest stage count K of a chain law whose history runs as K stage sums
@@ -82,25 +85,6 @@ _CORRECTOR_TOL = 1e-5
 # 2.4) put the stage kind's time at 0.69-0.87 of the full kind's for
 # K = 3-5, 0.87-0.93 for K = 6, 0.93-1.06 for K = 7 and 1.05-1.16 for K = 8.
 _MAX_STAGES = 6
-
-
-def _corrector_converged(delta: float, delta_prev: float, scale: float) -> bool:
-    """Geometric estimate of the remaining fixed-point error vs ``_CORRECTOR_TOL``.
-
-    Successive corrections shrink by the contraction factor q, so the error
-    left after the final sweep is about delta * q / (1 - q), measured against
-    the tolerance times max(1, |scale|).  A step whose iteration does not
-    contract (q >= 1) always fails.
-    """
-    tol = _CORRECTOR_TOL * max(1.0, abs(scale))
-    if delta <= tol:
-        return True
-    if not math.isfinite(delta_prev) or delta_prev <= 0.0:
-        return False
-    q = delta / delta_prev
-    if q >= 0.99:
-        return False
-    return delta * q / (1.0 - q) <= tol
 
 
 class _History(NamedTuple):
@@ -263,13 +247,16 @@ def _pairwise_step(tau: float, n: float, N: float, S0: float, xi0: float, h: flo
     (alpha = (n-2)/n) is linear in [SI]: [SI] = [S]^beta A / (1 - h xi0 tau
     kappa [S]^alpha/2).  The jump's left limit b_left is damped at t_{k+1}
     too, like the rest of the step.  A fixed-point sweep then takes
-    [S] <- [S]_k - h tau ([SI]_k + [SI])/2 from a predictor that
-    extrapolates [SI] linearly; an iterate [S] < 0, or one whose
-    denominator is not positive (no [SI] >= 0 solves the step), gives nan
-    and fails the step at once.  Two sweeps run, the fewest that give
-    :func:`_corrector_converged` a contraction ratio q, then more until it
-    passes with [S] >= 0, up to ``_MAX_CORRECTOR_SWEEPS``.  Only the test
-    decides: an early q >= 1 may come from the predictor.
+    [S] <- T([S]) = [S]_k - h tau ([SI]_k + [SI])/2 from a predictor that
+    extrapolates [SI] linearly.  [SI] rises with [S] (A >= 0), so the residual
+    F = [S] - T([S]) has slope F' >= 1 and a sweep's correction
+    |T(x) - x| bounds the error |T(x) - [S]*| of its result: the step is done
+    when the correction is within ``_CORRECTOR_TOL`` times T(x) >= 0 on the
+    first sweep, where the predictor may be far off relative to a [S] below
+    one node, and times max(1, T(x)) on later sweeps.  An iterate [S] < 0, or
+    one whose denominator is not positive (no [SI] >= 0 solves the step),
+    gives nan and fails the step at once; so does needing more than
+    ``_MAX_CORRECTOR_SWEEPS`` sweeps.
     """
     half_h_tau = 0.5 * h * tau
     tau_kappa = tau * ((n - 1.0) / N * S0 ** (2.0 / n))
@@ -280,23 +267,24 @@ def _pairwise_step(tau: float, n: float, N: float, S0: float, xi0: float, h: flo
         damp_s0 = boundary_scale * math.exp(-tau * (k + 1) * h)
         A = hist + damp_s0 * b_left
         xs = xk - half_h_tau * (3.0 * yk - y_prev)
-        delta, sweeps = math.inf, 0
-        while True:
+        for sweep in range(_MAX_CORRECTOR_SWEEPS):
             den = 1.0 - implicit * xs**alpha if xs >= 0.0 else math.nan
             ys = xs**beta * A / den if den > 0.0 else math.nan
             x_new = xk - half_h_tau * (yk + ys)
-            delta_prev, delta = delta, abs(x_new - xs)
-            sweeps += 1
-            if sweeps > 1 and x_new >= 0.0 and _corrector_converged(delta, delta_prev, x_new):
+            delta = abs(x_new - xs)
+            scale = x_new if sweep == 0 else max(1.0, x_new)
+            if x_new >= 0.0 and delta <= _CORRECTOR_TOL * scale:
                 return x_new, ys, xs**beta * damp_s0
-            if not math.isfinite(delta) or sweeps >= _MAX_CORRECTOR_SWEEPS:
-                q = delta / delta_prev if delta_prev > 0.0 else math.inf
-                raise StepContractionError(
-                    f"corrector did not converge at t={(k + 1) * h:.6g}: residual "
-                    f"{delta:.3e}, ratio q={q:.3g}, x={xs:.6g} after {sweeps} sweeps; "
-                    f"reduce the step size h={h}"
-                )
+            if math.isnan(delta):
+                break
             xs = x_new
+        if math.isnan(delta):
+            why = "a sweep found no [S] >= 0 with a positive denominator (residual nan)"
+        else:
+            why = f"no convergence within {_MAX_CORRECTOR_SWEEPS} sweeps (residual {delta:.3e})"
+        raise StepContractionError(
+            f"pairwise step to t={(k + 1) * h:.6g} failed: {why}; reduce the step size h={h}"
+        )
 
     return step, lambda s, si: tau_kappa * si / s**inv_n if s > 0.0 else 0.0
 

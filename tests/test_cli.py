@@ -590,8 +590,8 @@ def test_solve_meta_round_trips_spaced_dist(tmp_path):
 
 
 def test_failed_compare_writes_nothing(tmp_path, capsys):
-    # The pairwise corrector diverges at this step size, after every
-    # ensemble has run.
+    # At this step size the first pairwise step's sweep finds no [S] >= 0;
+    # the solves run after every ensemble, and the compare writes no file.
     argv = ["compare", *SMALL, "--set", "solver.h=0.5", "--set", "epidemic.tau=3"]
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "error: " in capsys.readouterr().err
