@@ -28,6 +28,10 @@ __all__ = [
 # Pairing passes generate_regular tries before it gives up on a shape.
 _MAX_RESTARTS = 200
 
+# Most stubs N*n generate_regular pairs, refused before anything is
+# allocated: pairing peaks at about 40 bytes a stub, and keys i*N + j fit int64.
+_MAX_STUBS = 100_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class RegularGraph:
@@ -105,9 +109,9 @@ def _from_keys(num_nodes: int, degree: int, keys: np.ndarray, seed: int | None) 
 def generate_regular(num_nodes: int, degree: int, seed: int) -> RegularGraph:
     """Generate a random n-regular simple graph, deterministic given ``seed``.
 
-    Raises ``ValueError`` when ``num_nodes * degree`` is odd or the degree is
-    infeasible, and ``RuntimeError`` if no simple pairing is found within
-    ``_MAX_RESTARTS`` attempts.
+    Raises ``ValueError`` when ``num_nodes * degree`` is odd or above
+    ``_MAX_STUBS`` or the degree is infeasible, and ``RuntimeError`` if no
+    simple pairing is found within ``_MAX_RESTARTS`` attempts.
     """
     if degree < 0 or num_nodes <= 0:
         raise ValueError("num_nodes must be positive and degree nonnegative")
@@ -115,6 +119,9 @@ def generate_regular(num_nodes: int, degree: int, seed: int) -> RegularGraph:
         raise ValueError("num_nodes * degree must be even")
     if degree >= num_nodes:
         raise ValueError("degree must be smaller than num_nodes")
+    if num_nodes * degree > _MAX_STUBS:
+        raise ValueError(f"num_nodes * degree = {num_nodes * degree} stubs exceeds the "
+                         f"limit of {_MAX_STUBS} stubs for generate_regular")
 
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RESTARTS):

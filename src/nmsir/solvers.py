@@ -26,16 +26,18 @@ fixed-point corrector sweeps [S] alone, stopping on its own correction: the
 step equation's residual rises with slope at least 1 in [S], so a sweep's
 correction bounds the error of its result (Brunner 2004).
 
-The history is a plain weighted sum of three kinds.  The full kind stores
-every weight and takes one numpy dot product per step, O(steps^2) in all;
-the windowed kind sums only the last support-length weights of a bounded
-law.  The stage kind serves the exponential and Erlang laws (chains of K
+The history is a plain weighted sum of three kinds, each an ``advance(w)``
+that stores a weight and returns the next sum.  The full kind stores every
+weight and takes one numpy dot product per step, O(steps^2) in all; the
+windowed kind sums only the last support-length weights of a bounded law.
+The stage kind serves the exponential and Erlang laws (chains of K
 exponential stages) with K running stage sums updated by a positive
 lower-triangular recursion (the linear chain trick; MacDonald 1978, Hurtado
 and Kirosingh 2019), O(steps K^2) in all, up to ``_MAX_STAGES`` stages.
 The pairwise [I] is one FFT convolution for every law, O(steps log steps).
-One march serves both models, each giving it a step solve and an incidence,
-and ``trajectory._SolveSetup`` checks its inputs by the model's rule.
+One march serves both models, each giving it an incidence and a step solve
+that returns its own history weight, so a step is two calls (the step and
+``advance``); ``trajectory._SolveSetup`` checks inputs by the model's rule.
 
 Support breakpoints (sigma, or the uniform endpoints) are snapped to the
 grid, by ``trajectory._SolveSetup`` for every deterministic solve, so the
@@ -51,8 +53,6 @@ tolerances.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,70 +80,73 @@ _CORRECTOR_TOL = 1e-5
 
 # Largest stage count K of a chain law whose history runs as K stage sums
 # (:func:`_stage_history`), O(K^2) float operations per step against the
-# full kind's O(k) dot product.  Paired mean-field solves (tau = 0.35,
-# Erlang K, h = 1e-2 over 1000-4000 steps; 2-core x86_64, Python 3.11, numpy
-# 2.4) put the stage kind's time at 0.69-0.87 of the full kind's for
-# K = 3-5, 0.87-0.93 for K = 6, 0.93-1.06 for K = 7 and 1.05-1.16 for K = 8.
+# full kind's O(k) dot product.  Paired solves of either model (tau = 0.35,
+# Erlang K, h = 1e-2 over 1000 and 4000 steps, best of 5; 2-core x86_64,
+# Python 3.11, numpy 2.4) put the stage kind's time at 0.53-0.98 of the full
+# kind's for K = 3-5, 0.99-1.20 for K = 6, 1.11-1.37 for K = 7 and 1.25-1.56
+# for K = 8.  Moving the limit would change the last bits of those solves.
 _MAX_STAGES = 6
 
 
-class _History(NamedTuple):
-    """The renewal march's memory of its pushed weights w_0, w_1, ...
-
-    ``next_sum()`` is h sum_i w_i K_{k+1-i} over the k+1 weights pushed so
-    far and the model's kernel K, the history sum for the step to node k+1
-    without its half term (the step adds it); ``push(w)`` appends a weight.
-    """
-
-    next_sum: Callable[[], float]
-    push: Callable[[float], None]
-
-
-def _weight_history(kernel: np.ndarray, h: float, steps: int, window: int | None) -> _History:
+def _weight_history(kernel: np.ndarray, h: float, steps: int, window: int | None):
     """The full kind (``window`` None) and the windowed kind: every weight stored.
 
-    ``next_sum`` is one numpy dot product over the stored weights and the
-    reversed ``kernel``, O(k) at step k and O(steps^2) in all; the windowed
-    kind sums only the last ``window`` weights, for a kernel that is zero
-    past node ``window``.
+    ``advance(w)`` stores w_k and returns h sum_{i<=k} w_i K_{k+1-i} for the
+    model's kernel K, the sum for the step to node k+1 without its half term
+    (the step adds it): one ``ndarray.dot`` over the stored weights and the
+    reversed ``kernel``, O(steps^2) in all.  The windowed kind sums only
+    the last ``window`` weights, against one fixed kernel slice once they
+    are all stored, for a kernel that is zero past node ``window``.
     """
     xi_rev = kernel[::-1].copy()
     weight = np.zeros(steps + 1)
     reach = steps if window is None else window
+    tail = xi_rev[steps - reach : steps]
     count = 0
 
-    def next_sum():
-        lo = count - reach if count > reach else 0
-        return h * float(np.dot(weight[lo:count], xi_rev[steps - count + lo : steps]))
-
-    def push(w):
+    def advance(w):
         nonlocal count
         weight[count] = w
         count += 1
+        if count > reach:
+            return h * float(weight[count - reach : count].dot(tail))
+        return h * float(weight[:count].dot(xi_rev[steps - count : steps]))
 
-    return _History(next_sum, push)
+    return advance
 
 
-def _stage_history(stages: int, rate: float, decay: float, h: float) -> _History:
+def _stage_history(stages: int, rate: float, decay: float, h: float):
     """The stage kind, for the kernel xi(a) e^{-da} with the survival
     xi(a) = e^{-ra} sum_{j<K} (ra)^j / j!.
 
     Keeps A_j = sum_i w_i e^{-(r+d)(t-t_i)} (r(t-t_i))^j / j! for j < K,
     whose sum over j is sum_i w_i xi(t - t_i) e^{-d(t-t_i)} (the linear
-    chain trick).  No weight is stored: a new weight enters A_0, and a step
-    moves the sums on in place, A_j <- sum_{l<=j} c_{j-l} A_l with
+    chain trick).  No weight is stored: ``advance(w)`` adds the new weight
+    to A_0, moves the sums on in place, A_j <- sum_{l<=j} c_{j-l} A_l with
     c_m = e^{-(r+d)h} (rh)^m / m!, j running downwards so each A_l (l < j)
-    is read before it is overwritten.  Every coefficient is positive, so
-    nothing cancels.  O(K^2) Python float operations per step.
+    is read before it is overwritten, and returns h sum_j A_j, as
+    :func:`_weight_history` does.  Every coefficient is positive, so
+    nothing cancels.  O(K^2) Python float operations per step; one stage
+    (the exponential law) is a single float.
     """
     rh = rate * h
     c = [math.exp(-(rate + decay) * h) * rh**m / math.factorial(m) for m in range(stages)]
     c0 = c[0]
+    if stages == 1:
+        total = 0.0
+
+        def advance(w):
+            nonlocal total
+            total = c0 * (total + w)
+            return h * total
+
+        return advance
     # (j, [(l, c_{j-l}) for l < j]) for j = K-1 .. 0.
     rows = [(j, list(zip(range(j), c[j:0:-1]))) for j in range(stages - 1, -1, -1)]
     sums = [0.0] * stages
 
-    def next_sum():
+    def advance(w):
+        sums[0] += w
         for j, row in rows:
             total = c0 * sums[j]
             for l, cl in row:
@@ -151,59 +154,59 @@ def _stage_history(stages: int, rate: float, decay: float, h: float) -> _History
             sums[j] = total
         return h * sum(sums)
 
-    def push(w):
-        sums[0] += w
-
-    return _History(next_sum, push)
+    return advance
 
 
 def _march_renewal(*, step, weight, boundary: np.ndarray, jump: int | None = None, x0: float,
-                   h: float, history: _History):
+                   h: float, advance):
     """Advance the coupled ODE + renewal system on the grid of ``boundary``.
 
     Returns (x, y, y_hist) arrays of the boundary's length.  Per step the
     model's ``step(k, x_k, y_k, y_{k-1}, hist, b_left)`` returns the new
-    (x, y, damp), y on the left of a jump and damp the factor the step put
-    on its boundary value b_left, and ``weight(x, y)`` the history weight W.
-    ``history`` holds the weights, node 0's halved (the trapezoid end rule),
-    and gives one sum per step.  An ``ArithmeticError`` in a step is
-    reported as ``StepContractionError``.
+    (x, y, damp, w): y on the left of a jump, damp the factor the step put
+    on its boundary value b_left, and w the history weight W(x, y).
+    ``advance(w)``, a history kind, stores a weight, node 0's halved (the
+    trapezoid end rule), and returns the sum for the next step.  ``weight(x,
+    y)`` gives W at node 0 and at the jump node only.  An
+    ``ArithmeticError`` in a step is reported as ``StepContractionError``.
 
     When the boundary term drops at node ``jump`` (newborn infecteds under a
     point-mass recovery law all leave at sigma, making y itself jump there),
     the step landing on the jump solves for the left limit, which is the
     boundary one node earlier (a point mass survives with probability 1
     before its atom); the committed series carries the right limit and the
-    history buffer their midpoint, mirroring the kernel treatment, so the
-    trapezoid stays second order.
+    history (``y_hist``, else equal to y) their midpoint, mirroring the
+    kernel treatment, so the trapezoid stays second order.
     """
     # Per-step work runs on Python floats and lists, because numpy scalar
     # arithmetic costs several times more per operation.
     b = boundary.tolist()
-    next_sum, push = history.next_sum, history.push
-
     xk, yk = float(x0), b[0]
     y_prev = yk  # so a linear predictor starts from y_0
-    x, y, y_hist = [xk], [yk], [yk]
-    push(0.5 * weight(xk, yk))  # the trapezoid's half end weight
+    x, y, y_jump = [xk], [yk], None
+    w = 0.5 * weight(xk, yk)  # the trapezoid's half end weight
 
     try:
         for k in range(len(b) - 1):
-            at_jump = k + 1 == jump
-            b_left = b[k] if at_jump else b[k + 1]
-            xs, ys, damp = step(k, xk, yk, y_prev, next_sum(), b_left)
-            y_prev, xk, yk = yk, xs, ys + damp * (b[k + 1] - b_left)
-            yh = ys + damp * (0.5 * (b_left + b[k + 1]) - b_left) if at_jump else yk
+            if k + 1 != jump:
+                xs, ys, _, w = step(k, xk, yk, y_prev, advance(w), b[k + 1])
+                y_prev, xk, yk = yk, xs, ys
+            else:
+                b_left = b[k]
+                xs, ys, damp, _ = step(k, xk, yk, y_prev, advance(w), b_left)
+                y_prev, xk, yk = yk, xs, ys + damp * (b[k + 1] - b_left)
+                y_jump = ys + damp * (0.5 * (b_left + b[k + 1]) - b_left)
+                w = weight(xs, y_jump)
             x.append(xk)
             y.append(yk)
-            y_hist.append(yh)
-            push(weight(xs, yh))
     except ArithmeticError as exc:
         raise StepContractionError(
             f"renewal march failed in the step to t={(k + 1) * h:.6g} "
             f"({type(exc).__name__}: {exc}); reduce the step size h={h}"
         ) from exc
-    return np.array(x), np.array(y), np.array(y_hist)
+    y = np.array(y)
+    y_hist = y if y_jump is None else np.concatenate((y[:jump], [y_jump], y[jump + 1 :]))
+    return np.array(x), y, y_hist
 
 
 def _meanfield_step(coupling: float, xi0: float, h: float):
@@ -233,7 +236,8 @@ def _meanfield_step(coupling: float, xi0: float, h: float):
                 f"([S] part {C:.6g}, [I] part {A:.6g}); reduce the step size h={h}"
             )
         w = 2.0 * cca / root
-        return C - half_h * w, A + half_h * xi0 * w, 1.0
+        xs, ys = C - half_h * w, A + half_h * xi0 * w
+        return xs, ys, 1.0, coupling * xs * ys
 
     return step, lambda s, i: coupling * s * i
 
@@ -269,14 +273,17 @@ def _pairwise_step(tau: float, n: float, N: float, S0: float, xi0: float, h: flo
         xs = xk - half_h_tau * (3.0 * yk - y_prev)
         for sweep in range(_MAX_CORRECTOR_SWEEPS):
             den = 1.0 - implicit * xs**alpha if xs >= 0.0 else math.nan
-            ys = xs**beta * A / den if den > 0.0 else math.nan
+            if not den > 0.0:
+                delta = math.nan
+                break
+            damp = xs**beta
+            ys = damp * A / den
             x_new = xk - half_h_tau * (yk + ys)
             delta = abs(x_new - xs)
             scale = x_new if sweep == 0 else max(1.0, x_new)
             if x_new >= 0.0 and delta <= _CORRECTOR_TOL * scale:
-                return x_new, ys, xs**beta * damp_s0
-            if math.isnan(delta):
-                break
+                w = tau_kappa * ys / x_new**inv_n if x_new > 0.0 else 0.0  # weight(x_new, ys)
+                return x_new, ys, damp * damp_s0, w
             xs = x_new
         if math.isnan(delta):
             why = "a sweep found no [S] >= 0 with a positive denominator (residual nan)"
@@ -372,13 +379,13 @@ def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, config) ->
         boundary, decay = b_infected, 0.0
     chain = run.dist._stage_chain()
     if chain is not None and chain[0] <= _MAX_STAGES:
-        history = _stage_history(*chain, decay, h)
+        advance = _stage_history(*chain, decay, h)
     else:
-        history = _weight_history(xi_quad * np.exp(-decay * ages), h, steps, run.window)
+        advance = _weight_history(xi_quad * np.exp(-decay * ages), h, steps, run.window)
     x, y, y_hist = _march_renewal(
-        step=step, weight=weight, boundary=boundary, jump=jump, x0=S0, h=h, history=history
+        step=step, weight=weight, boundary=boundary, jump=jump, x0=S0, h=h, advance=advance
     )
-    del history  # stored weights held past the march raise the peak RSS of long solves
+    del advance  # stored weights held past the march raise the peak RSS of long solves
     if not pairwise:
         return run.trajectory(x, y)
 

@@ -33,7 +33,7 @@ _META_TAG = "# meta:"
 # Most steps t_end/h a deterministic solve takes: ten times the 1e4-1e5 range
 # SolverConfig names.  A step orders of magnitude too small is refused at once
 # rather than left to run for hours (the history costs O(steps^2) for most
-# laws) or to exhaust memory (the march keeps about 200 bytes a step).
+# laws) or to exhaust memory (a solve peaks at about 150 bytes a step).
 _MAX_STEPS = 1_000_000
 
 

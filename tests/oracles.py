@@ -24,17 +24,25 @@ the closed-form references must come out identical on either march.  The
 edge-based compartmental model at the end checks the pairwise solver for every
 recovery law from the law's survival alone; it shares no code with ``solvers``
 or ``reference``.
+The renewal march at the very end, with its history kinds and step
+closures, is the one whose four calls per step ``solvers`` folded into two;
+``solvers._solve`` run on it must give every series bit for bit, and the
+same error text where a step fails.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
 from nmsir.network import RegularGraph
+from nmsir.solvers import StepContractionError
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 
@@ -524,3 +532,218 @@ def edge_based_susceptibles(dist, tau: float, degree: int, num_nodes: int,
         drop[j] = u_prev - th ** (degree - 1)
         u_prev = th ** (degree - 1)
     return np.arange(steps + 1) * h, num_nodes * (1.0 - rho) * theta**degree
+
+
+# -- the renewal march with four calls per step -------------------------------
+# Copied unchanged from ``solvers``: each step called ``next_sum``, ``step``,
+# ``weight`` and ``push``, and every node's history value was recorded.
+
+# Sweeps the pairwise corrector may run in one step; a step that needs more
+# is reported rather than marched on.
+_MAX_CORRECTOR_SWEEPS = 50
+
+# Pairwise corrector's remaining [S] error per step, relative to [S] on its
+# first sweep and to max(1, [S]) on later ones.
+_CORRECTOR_TOL = 1e-5
+
+
+class _History(NamedTuple):
+    """The renewal march's memory of its pushed weights w_0, w_1, ...
+
+    ``next_sum()`` is h sum_i w_i K_{k+1-i} over the k+1 weights pushed so
+    far and the model's kernel K, the history sum for the step to node k+1
+    without its half term (the step adds it); ``push(w)`` appends a weight.
+    """
+
+    next_sum: Callable[[], float]
+    push: Callable[[float], None]
+
+
+def _weight_history(kernel: np.ndarray, h: float, steps: int, window: int | None) -> _History:
+    """The full kind (``window`` None) and the windowed kind: every weight stored.
+
+    ``next_sum`` is one numpy dot product over the stored weights and the
+    reversed ``kernel``, O(k) at step k and O(steps^2) in all; the windowed
+    kind sums only the last ``window`` weights, for a kernel that is zero
+    past node ``window``.
+    """
+    xi_rev = kernel[::-1].copy()
+    weight = np.zeros(steps + 1)
+    reach = steps if window is None else window
+    count = 0
+
+    def next_sum():
+        lo = count - reach if count > reach else 0
+        return h * float(np.dot(weight[lo:count], xi_rev[steps - count + lo : steps]))
+
+    def push(w):
+        nonlocal count
+        weight[count] = w
+        count += 1
+
+    return _History(next_sum, push)
+
+
+def _stage_history(stages: int, rate: float, decay: float, h: float) -> _History:
+    """The stage kind, for the kernel xi(a) e^{-da} with the survival
+    xi(a) = e^{-ra} sum_{j<K} (ra)^j / j!.
+
+    Keeps A_j = sum_i w_i e^{-(r+d)(t-t_i)} (r(t-t_i))^j / j! for j < K,
+    whose sum over j is sum_i w_i xi(t - t_i) e^{-d(t-t_i)} (the linear
+    chain trick).  No weight is stored: a new weight enters A_0, and a step
+    moves the sums on in place, A_j <- sum_{l<=j} c_{j-l} A_l with
+    c_m = e^{-(r+d)h} (rh)^m / m!, j running downwards so each A_l (l < j)
+    is read before it is overwritten.  Every coefficient is positive, so
+    nothing cancels.  O(K^2) Python float operations per step.
+    """
+    rh = rate * h
+    c = [math.exp(-(rate + decay) * h) * rh**m / math.factorial(m) for m in range(stages)]
+    c0 = c[0]
+    # (j, [(l, c_{j-l}) for l < j]) for j = K-1 .. 0.
+    rows = [(j, list(zip(range(j), c[j:0:-1]))) for j in range(stages - 1, -1, -1)]
+    sums = [0.0] * stages
+
+    def next_sum():
+        for j, row in rows:
+            total = c0 * sums[j]
+            for l, cl in row:
+                total += cl * sums[l]
+            sums[j] = total
+        return h * sum(sums)
+
+    def push(w):
+        sums[0] += w
+
+    return _History(next_sum, push)
+
+
+def _march_renewal(*, step, weight, boundary: np.ndarray, jump: int | None = None, x0: float,
+                   h: float, history: _History):
+    """Advance the coupled ODE + renewal system on the grid of ``boundary``.
+
+    Returns (x, y, y_hist) arrays of the boundary's length.  Per step the
+    model's ``step(k, x_k, y_k, y_{k-1}, hist, b_left)`` returns the new
+    (x, y, damp), y on the left of a jump and damp the factor the step put
+    on its boundary value b_left, and ``weight(x, y)`` the history weight W.
+    ``history`` holds the weights, node 0's halved (the trapezoid end rule),
+    and gives one sum per step.  An ``ArithmeticError`` in a step is
+    reported as ``StepContractionError``.
+
+    When the boundary term drops at node ``jump`` (newborn infecteds under a
+    point-mass recovery law all leave at sigma, making y itself jump there),
+    the step landing on the jump solves for the left limit, which is the
+    boundary one node earlier (a point mass survives with probability 1
+    before its atom); the committed series carries the right limit and the
+    history buffer their midpoint, mirroring the kernel treatment, so the
+    trapezoid stays second order.
+    """
+    # Per-step work runs on Python floats and lists, because numpy scalar
+    # arithmetic costs several times more per operation.
+    b = boundary.tolist()
+    next_sum, push = history.next_sum, history.push
+
+    xk, yk = float(x0), b[0]
+    y_prev = yk  # so a linear predictor starts from y_0
+    x, y, y_hist = [xk], [yk], [yk]
+    push(0.5 * weight(xk, yk))  # the trapezoid's half end weight
+
+    try:
+        for k in range(len(b) - 1):
+            at_jump = k + 1 == jump
+            b_left = b[k] if at_jump else b[k + 1]
+            xs, ys, damp = step(k, xk, yk, y_prev, next_sum(), b_left)
+            y_prev, xk, yk = yk, xs, ys + damp * (b[k + 1] - b_left)
+            yh = ys + damp * (0.5 * (b_left + b[k + 1]) - b_left) if at_jump else yk
+            x.append(xk)
+            y.append(yk)
+            y_hist.append(yh)
+            push(weight(xs, yh))
+    except ArithmeticError as exc:
+        raise StepContractionError(
+            f"renewal march failed in the step to t={(k + 1) * h:.6g} "
+            f"({type(exc).__name__}: {exc}); reduce the step size h={h}"
+        ) from exc
+    return np.array(x), np.array(y), np.array(y_hist)
+
+
+def _meanfield_step(coupling: float, xi0: float, h: float):
+    """The mean-field (step, weight) pair: each step solved in closed form.
+
+    With the new incidence w = c x y (c = tau n/N), C = x_k + h f_k/2 and
+    A = hist + b_left, the trapezoid equations x = C - h w/2 and
+    y = A + h xi0 w/2 turn w = c x y into a2 w^2 + a1 w - c C A = 0, with
+    a2 = c h^2 xi0/4 and a1 = 1 - h c (C xi0 - A)/2.  Its nonnegative root is
+    taken as 2 c C A / (a1 + sqrt(a1^2 + 4 a2 c C A)), which does not
+    cancel.  No sweep leaves a residual, so S + I = N holds to rounding
+    before the first recovery.  C < 0, A < 0 or a denominator <= 0 leave no
+    nonnegative root, and the step fails.
+    """
+    half_h = 0.5 * h
+    a2 = 0.25 * coupling * h * h * xi0
+
+    def step(k, xk, yk, y_prev, hist, b_left):
+        C = xk - half_h * (coupling * xk * yk)
+        A = hist + b_left
+        cca = coupling * C * A
+        a1 = 1.0 - half_h * coupling * (C * xi0 - A)
+        root = a1 + math.sqrt(a1 * a1 + 4.0 * a2 * cca) if C >= 0.0 and A >= 0.0 else math.nan
+        if not root > 0.0:
+            raise StepContractionError(
+                f"mean-field step to t={(k + 1) * h:.6g} has no nonnegative solution "
+                f"([S] part {C:.6g}, [I] part {A:.6g}); reduce the step size h={h}"
+            )
+        w = 2.0 * cca / root
+        return C - half_h * w, A + half_h * xi0 * w, 1.0
+
+    return step, lambda s, i: coupling * s * i
+
+
+def _pairwise_step(tau: float, n: float, N: float, S0: float, xi0: float, h: float):
+    """The pairwise (step, weight) pair: [SI] solved exactly, a corrector on [S].
+
+    The history holds W = tau kappa [S]^(-1/n) [SI] against xi(a) e^(-tau a),
+    so with A = hist + [S]0^(-beta) e^(-tau t_{k+1}) b_left the step's
+    renewal equation [SI] = [S]^beta A + h xi0 tau kappa [S]^alpha [SI]/2
+    (alpha = (n-2)/n) is linear in [SI]: [SI] = [S]^beta A / (1 - h xi0 tau
+    kappa [S]^alpha/2).  The jump's left limit b_left is damped at t_{k+1}
+    too, like the rest of the step.  A fixed-point sweep then takes
+    [S] <- T([S]) = [S]_k - h tau ([SI]_k + [SI])/2 from a predictor that
+    extrapolates [SI] linearly.  [SI] rises with [S] (A >= 0), so the residual
+    F = [S] - T([S]) has slope F' >= 1 and a sweep's correction
+    |T(x) - x| bounds the error |T(x) - [S]*| of its result: the step is done
+    when the correction is within ``_CORRECTOR_TOL`` times T(x) >= 0 on the
+    first sweep, where the predictor may be far off relative to a [S] below
+    one node, and times max(1, T(x)) on later sweeps.  An iterate [S] < 0, or
+    one whose denominator is not positive (no [SI] >= 0 solves the step),
+    gives nan and fails the step at once; so does needing more than
+    ``_MAX_CORRECTOR_SWEEPS`` sweeps.
+    """
+    half_h_tau = 0.5 * h * tau
+    tau_kappa = tau * ((n - 1.0) / N * S0 ** (2.0 / n))
+    alpha, beta, inv_n = (n - 2.0) / n, (n - 1.0) / n, 1.0 / n
+    implicit, boundary_scale = 0.5 * h * xi0 * tau_kappa, S0**-beta
+
+    def step(k, xk, yk, y_prev, hist, b_left):
+        damp_s0 = boundary_scale * math.exp(-tau * (k + 1) * h)
+        A = hist + damp_s0 * b_left
+        xs = xk - half_h_tau * (3.0 * yk - y_prev)
+        for sweep in range(_MAX_CORRECTOR_SWEEPS):
+            den = 1.0 - implicit * xs**alpha if xs >= 0.0 else math.nan
+            ys = xs**beta * A / den if den > 0.0 else math.nan
+            x_new = xk - half_h_tau * (yk + ys)
+            delta = abs(x_new - xs)
+            scale = x_new if sweep == 0 else max(1.0, x_new)
+            if x_new >= 0.0 and delta <= _CORRECTOR_TOL * scale:
+                return x_new, ys, xs**beta * damp_s0
+            if math.isnan(delta):
+                break
+            xs = x_new
+        if math.isnan(delta):
+            why = "a sweep found no [S] >= 0 with a positive denominator (residual nan)"
+        else:
+            why = f"no convergence within {_MAX_CORRECTOR_SWEEPS} sweeps (residual {delta:.3e})"
+        raise StepContractionError(
+            f"pairwise step to t={(k + 1) * h:.6g} failed: {why}; reduce the step size h={h}"
+        )
+
+    return step, lambda s, si: tau_kappa * si / s**inv_n if s > 0.0 else 0.0

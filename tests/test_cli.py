@@ -263,6 +263,19 @@ def test_step_count_past_the_limit_exits_2(tmp_path, capsys, h):
     assert not list(tmp_path.iterdir())
 
 
+def test_graph_past_the_stub_limit_exits_2(tmp_path, capsys):
+    # N*n = 8e10 stubs would need about 3 TB to pair (149 GiB for the stub
+    # array alone): the graph is refused by its size, before anything is
+    # allocated, not by numpy's MemoryError.
+    argv = ["graph-gen", "--set", "network.N=20000000000", "--set", "network.n=4",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: num_nodes * degree = 80000000000 stubs exceeds the limit of "
+                   "100000000 stubs for generate_regular\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_oversized_grid_in_an_ensemble_worker_exits_2(tmp_path):
     # dt_out = 1e-12 asks each run for a 2.5e13-point output grid (182 TiB).
     # The worker that runs it fails to allocate it, and the MemoryError it

@@ -11,6 +11,7 @@ from nmsir import solvers
 from nmsir.solvers import StepContractionError, _march_renewal
 from nmsir.trajectory import _SolveSetup
 
+import oracles
 from conftest import FIG1_DISTS, rel_sup_diff
 
 N, DEG = 1000, 15
@@ -361,7 +362,7 @@ def test_pairwise_step_is_within_tolerance_of_its_exact_root():
             returned = []
             for i, state in enumerate(zip(xk.tolist(), yk.tolist(), y_prev.tolist(), A.tolist())):
                 try:
-                    x, _, _ = step(0, *state, 0.0)
+                    x, _, _, _ = step(0, *state, 0.0)
                 except StepContractionError:
                     continue
                 returned.append((i, x))
@@ -487,7 +488,8 @@ def test_march_renewal_linear_renewal_closed_form():
                 damping = np.exp(-g * ages)
 
                 def linear_step(k, xk, yk, y_prev, hist, b_left):
-                    return 0.0, (hist + b_left) / (1.0 - 0.5 * h * xi[0]), 1.0
+                    y = (hist + b_left) / (1.0 - 0.5 * h * xi[0])
+                    return 0.0, y, 1.0, y
 
                 _, y, _ = _march_renewal(
                     step=linear_step,
@@ -495,7 +497,7 @@ def test_march_renewal_linear_renewal_closed_form():
                     boundary=xi * damping,
                     x0=0.0,
                     h=h,
-                    history=(
+                    advance=(
                         solvers._weight_history(xi * damping, h, steps, None)
                         if kind == "full"
                         else solvers._stage_history(2, 2.0, g, h)
@@ -506,6 +508,68 @@ def test_march_renewal_linear_renewal_closed_form():
             for coarse, fine in zip(errs, errs[1:]):
                 assert 3.5 < coarse / fine < 4.5, kind  # order 2 halving
             assert errs[-1] < 1e-5, kind
+
+
+ORACLE_LAWS = {
+    "exp": nm.Exponential(2 / 3),
+    "erlang3": nm.GammaErlang(3, 2 / 3),
+    "erlang8": nm.GammaErlang(8, 2 / 3),  # past _MAX_STAGES: the full kind
+    "fixed1.5": nm.FixedDuration(1.5),
+    "fixed1.55": nm.FixedDuration(1.55),
+    "fixed_snapped": nm.FixedDuration(1.553),  # snapped to 1.55
+    "fixed_h": nm.FixedDuration(0.01),  # the jump at node 1
+    "uniform": nm.UniformInterval(1, 2),  # the windowed kind
+}
+
+
+def _solve_on_oracle_march(monkeypatch, solve, *args, **kwargs):
+    """``solve`` with the march, history kinds and step closures of tests/oracles.py."""
+    with monkeypatch.context() as m:
+        for name in ("_weight_history", "_stage_history", "_meanfield_step", "_pairwise_step"):
+            m.setattr(solvers, name, getattr(oracles, name))
+        m.setattr(
+            solvers,
+            "_march_renewal",
+            lambda *, advance, **kw: oracles._march_renewal(history=advance, **kw),
+        )
+        return solve(*args, **kwargs)
+
+
+@pytest.mark.parametrize("solve", [nm.solve_pairwise, nm.solve_meanfield],
+                         ids=["pairwise", "meanfield"])
+@pytest.mark.parametrize("tau", [0.35, 3.0])
+@pytest.mark.parametrize("law", ORACLE_LAWS.values(), ids=ORACLE_LAWS.keys())
+def test_march_is_bit_identical_to_the_four_call_oracle(monkeypatch, law, tau, solve):
+    # Two calls per step (the step returns its own weight, the history
+    # pushes and sums in one call) perform the same float operations in the
+    # same order as four, so every series is the same array bit for bit.
+    p = nm.EpidemicParams(tau=tau, dist=law, initial_infected=5, t_end=25.0)
+    kwargs = dict(num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
+    got = solve(p, **kwargs)
+    want = _solve_on_oracle_march(monkeypatch, solve, p, **kwargs)
+    for name in ("S", "I", "R", "SI", "SS"):
+        assert np.array_equal(got.series(name), want.series(name)), name
+    assert got.extra.keys() == want.extra.keys()
+    for key in got.extra:
+        assert np.array_equal(got.extra[key], want.extra[key]), key
+
+
+@pytest.mark.parametrize(
+    "solve, tau, h",
+    [(nm.solve_pairwise, 3.0, 0.02), (nm.solve_meanfield, 2.0, 0.1)],
+    ids=["pairwise", "meanfield"],
+)
+def test_failing_coarse_step_reports_as_the_four_call_oracle(monkeypatch, solve, tau, h):
+    # Measured: the pairwise solve fails at t = 0.52 (no [S] >= 0 with a
+    # positive denominator), the mean-field one at t = 0.3 (no nonnegative
+    # root).
+    p = nm.EpidemicParams(tau=tau, dist=nm.GammaErlang(3, 2 / 3), initial_infected=5, t_end=10.0)
+    kwargs = dict(num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
+    with pytest.raises(StepContractionError) as got:
+        solve(p, **kwargs)
+    with pytest.raises(StepContractionError) as want:
+        _solve_on_oracle_march(monkeypatch, solve, p, **kwargs)
+    assert str(got.value) == str(want.value)
 
 
 # -- history kinds ------------------------------------------------------------------
