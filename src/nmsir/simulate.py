@@ -17,8 +17,8 @@ time dropped in the previous sweep (the seeds first), from the times at the
 sweep's start, until a sweep improves nothing.  Every candidate is a
 left-to-right sum of delays along a path, so the times are the least such
 sums whatever the order of relaxation.  The sweeps follow the hop depth of
-the infection tree: at most about 20 on fig-1 runs, but O(N) on a ring,
-where each sweep relaxes only a few edges (the README gives the cost).
+the infection tree: at most about 20 on fig-1 runs, but O(N) on a ring.
+A sweep costs O(edges it relaxes), so a ring's run is O(N) (see README).
 
 The run ends at the last grid point (or at ``t_end``, should rounding put
 that point past it): later arrivals are dropped, so the final size and the
@@ -55,6 +55,9 @@ from .trajectory import SERIES_NAMES, EpidemicParams, Trajectory
 
 __all__ = ["run_single", "run_ensembles"]
 
+# Most output points t_end/dt_out + 1 a run takes (it peaks at ~90 bytes a point).
+_MAX_GRID_POINTS = 1_000_000
+
 # The job of the run_ensembles call that started this worker process; the
 # pool initializer fills it (fork hands it over without pickling).
 _JOB: dict = {}
@@ -64,14 +67,14 @@ def _first_passage(times, source, target, weight):
     """Least path lengths from the finite entries of ``times`` (updated in place).
 
     Each sweep relaxes the out-edges of the nodes that the previous sweep
-    improved (the seeds first), all from the times at the sweep's start.
-    Returns (times, sweeps); the last sweep is the one that improves nothing.
+    improved (the seeds first), from the times at the sweep's start, in
+    O(those edges).  Returns (times, sweeps); the last sweep improves nothing.
     """
     order = np.argsort(source)
     target, weight = target[order], weight[order]
     starts = np.searchsorted(source[order], np.arange(len(times) + 1))
     out_degree = np.diff(starts)
-    improved = np.zeros(len(times), dtype=bool)
+    stamp = np.zeros(len(times), dtype=np.intp)
     frontier = np.flatnonzero(times < math.inf)
     sweeps = 0
     while frontier.size:
@@ -82,9 +85,9 @@ def _first_passage(times, source, target, weight):
         better = cand < times[dest]
         dest = dest[better]
         np.minimum.at(times, dest, cand[better])
-        improved[dest] = True
-        frontier = np.flatnonzero(improved)
-        improved[frontier] = False
+        rank = np.arange(dest.size)
+        stamp[dest] = rank
+        frontier = dest[stamp[dest] == rank]  # each improved node once, with no sort
     return times, sweeps
 
 
@@ -93,6 +96,10 @@ def _check_run(num_nodes: int, params: EpidemicParams, dt_out: float) -> None:
         raise ValueError("initial_infected exceeds the number of nodes")
     if not 0.0 < dt_out < math.inf:
         raise ValueError(f"dt_out must be positive and finite, got {dt_out}")
+    points = params.t_end / dt_out + 1.0  # run_single's grid has floor(points) of them
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"t_end/dt_out + 1 = {points:.4g} output points exceeds the limit of "
+                         f"{_MAX_GRID_POINTS} points for a simulation run; increase dt_out")
 
 
 def _meta(source: str, num_nodes, degree, params: EpidemicParams, I0, dt_out, **own) -> dict:

@@ -27,14 +27,14 @@ step equation's residual rises with slope at least 1 in [S], so a sweep's
 correction bounds the error of its result (Brunner 2004).
 
 The history is a plain weighted sum of three kinds, each an ``advance(w)``
-that stores a weight and returns the next sum.  The full kind stores every
-weight and takes one numpy dot product per step, O(steps^2) in all; the
-windowed kind sums only the last support-length weights of a bounded law.
-The stage kind serves the exponential and Erlang laws (chains of K
-exponential stages) with K running stage sums updated by a positive
-lower-triangular recursion (the linear chain trick; MacDonald 1978, Hurtado
-and Kirosingh 2019), O(steps K^2) in all, up to ``_MAX_STAGES`` stages.
-The pairwise [I] is one FFT convolution for every law, O(steps log steps).
+that stores a weight and returns the next sum.  The stage kind serves the
+exponential and Erlang laws (chains of K exponential stages) with K running
+stage sums updated by a positive lower-triangular recursion (the linear
+chain trick; MacDonald 1978, Hurtado and Kirosingh 2019), O(K^2) a step, up
+to ``_MAX_STAGES`` stages.  The lagged kind serves the bounded laws by the
+method of steps: O(1) Python work a step and one correlation a block.  The
+full kind stores every weight and takes one dot product a step, O(steps^2)
+in all.  The pairwise [I] is one FFT convolution, O(steps log steps).
 One march serves both models, each giving it an incidence and a step solve
 that returns its own history weight, so a step is two calls (the step and
 ``advance``); ``trajectory._SolveSetup`` checks inputs by the model's rule.
@@ -53,6 +53,7 @@ tolerances.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -88,31 +89,58 @@ _CORRECTOR_TOL = 1e-5
 _MAX_STAGES = 6
 
 
-def _weight_history(kernel: np.ndarray, h: float, steps: int, window: int | None):
-    """The full kind (``window`` None) and the windowed kind: every weight stored.
+def _weight_history(kernel: np.ndarray, h: float, steps: int):
+    """The full kind: every weight stored, for a kernel of unbounded support.
 
     ``advance(w)`` stores w_k and returns h sum_{i<=k} w_i K_{k+1-i} for the
     model's kernel K, the sum for the step to node k+1 without its half term
     (the step adds it): one ``ndarray.dot`` over the stored weights and the
-    reversed ``kernel``, O(steps^2) in all.  The windowed kind sums only
-    the last ``window`` weights, against one fixed kernel slice once they
-    are all stored, for a kernel that is zero past node ``window``.
+    reversed ``kernel``, O(steps^2) in all.
     """
     xi_rev = kernel[::-1].copy()
     weight = np.zeros(steps + 1)
-    reach = steps if window is None else window
-    tail = xi_rev[steps - reach : steps]
     count = 0
 
     def advance(w):
         nonlocal count
         weight[count] = w
         count += 1
-        if count > reach:
-            return h * float(weight[count - reach : count].dot(tail))
         return h * float(weight[:count].dot(xi_rev[steps - count : steps]))
 
     return advance
+
+
+def _lagged_history(kernel: np.ndarray, h: float, steps: int, window: int, block: int):
+    """The lagged kind, for a kernel K zero past node ``window`` and K_1^a at
+    ages a <= ``block`` (where the survival is 1).
+
+    ``advance(w)`` returns the sum of :func:`_weight_history` by the method
+    of steps (Bellen and Zennaro 2003), ``block`` steps at a time: the
+    weights stored since the block began sum as one float, near <- K_1
+    (near + w), and one ``np.convolve`` of the last ``window`` older ones,
+    all known when it begins, gives their part of the block's sums.  Every
+    term is nonnegative and summed directly, so the rounding stays relative.
+    The weights are an ``array('d')`` that numpy views once a block.
+    """
+    weights = array("d")
+    c1 = float(kernel[1])
+
+    def march():
+        w = yield
+        for s in range(0, steps, block):
+            lag, nb = min(s, window), min(block, steps - s)
+            # The older weights' part; numpy's view ends before array.append.
+            far = np.convolve(np.frombuffer(weights)[s - lag :], kernel[2 : lag + nb + 1],
+                              "valid").tolist() if lag else [0.0] * nb
+            near = 0.0
+            for f in far:
+                near = c1 * (near + w)
+                weights.append(w)
+                w = yield h * (f + near)
+
+    marching = march()
+    next(marching)
+    return marching.send
 
 
 def _stage_history(stages: int, rate: float, decay: float, h: float):
@@ -354,7 +382,7 @@ def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, config) ->
     """The renewal solve of either model for the snapped law of ``params``.
 
     The history keeps stage sums for a chain law of at most ``_MAX_STAGES``
-    stages, else every weight (windowed for a bounded support).
+    stages, lagged blocks for a bounded support, else every weight.
     """
     model = "pairwise" if pairwise else "meanfield"
     run = _SolveSetup(model, params, num_nodes=num_nodes, degree=degree, config=config)
@@ -380,8 +408,11 @@ def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, config) ->
     chain = run.dist._stage_chain()
     if chain is not None and chain[0] <= _MAX_STAGES:
         advance = _stage_history(*chain, decay, h)
-    else:
-        advance = _weight_history(xi_quad * np.exp(-decay * ages), h, steps, run.window)
+    elif run.window is None:
+        advance = _weight_history(xi_quad * np.exp(-decay * ages), h, steps)
+    else:  # a block spans the ages past 0 at which the survival is still 1
+        block = max(1, int(np.count_nonzero(xi_quad[1:] == 1.0)))
+        advance = _lagged_history(xi_quad * np.exp(-decay * ages), h, steps, run.window, block)
     x, y, y_hist = _march_renewal(
         step=step, weight=weight, boundary=boundary, jump=jump, x0=S0, h=h, advance=advance
     )

@@ -69,10 +69,12 @@ class SolverConfig:
     The seeding and the horizon come from :class:`EpidemicParams`; the
     initial infecteds are newborn (age zero at t=0).  The march's memory
     term costs O(K^2) per step for the exponential and Erlang laws of
-    K <= 6 stages, and O(steps) per step, O(steps^2) overall, for the
-    others, so there ``t_end/h`` should stay in the 1e4-1e5 range on a
-    desktop; the pairwise [I] adds one O(steps log steps) FFT convolution.
-    A solve refuses more than 1e6 steps.
+    K <= 6 stages, O(1) Python work a step plus one correlation a block
+    for the bounded laws, and O(steps) per step, O(steps^2) overall, for
+    Erlang laws of more stages, so there ``t_end/h`` should stay in the
+    1e4-1e5 range; the pairwise [I] adds one O(steps log steps) FFT.  A
+    solve refuses more than 1e6 steps.  h tau n < 2 (n the degree) is
+    sufficient for the mean-field step, as [I] <= N; not for the pairwise.
     """
 
     h: float = 1e-2

@@ -27,7 +27,9 @@ or ``reference``.
 The renewal march at the very end, with its history kinds and step
 closures, is the one whose four calls per step ``solvers`` folded into two;
 ``solvers._solve`` run on it must give every series bit for bit, and the
-same error text where a step fails.
+same error text where a step fails.  A bounded law's lagged history kind
+has no four-call form; ``pushed_history`` runs the ``solvers`` one on this
+march.
 """
 
 from __future__ import annotations
@@ -559,22 +561,18 @@ class _History(NamedTuple):
     push: Callable[[float], None]
 
 
-def _weight_history(kernel: np.ndarray, h: float, steps: int, window: int | None) -> _History:
-    """The full kind (``window`` None) and the windowed kind: every weight stored.
+def _weight_history(kernel: np.ndarray, h: float, steps: int) -> _History:
+    """The full kind: every weight stored.
 
     ``next_sum`` is one numpy dot product over the stored weights and the
-    reversed ``kernel``, O(k) at step k and O(steps^2) in all; the windowed
-    kind sums only the last ``window`` weights, for a kernel that is zero
-    past node ``window``.
+    reversed ``kernel``, O(k) at step k and O(steps^2) in all.
     """
     xi_rev = kernel[::-1].copy()
     weight = np.zeros(steps + 1)
-    reach = steps if window is None else window
     count = 0
 
     def next_sum():
-        lo = count - reach if count > reach else 0
-        return h * float(np.dot(weight[lo:count], xi_rev[steps - count + lo : steps]))
+        return h * float(np.dot(weight[:count], xi_rev[steps - count : steps]))
 
     def push(w):
         nonlocal count
@@ -582,6 +580,22 @@ def _weight_history(kernel: np.ndarray, h: float, steps: int, window: int | None
         count += 1
 
     return _History(next_sum, push)
+
+
+def pushed_history(advance) -> _History:
+    """A two-call history kind, ``advance(w)``, as a four-call one.
+
+    ``push(w)`` holds the weight and ``next_sum()`` hands it to ``advance``,
+    so the four-call march runs on a kind that has no four-call form of its
+    own (the lagged kind of ``solvers``), with as many ``advance`` calls as
+    the two-call march makes: the last pushed weight is never summed.
+    """
+    pending = [0.0]
+
+    def push(w):
+        pending[0] = w
+
+    return _History(lambda: advance(pending[0]), push)
 
 
 def _stage_history(stages: int, rate: float, decay: float, h: float) -> _History:

@@ -276,23 +276,33 @@ def test_graph_past_the_stub_limit_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_oversized_grid_in_an_ensemble_worker_exits_2(tmp_path):
-    # dt_out = 1e-12 asks each run for a 2.5e13-point output grid (182 TiB).
-    # The worker that runs it fails to allocate it, and the MemoryError it
-    # hands back must end in one error line and exit 2, with no file
-    # written.  The address space is capped, so no machine can grant it.
-    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (16 << 30, 16 << 30))"
+def test_grid_past_the_point_limit_exits_2(tmp_path, capsys):
+    # dt_out = 1e-12 asks each run for a 2.5e13-point output grid (182 TiB):
+    # the ensemble is refused by its grid's size before any graph, run or
+    # worker starts, not by numpy's MemoryError.
     argv = ["simulate", "--set", "network.N=200", "--set", "network.n=8",
             "--set", "simulation.dt_out=1e-12", "--set", "simulation.runs=2",
             "--out", str(tmp_path)]
-    run = subprocess.run(
-        [sys.executable, "-c", f"{cap}; import sys; from nmsir.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", *argv],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(Path(nm.__file__).resolve().parents[1])),
-    )
-    assert run.returncode == 2, run.stderr
-    assert run.stderr.startswith("error: Unable to allocate") and run.stderr.count("\n") == 1
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: t_end/dt_out + 1 = 2.5e+13 output points exceeds the limit of "
+                   "1000000 points for a simulation run; increase dt_out\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_memory_error_in_an_ensemble_worker_exits_2(tmp_path, capsys, monkeypatch):
+    # A run that fails to allocate inside a forked worker (one per CPU, when
+    # there are two or more) hands its MemoryError back to the parent, which
+    # must end in one error line and exit 2, with no file written.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 182. TiB for an array with shape (25000000000001,)")
+
+    monkeypatch.setattr(nm.simulate, "run_single", out_of_memory)
+    argv = ["simulate", "--set", "network.N=200", "--set", "network.n=8",
+            "--set", "simulation.runs=2", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 

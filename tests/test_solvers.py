@@ -1,5 +1,6 @@
 """Renewal-equation solvers vs closed-form references and generic-core checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -134,6 +135,19 @@ def test_contraction_failure_raises():
     p = _params(nm.Exponential(2 / 3), t_end=10.0)
     with pytest.raises(StepContractionError):
         nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.5))
+
+
+def test_meanfield_completes_inside_the_step_bound(all_dists):
+    # h tau n < 2 is sufficient for a mean-field step (SolverConfig): every
+    # solve of the grid inside it completes, 192 of its 288 points.
+    grid = itertools.product(all_dists.values(), (0.5, 1.0, 2.0, 3.0, 5.0, 10.0),
+                             (0.01, 0.02, 0.05, 0.1), (1, 5, 50))
+    inside = [(dist, tau, h, i0) for dist, tau, h, i0 in grid if h * tau * DEG < 2.0]
+    assert len(inside) == 192
+    for dist, tau, h, i0 in inside:
+        p = nm.EpidemicParams(tau=tau, dist=dist, initial_infected=i0, t_end=10.0)
+        traj = nm.solve_meanfield(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
+        assert min(float(traj.series(k).min()) for k in KIND_SERIES) >= -1e-9
 
 
 def test_solves_raise_only_solver_errors(all_dists):
@@ -498,7 +512,7 @@ def test_march_renewal_linear_renewal_closed_form():
                     x0=0.0,
                     h=h,
                     advance=(
-                        solvers._weight_history(xi * damping, h, steps, None)
+                        solvers._weight_history(xi * damping, h, steps)
                         if kind == "full"
                         else solvers._stage_history(2, 2.0, g, h)
                     ),
@@ -518,15 +532,21 @@ ORACLE_LAWS = {
     "fixed1.55": nm.FixedDuration(1.55),
     "fixed_snapped": nm.FixedDuration(1.553),  # snapped to 1.55
     "fixed_h": nm.FixedDuration(0.01),  # the jump at node 1
-    "uniform": nm.UniformInterval(1, 2),  # the windowed kind
+    "uniform": nm.UniformInterval(1, 2),
 }
 
 
 def _solve_on_oracle_march(monkeypatch, solve, *args, **kwargs):
-    """``solve`` with the march, history kinds and step closures of tests/oracles.py."""
+    """``solve`` with the march, history kinds and step closures of tests/oracles.py.
+
+    The lagged kind of a bounded law stays the one of ``solvers``, run
+    through ``oracles.pushed_history``.
+    """
     with monkeypatch.context() as m:
         for name in ("_weight_history", "_stage_history", "_meanfield_step", "_pairwise_step"):
             m.setattr(solvers, name, getattr(oracles, name))
+        lagged = solvers._lagged_history
+        m.setattr(solvers, "_lagged_history", lambda *a: oracles.pushed_history(lagged(*a)))
         m.setattr(
             solvers,
             "_march_renewal",
@@ -635,21 +655,53 @@ WINDOW_LAWS = {
 }
 
 
+def _lagged_vs_full(monkeypatch, solve, params, h):
+    """Worst sup-relative gap between a lagged-kind solve and the full-kind one.
+
+    The full kind is forced by reporting an unbounded support.  Every series
+    of both solves must sit at or above the suite's positivity floor, -1e-9.
+    """
+    cfg = nm.SolverConfig(h=h)
+    assert _SolveSetup("pairwise", params, num_nodes=N, degree=DEG, config=cfg).window is not None
+    lagged = solve(params, num_nodes=N, degree=DEG, config=cfg)
+    with monkeypatch.context() as m:
+        m.setattr(type(params.dist), "support_upper", lambda self: math.inf)
+        full = solve(params, num_nodes=N, degree=DEG, config=cfg)
+    for traj in (lagged, full):
+        assert min(float(traj.series(k).min()) for k in KIND_SERIES) >= -1e-9
+    pairs = [(lagged.series(k), full.series(k)) for k in KIND_SERIES]
+    pairs += [(lagged.extra[k], full.extra[k]) for k in full.extra]
+    return max(rel_sup_diff(a, b) for a, b in pairs), lagged
+
+
 @pytest.mark.parametrize("solve", [nm.solve_pairwise, nm.solve_meanfield], ids=["pw", "mf"])
 @pytest.mark.parametrize("law", list(WINDOW_LAWS))
 def test_windowed_kind_matches_full_kind(monkeypatch, solve, law):
-    # The windowed kind sums only the weights inside the support, so node
-    # 0's half weight must leave its sum on the step its age passes the
-    # support, down to a support of one step.  The full kind is forced by
-    # reporting an unbounded support (measured at most 3.6e-16).
-    dist = WINDOW_LAWS[law]
-    params = _params(dist)
-    cfg = nm.SolverConfig(h=1e-2)
-    assert _SolveSetup("pairwise", params, num_nodes=N, degree=DEG, config=cfg).window is not None
-    windowed = solve(params, num_nodes=N, degree=DEG, config=cfg)
-    with monkeypatch.context() as m:
-        m.setattr(type(dist), "support_upper", lambda self: math.inf)
-        full = solve(params, num_nodes=N, degree=DEG, config=cfg)
-    pairs = [(windowed.series(k), full.series(k)) for k in KIND_SERIES]
-    pairs += [(windowed.extra[k], full.extra[k]) for k in full.extra]
-    assert max(rel_sup_diff(a, b) for a, b in pairs) < 1e-12
+    # The lagged kind sums only the weights inside the support window, a
+    # block of steps at a time, so node 0's half weight must leave its sum
+    # on the step its age passes the support, down to a support of one step
+    # (a block of one step).  Measured: at most 1.4e-15.
+    worst, _ = _lagged_vs_full(monkeypatch, solve, _params(WINDOW_LAWS[law]), 1e-2)
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize(
+    "solve, law, tau, t_end, h",
+    [
+        (nm.solve_pairwise, "fixed", 0.35, 25.0, 1e-3),
+        (nm.solve_meanfield, "fixed", 0.35, 25.0, 1e-3),
+        (nm.solve_pairwise, "uniform", 0.35, 25.0, 1e-3),
+        (nm.solve_meanfield, "uniform", 0.35, 25.0, 1e-3),
+        (nm.solve_pairwise, "uniform", 1.0, 800.0, 1e-2),
+    ],
+    ids=["fixed-pw-fine", "fixed-mf-fine", "uniform-pw-fine", "uniform-mf-fine", "uniform-pw-long"],
+)
+def test_lagged_kind_fine_and_long_solves_match_full_kind(monkeypatch, solve, law, tau, t_end, h):
+    # Blocks of 1499 and 1000 steps at h = 1e-3, and a horizon past which
+    # exp(Phi) would overflow (Phi > 709): the kernel carries e^(-tau a), so
+    # the history stays finite.  Measured: at most 1.9e-14, the near part's
+    # rounding over a block's repeated products.
+    params = nm.EpidemicParams(tau=tau, dist=WINDOW_LAWS[law], initial_infected=5, t_end=t_end)
+    worst, lagged = _lagged_vs_full(monkeypatch, solve, params, h)
+    assert t_end < 800.0 or lagged.extra["Phi"][-1] > 709.0
+    assert worst < 1e-12
