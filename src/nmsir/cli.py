@@ -21,6 +21,7 @@ import argparse
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -328,9 +329,19 @@ def _in_se(gap: float, se: float) -> float:
     return gap / se if se > 0.0 else math.copysign(math.inf, gap)
 
 
-def _compare_one(cfg: ExperimentConfig, ensemble: tuple[Trajectory, Trajectory], pw, mf):
-    """One law's metrics per method, gate results and curve columns, given its two solves."""
+# One law of `compare`: its gates (gate -> (passed, margin in SE)), summary
+# rows, curve file (name, tag, meta, curves by column), report line and
+# ensemble final size, and the pairwise solve whose notes stand for the law's.
+_LawCompare = namedtuple("_LawCompare", "checks summary curve_file report sim_final pairwise")
+
+
+def _compare_one(cfg: ExperimentConfig, idx: int, spec: str, ensemble: tuple) -> _LawCompare:
+    """The ``idx``-th law's two solves, checked against its ensemble."""
     mean, std = ensemble
+    # Both solves snap a law's breakpoints alike, so the pairwise one's notes
+    # stand for the law's; the simulator runs it as given.
+    pw = solve_model(cfg, "pairwise", spec)
+    mf = solve_model(cfg, "meanfield", spec)
     N = cfg.network_num_nodes
     sim_peak, sim_final = mean.peak_infected()[1], mean.final_size(N)
     rows = {}
@@ -347,7 +358,7 @@ def _compare_one(cfg: ExperimentConfig, ensemble: tuple[Trajectory, Trajectory],
     root_runs = math.sqrt(mean.meta["runs"])
     se_peak = float(std.I[int(np.argmax(mean.I))]) / root_runs
     se_final = float(std.S[-1]) / root_runs
-    pair, field = rows["pairwise"], rows["meanfield"]
+    sim, pair, field = rows["simulation"], rows["pairwise"], rows["meanfield"]
     checks = {  # gate -> (passed, margin in SE)
         "peak_within_10pct": (
             pair["peak_rel_err"] < PEAK_REL_TOL,
@@ -371,54 +382,42 @@ def _compare_one(cfg: ExperimentConfig, ensemble: tuple[Trajectory, Trajectory],
         "S_pairwise": np.interp(mean.t, pw.t, pw.S),
         "S_meanfield": np.interp(mean.t, mf.t, mf.S),
     }
-    return rows, checks, curves
+    report = (
+        f"[{spec}] sim peak {sim['peak']:.1f} @ t={sim['peak_time']:.2f}, "
+        f"final size {sim['final_size']:.1f}; "
+        f"pairwise peak err {pair['peak_rel_err']:.2%}, "
+        f"final err {pair['final_size_rel_err']:.2%}; "
+        f"meanfield peak err {field['peak_rel_err']:.2%}, "
+        f"final err {field['final_size_rel_err']:.2%} "
+        f"-> {'OK' if all(ok for ok, _ in checks.values()) else 'FAIL'} ["
+        + "; ".join(f"{gate} {'OK' if ok else 'FAIL'} {margin:+.1f} SE"
+                    for gate, (ok, margin) in checks.items())
+        + "]"
+    )
+    tag = parse_distribution(spec).kind
+    curve_meta = _meta_with_config(cfg, pw, command="compare", dist=spec)
+    curve_file = (f"compare_{idx}_{tag}.csv", tag, curve_meta, curves)
+    summary = [[spec, method] + [m[k] for k in _SUMMARY_HEADER[2:]] for method, m in rows.items()]
+    return _LawCompare(checks, summary, curve_file, report, sim_final, pw)
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
     specs = cfg.distribution_list() or [cfg.epidemic_dist]
-    # Every law's ensemble first, on shared graphs; then the solves.  Every
-    # result and file name is in memory before the first file is written, so
-    # a compare that fails writes nothing.
+    # Every law's ensemble first, on shared graphs; then each law's solves.
+    # Every result and file name is in memory before the first file is
+    # written, so a compare that fails writes nothing.
     ensembles = _ensembles(cfg, [_epidemic_params(cfg, spec) for spec in specs])
-    # Both solves snap a law's breakpoints alike, so the pairwise one's notes
-    # stand for the law's; the simulator runs it as given.
-    pw_solves, results = [], []
-    for spec, ens in zip(specs, ensembles):
-        pw_solves.append(solve_model(cfg, "pairwise", spec))
-        results.append(_compare_one(cfg, ens, pw_solves[-1], solve_model(cfg, "meanfield", spec)))
-    all_ok = all(ok for _, checks, _ in results for ok, _ in checks.values())
-    summary, curve_files, report = [], [], []
-    for idx, (spec, pw_solve, (rows, checks, curves)) in enumerate(zip(specs, pw_solves, results)):
-        tag = parse_distribution(spec).kind
+    laws = [_compare_one(cfg, idx, spec, ens) for idx, (spec, ens) in enumerate(zip(specs, ensembles))]
+    for name, _, curve_meta, curves in (law.curve_file for law in laws):
         columns = zip(*(curve.tolist() for curve in curves.values()))
-        curve_meta = _meta_with_config(cfg, pw_solve, command="compare", dist=spec)
-        curve_files.append((f"compare_{idx}_{tag}.csv", tag, curve_meta, list(curves), columns))
-        for method, m in rows.items():
-            summary.append([spec, method] + [m[k] for k in _SUMMARY_HEADER[2:]])
-        sim, pw, mf = rows["simulation"], rows["pairwise"], rows["meanfield"]
-        report.append(
-            f"[{spec}] sim peak {sim['peak']:.1f} @ t={sim['peak_time']:.2f}, "
-            f"final size {sim['final_size']:.1f}; "
-            f"pairwise peak err {pw['peak_rel_err']:.2%}, "
-            f"final err {pw['final_size_rel_err']:.2%}; "
-            f"meanfield peak err {mf['peak_rel_err']:.2%}, "
-            f"final err {mf['final_size_rel_err']:.2%} "
-            f"-> {'OK' if all(ok for ok, _ in checks.values()) else 'FAIL'} ["
-            + "; ".join(f"{gate} {'OK' if ok else 'FAIL'} {margin:+.1f} SE"
-                        for gate, (ok, margin) in checks.items())
-            + "]"
-        )
-
-    for name, _, curve_meta, header, columns in curve_files:
-        write_csv(_out_path(cfg, name), curve_meta, header, columns)
+        write_csv(_out_path(cfg, name), curve_meta, list(curves), columns)
     summary_path = _out_path(cfg, "compare_summary.csv")
-    write_csv(summary_path, _meta_with_config(cfg, *pw_solves, command="compare"),
-              _SUMMARY_HEADER, summary)
-    for line in report:
-        print(line)
+    write_csv(summary_path, _meta_with_config(cfg, *(law.pairwise for law in laws), command="compare"),
+              _SUMMARY_HEADER, [row for law in laws for row in law.summary])
+    for law in laws:
+        print(law.report)
     if len(specs) > 1:
-        finals = [rows["simulation"]["final_size"] for rows, *_ in results]
-        order = sorted(zip(specs, finals), key=lambda kv: -kv[1])
+        order = sorted(zip(specs, (law.sim_final for law in laws)), key=lambda kv: -kv[1])
         print("attack-rate ordering (largest first): " + " > ".join(s for s, _ in order))
     print(f"wrote {summary_path}")
     if cfg.compare_gnuplot:
@@ -427,7 +426,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             fh.write("set datafile separator ','\nset key autotitle columnhead\n")
             fh.write("set xlabel 't'\nset ylabel 'prevalence [I]'\n")
             plots = []
-            for name, tag, *_ in curve_files:
+            for name, tag, *_ in (law.curve_file for law in laws):
                 name = cfg.outputs_prefix + name
                 plots += [
                     f"'{name}' using 1:2 with points title '{tag} sim'",
@@ -436,7 +435,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                 ]
             fh.write("plot " + ", \\\n     ".join(plots) + "\n")
         print(f"wrote {gp}")
-    if cfg.compare_enforce and not all_ok:
+    if cfg.compare_enforce and not all(ok for law in laws for ok, _ in law.checks.values()):
         print("comparison thresholds violated", file=sys.stderr)
         return 3
     return 0

@@ -80,12 +80,11 @@ _MAX_CORRECTOR_SWEEPS = 50
 _CORRECTOR_TOL = 1e-5
 
 # Largest stage count K of a chain law whose history runs as K stage sums
-# (:func:`_stage_history`), O(K^2) float operations per step against the
-# full kind's O(k) dot product.  Paired solves of either model (tau = 0.35,
-# Erlang K, h = 1e-2 over 1000 and 4000 steps, best of 5; 2-core x86_64,
-# Python 3.11, numpy 2.4) put the stage kind's time at 0.53-0.98 of the full
-# kind's for K = 3-5, 0.99-1.20 for K = 6, 1.11-1.37 for K = 7 and 1.25-1.56
-# for K = 8.  Moving the limit would change the last bits of those solves.
+# (:func:`_stage_history`): O(K^2) a step against the full kind's O(k), so
+# where they cross moves with the step count.  Stage over full time at fig-1,
+# best of 5 (2-core x86_64, Python 3.11, numpy 2.4), for K = 7: 1.14-1.16 at
+# h = 1e-2 and 0.57-0.69 at h = 1e-3.  No one limit is the faster at both,
+# and moving it would change the last bits of the solves it moves.
 _MAX_STAGES = 6
 
 
@@ -371,9 +370,9 @@ def solve_pairwise(
     [SS] is reconstructed exactly from the conserved ratio
     [SS] [S]^(-2(n-1)/n), and the same integral damps each S-I link by
     ([S](t)/[S](u))^((n-1)/n) e^(-tau (t-u)); [I] is recovered from the
-    incidence history against the survival kernel.  ``extra`` carries the
-    links' damping exponent Phi = (n-1)/n ln([S]0/[S]) + tau t and an
-    independently integrated [SS] series for drift diagnostics.
+    incidence history against the survival kernel.  ``extra`` carries
+    ``SS_independent``, an independently integrated [SS] series for
+    first-integral drift diagnostics.
     """
     return _solve(True, params, num_nodes, degree, config)
 
@@ -423,11 +422,9 @@ def _solve(pairwise: bool, params: EpidemicParams, num_nodes, degree, config) ->
     S, SI = x, y
     SS = (n / N) * S0 ** (2.0 / n) * S ** (2.0 * (n - 1.0) / n)
     I = _infected_from_incidence(tau * y_hist, xi_quad, b_infected, h)
-    # The link damping's rate integral, by the [S] first integral, and an
-    # independent [SS] integration (trapezoid of its own rate equation), for
-    # first-integral drift diagnostics; the update is linear-implicit exact.
-    phi = (n - 1.0) / n * np.log(S0 / S) + tau * ages
+    # An independent [SS] integration (trapezoid of its own rate equation),
+    # for first-integral drift diagnostics; the update is linear-implicit exact.
     c = 2.0 * (tau * (n - 1.0) / n) * SI / S
     ratio = (1.0 - 0.5 * h * c[:-1]) / (1.0 + 0.5 * h * c[1:])
     ss_independent = (n / N) * S0**2 * np.concatenate(([1.0], np.cumprod(ratio)))
-    return run.trajectory(S, I, SI, SS, extra={"Phi": phi, "SS_independent": ss_independent})
+    return run.trajectory(S, I, SI, SS, extra={"SS_independent": ss_independent})
