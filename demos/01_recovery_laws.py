@@ -20,7 +20,7 @@ TAU = 0.35
 laws = {
     "exponential": Exponential(2 / 3),
     "fixed": FixedDuration(1.5),
-    "gamma (Erlang K=3)": GammaErlang(3, 2 / 3),
+    "gamma (Erlang K=3)": GammaErlang(shape=3, rate=2.0),
     "uniform [1,2]": UniformInterval(1, 2),
 }
 

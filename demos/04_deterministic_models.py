@@ -24,7 +24,7 @@ from nmsir import (
 N, DEGREE = 1000, 15
 LAWS = {
     "exponential": Exponential(2 / 3),
-    "gamma": GammaErlang(3, 2 / 3),
+    "gamma": GammaErlang(shape=3, rate=2.0),
     "uniform": UniformInterval(1, 2),
     "fixed": FixedDuration(1.5),
 }

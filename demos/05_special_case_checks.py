@@ -31,7 +31,7 @@ N, DEGREE, H = 1000, 15, 1e-3
 LAWS = [
     ("exponential", Exponential(2 / 3)),
     ("fixed", FixedDuration(1.5)),
-    ("gamma", GammaErlang(3, 2 / 3)),
+    ("gamma", GammaErlang(shape=3, rate=2.0)),
     ("uniform", UniformInterval(1, 2)),
 ]
 MODELS = [

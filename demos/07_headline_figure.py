@@ -29,7 +29,7 @@ from nmsir import (
 N, DEGREE, TAU, I0, RUNS = 1000, 15, 0.35, 5, 100
 LAWS = {
     "exponential": Exponential(2 / 3),
-    "gamma": GammaErlang(3, 2 / 3),
+    "gamma": GammaErlang(shape=3, rate=2.0),
     "uniform": UniformInterval(1, 2),
 }
 

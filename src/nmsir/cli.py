@@ -87,6 +87,10 @@ class ExperimentConfig:
             # tau = 0 is meaningful for analytics (L = 1, r0p = 0); the
             # simulator and solvers reject it when actually run.
             raise ConfigError("epidemic.tau must be nonnegative and finite")
+        for key, seed in (("network.graph_seed", self.network_graph_seed),
+                          ("simulation.base_seed", self.simulation_base_seed)):
+            if seed < 0:
+                raise ConfigError(f"{key} must be nonnegative, got {seed}")
         if not 0 <= self.epidemic_initial_infected <= self.network_num_nodes:
             raise ConfigError("epidemic.I0 must lie in [0, N]")
         if not 0 < self.epidemic_t_end < math.inf:

@@ -4,19 +4,19 @@ The epidemic models in this package keep Markovian transmission but draw the
 infectious period of each node from an arbitrary law.  Four families are
 implemented:
 
-* :class:`Exponential` -- rate ``gamma`` (the classical Markovian case),
+* :class:`Exponential` -- rate ``rate`` (the classical Markovian case),
 * :class:`FixedDuration` -- every node is infectious for exactly ``sigma``,
-* :class:`GammaErlang` -- integer shape ``K`` with per-stage rate ``K*gamma``
-  (so the mean is ``1/gamma``, the sum of ``K`` exponential stages),
+* :class:`GammaErlang` -- the sum of integer ``shape`` exponential stages of
+  rate ``rate`` each (so the mean is ``shape/rate``),
 * :class:`UniformInterval` -- uniform on ``(a, b)`` with ``0 < a < b``.
 
 Each distribution exposes what the models read: the survival function
 ``survival`` (probability the period exceeds an age, the renewal kernel), the
 Laplace transform of the period's law, moments, and sampling from a
-caller-owned :class:`numpy.random.Generator`.  :class:`RecoveryDistribution`
-checks every age and transform argument once and writes every spec string
-from the table that parses it; a law states only its formulas, on float
-arrays of valid ages.
+caller-owned :class:`numpy.random.Generator`.  A law is a frozen dataclass
+whose fields are its spec keys: :class:`RecoveryDistribution` checks every
+age and transform argument once and writes every spec string from those
+fields, so a law states only its formulas, on float arrays of valid ages.
 
 The fixed duration is a point mass; consumers branch through
 :meth:`~RecoveryDistribution.has_point_mass` and treat the atom explicitly
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -105,10 +105,9 @@ class RecoveryDistribution(abc.ABC):
         return math.inf
 
     def spec_string(self) -> str:
-        """Round-trippable text form, e.g. ``exp:rate=0.6667``, written from
-        the ``_SPEC_FORMS`` row that parses it."""
-        _, attrs = _SPEC_FORMS[self.kind]
-        params = ",".join(f"{key}={getattr(self, attr)!r}" for key, attr in attrs.items())
+        """Round-trippable text form, e.g. ``exp:rate=0.6667``: the kind,
+        then each dataclass field as a spec key."""
+        params = ",".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
         return f"{self.kind}:{params}"
 
     def _on_grid(self, h: float) -> tuple["RecoveryDistribution", list[str]]:
@@ -197,39 +196,25 @@ class FixedDuration(RecoveryDistribution):
         return FixedDuration(_snap(self.sigma, "sigma", h, notes)), notes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GammaErlang(RecoveryDistribution):
-    """Erlang-distributed period: shape ``K`` integer, per-stage rate ``K*gamma``.
+    """Erlang-distributed period: the sum of ``shape`` (an integer) exponential
+    stages of rate ``rate`` each; mean ``shape/rate``, variance ``shape/rate**2``.
 
-    Equivalently the sum of ``K`` exponential stages of rate ``K*gamma``,
-    giving mean ``1/gamma`` and variance ``1/(K*gamma**2)``.  Use
-    :meth:`from_shape_rate` when holding the conventional (shape, rate) pair.
+    Keyword-only, as in its spec: ``GammaErlang(shape=3, rate=2.0)`` has mean 1.5.
     """
 
     shape: int
-    gamma: float
+    rate: float
     kind: ClassVar[str] = "gamma"
 
     def __post_init__(self):
         if not (math.isfinite(self.shape) and int(self.shape) == self.shape >= 1):
             raise ValueError("GammaErlang shape must be a positive integer")
         object.__setattr__(self, "shape", int(self.shape))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        if not 0.0 < self.gamma < math.inf:
-            raise ValueError("GammaErlang gamma must be positive and finite")
-
-    @classmethod
-    def from_shape_rate(cls, shape: int, rate: float) -> "GammaErlang":
-        # Checked before the division below; the constructor checks the rest.
-        if not shape >= 1:
-            raise ValueError("GammaErlang shape must be a positive integer")
-        if not 0.0 < rate < math.inf:
+        object.__setattr__(self, "rate", float(self.rate))
+        if not 0.0 < self.rate < math.inf:
             raise ValueError("GammaErlang rate must be positive and finite")
-        return cls(shape=shape, gamma=rate / shape)
-
-    @property
-    def rate(self) -> float:
-        return self.shape * self.gamma
 
     def _survival(self, a):
         x = self.rate * a
@@ -244,10 +229,10 @@ class GammaErlang(RecoveryDistribution):
         return (self.rate / (self.rate + tau)) ** self.shape
 
     def mean(self):
-        return 1.0 / self.gamma
+        return self.shape / self.rate
 
     def variance(self):
-        return 1.0 / (self.shape * self.gamma**2)
+        return self.shape / self.rate**2
 
     def sample(self, rng, size=None):
         # Sum of K exponential stages; keeps the stage interpretation exact.
@@ -262,63 +247,57 @@ class GammaErlang(RecoveryDistribution):
 
 @dataclass(frozen=True)
 class UniformInterval(RecoveryDistribution):
-    """Uniformly distributed period on ``(lower, upper)``, 0 < lower < upper."""
+    """Uniformly distributed period on ``(a, b)``, 0 < a < b."""
 
-    lower: float
-    upper: float
+    a: float
+    b: float
     kind: ClassVar[str] = "uniform"
 
     # Below this transform argument the closed form hits 0/0; use the series.
     _SERIES_TAU: ClassVar[float] = 1e-12
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", float(self.lower))
-        object.__setattr__(self, "upper", float(self.upper))
-        if not 0.0 < self.lower < self.upper < math.inf:
-            raise ValueError("UniformInterval requires 0 < lower < upper < inf")
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
+        if not 0.0 < self.a < self.b < math.inf:
+            raise ValueError("UniformInterval requires 0 < a < b < inf")
 
     @property
     def width(self) -> float:
-        return self.upper - self.lower
+        return self.b - self.a
 
     def _survival(self, a):
-        return 1.0 - np.clip((a - self.lower) / self.width, 0.0, 1.0)
+        return 1.0 - np.clip((a - self.a) / self.width, 0.0, 1.0)
 
     def _laplace(self, tau):
         if tau < self._SERIES_TAU:
-            return 1.0 - tau * (self.lower + self.upper) / 2.0
-        return (math.exp(-tau * self.lower) - math.exp(-tau * self.upper)) / (
+            return 1.0 - tau * (self.a + self.b) / 2.0
+        return (math.exp(-tau * self.a) - math.exp(-tau * self.b)) / (
             tau * self.width
         )
 
     def mean(self):
-        return (self.lower + self.upper) / 2.0
+        return (self.a + self.b) / 2.0
 
     def variance(self):
         return self.width**2 / 12.0
 
     def sample(self, rng, size=None):
-        return rng.uniform(self.lower, self.upper, size=size)
+        return rng.uniform(self.a, self.b, size=size)
 
     def support_upper(self):
-        return self.upper
+        return self.b
 
     def _on_grid(self, h):
         notes: list[str] = []
-        lo, hi = _snap(self.lower, "a", h, notes), _snap(self.upper, "b", h, notes)
+        lo, hi = _snap(self.a, "a", h, notes), _snap(self.b, "b", h, notes)
         if not lo < hi:
             raise ValueError("uniform interval collapsed after grid snapping")
         return UniformInterval(lo, hi), notes
 
 
-# kind -> (constructor, {spec key: attribute} in its argument order); the one
-# statement of each spec form, read by parse_distribution and spec_string.
-_SPEC_FORMS = {
-    Exponential.kind: (Exponential, {"rate": "rate"}),
-    FixedDuration.kind: (FixedDuration, {"sigma": "sigma"}),
-    GammaErlang.kind: (GammaErlang.from_shape_rate, {"shape": "shape", "rate": "rate"}),
-    UniformInterval.kind: (UniformInterval, {"a": "lower", "b": "upper"}),
-}
+# kind -> law class; parse_distribution alone reads it.
+_KINDS = {law.kind: law for law in (Exponential, FixedDuration, GammaErlang, UniformInterval)}
 
 
 def parse_distribution(spec: str) -> RecoveryDistribution:
@@ -331,18 +310,18 @@ def parse_distribution(spec: str) -> RecoveryDistribution:
         gamma:shape=3,rate=2
         uniform:a=1,b=2
 
-    The gamma rate is the conventional rate (shape/mean); it is converted to
-    the stage parameterisation internally.  Each parameter appears once.
+    The keys are the law's dataclass fields, each given once; the gamma rate
+    is the rate of each of its ``shape`` stages (shape/mean).
     """
     text = spec.strip()
     if ":" not in text:
         raise ValueError(f"malformed distribution spec {spec!r}: expected kind:params")
     kind, _, body = text.partition(":")
     kind = kind.strip().lower()
-    if kind not in _SPEC_FORMS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown distribution kind {kind!r} in {spec!r}")
-    make, attrs = _SPEC_FORMS[kind]
-    expected = tuple(attrs)
+    law = _KINDS[kind]
+    expected = tuple(f.name for f in fields(law))
     params: dict[str, float] = {}
     for item in body.split(","):
         item = item.strip()
@@ -365,4 +344,4 @@ def parse_distribution(spec: str) -> RecoveryDistribution:
             f"distribution spec {spec!r} must define exactly {expected}; "
             f"missing={missing or None} unknown={extra or None}"
         )
-    return make(*(params[k] for k in expected))
+    return law(**params)

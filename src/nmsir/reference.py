@@ -300,7 +300,7 @@ def _fixed_law(run: _SolveSetup, model: _Model) -> _Law:
 
 def _uniform_law(run: _SolveSetup, model: _Model) -> _Law:
     """Windowed removal over [A, B]; the newborns leave as a constant flux on [A, B]."""
-    A, B = run.dist.lower, run.dist.upper
+    A, B = run.dist.a, run.dist.b
     width, half, tau = B - A, 0.5 * run.h, model.tau
     newborn_flux = run.I0 / width
     newborn_link_flux = (run.n / run.N) * run.S0 * newborn_flux

@@ -32,7 +32,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 FIG1_DISTS = {
     "exp": nm.Exponential(2.0 / 3.0),
-    "gamma": nm.GammaErlang(3, 2.0 / 3.0),
+    "gamma": nm.GammaErlang(shape=3, rate=2.0),
     "uniform": nm.UniformInterval(1.0, 2.0),
 }
 ALL_DISTS = dict(FIG1_DISTS, fixed=nm.FixedDuration(1.5))

@@ -23,7 +23,7 @@ BASE_SEED, GRAPH_SEED = 11, 12  # fixed so every statistical check is reproducib
 
 FIG1 = {
     "exp": nm.Exponential(2.0 / 3.0),
-    "gamma": nm.GammaErlang(3, 2.0 / 3.0),
+    "gamma": nm.GammaErlang(shape=3, rate=2.0),
     "uniform": nm.UniformInterval(1.0, 2.0),
 }
 ALL4 = dict(FIG1, fixed=nm.FixedDuration(1.5))

@@ -18,7 +18,7 @@ def test_reproduction_numbers_frozen_values():
     assert rep.r0p == pytest.approx(4.8196721311475414, abs=1e-10)
     assert rep.laplace_at_tau == pytest.approx(0.6557377049180327, abs=1e-12)
 
-    rep_g = nm.reproduction_numbers(TAU, DEG, N, 1000.0, nm.GammaErlang(3, 2 / 3))
+    rep_g = nm.reproduction_numbers(TAU, DEG, N, 1000.0, nm.GammaErlang(shape=3, rate=2.0))
     assert rep_g.r0p == pytest.approx(5.369927665353558, abs=1e-9)
 
 
@@ -238,7 +238,7 @@ def test_laplace_ordering_controls_attack_ordering():
     # hence smaller r0p and smaller attack rates.
     dists = {
         "exp": nm.Exponential(2 / 3),
-        "gamma": nm.GammaErlang(3, 2 / 3),
+        "gamma": nm.GammaErlang(shape=3, rate=2.0),
         "uniform": nm.UniformInterval(1, 2),
     }
     lap = {k: d.laplace_pdf(TAU) for k, d in dists.items()}

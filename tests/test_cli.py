@@ -114,6 +114,18 @@ def test_prefix_with_path_separator_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,key", [
+    ("graph-gen", "network.graph_seed"), ("simulate", "network.graph_seed"),
+    ("simulate", "simulation.base_seed"), ("compare", "simulation.base_seed"),
+])
+def test_negative_seed_exits_2_naming_the_key(tmp_path, capsys, command, key):
+    # Refused up front by name, not later inside numpy's seeding.
+    assert main([command, *SMALL, "--set", f"{key}=-1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must be nonnegative, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     # A file the command cannot open is an input error: one `error:` line
     # and exit 2, not an OSError traceback.

@@ -69,6 +69,7 @@ _INVALID = {
     "epidemic.I0": ["-1", "61"],
     "epidemic.t_end": ["0", "nan"],
     "simulation.runs": ["0"],
+    "simulation.base_seed": ["-1"],
     "simulation.dt_out": ["0", "inf"],
     "simulation.save_runs": ["maybe"],
     "solver.h": ["0", "-1e-2", "5"],

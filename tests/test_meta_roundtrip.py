@@ -3,12 +3,16 @@
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from nmsir import parse_distribution  # noqa: E402
 from nmsir.cli import build_config, config_from_meta  # noqa: E402
 from nmsir.trajectory import format_meta, parse_meta  # noqa: E402
 
-_pos = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
+# Any float, or a number typed with four decimals, such as 1.7383.
+_pos = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False) | (
+    st.integers(10, 10**7).map(lambda k: k / 10**4)
+)
 _pad = st.sampled_from(["", " ", "  ", "\t"])
 
 
@@ -55,3 +59,14 @@ def test_config_meta_round_trip_is_identity(cfg):
     line = format_meta(cfg.flatten())
     assert "\n" not in line
     assert config_from_meta(parse_meta(line)) == cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spec())
+@example("gamma:shape=3,rate=1.7383")
+def test_spec_text_round_trips(spec):
+    # Every number is written back as typed (whitespace aside), and the law
+    # read back from the written text is equal.
+    law = parse_distribution(spec)
+    assert law.spec_string() == "".join(spec.split())
+    assert parse_distribution(law.spec_string()) == law

@@ -1,6 +1,8 @@
 """Distribution-level identities, closed forms vs quadrature, and sampling."""
 
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import nmsir as nm
 ALL = [
     nm.Exponential(2.0 / 3.0),
     nm.FixedDuration(1.5),
-    nm.GammaErlang(3, 2.0 / 3.0),
+    nm.GammaErlang(shape=3, rate=2.0),
     nm.UniformInterval(1.0, 2.0),
 ]
 CONTINUOUS = [d for d in ALL if not d.has_point_mass()[0]]
@@ -21,7 +23,7 @@ CONTINUOUS = [d for d in ALL if not d.has_point_mass()[0]]
 def _quad_points(dist):
     # Help the adaptive quadrature across kinks and jumps of the survival.
     if isinstance(dist, nm.UniformInterval):
-        return [dist.lower, dist.upper]
+        return [dist.a, dist.b]
     if isinstance(dist, nm.FixedDuration):
         return [dist.sigma]
     return None
@@ -34,7 +36,7 @@ def test_survival_examples():
     assert nm.FixedDuration(1.5).survival(1.0) == 1.0
     assert nm.UniformInterval(1, 2).survival(2.5) == 0.0
     # Erlang survival series at stage_rate * age = 1
-    assert nm.GammaErlang(3, 2.0 / 3.0).survival(0.5) == pytest.approx(
+    assert nm.GammaErlang(shape=3, rate=2.0).survival(0.5) == pytest.approx(
         0.9196986029286058, abs=1e-12
     )
     for dist in ALL:
@@ -100,8 +102,8 @@ def test_mean_equals_survival_integral(dist):
 def test_moments_match_headline_table():
     assert nm.Exponential(2 / 3).mean() == pytest.approx(1.5)
     assert nm.Exponential(2 / 3).variance() == pytest.approx(2.25)
-    assert nm.GammaErlang(3, 2 / 3).mean() == pytest.approx(1.5)
-    assert nm.GammaErlang(3, 2 / 3).variance() == pytest.approx(0.75)
+    assert nm.GammaErlang(shape=3, rate=2.0).mean() == pytest.approx(1.5)
+    assert nm.GammaErlang(shape=3, rate=2.0).variance() == pytest.approx(0.75)
     assert nm.UniformInterval(1, 2).mean() == pytest.approx(1.5)
     assert nm.UniformInterval(1, 2).variance() == pytest.approx(1.0 / 12.0)
     assert nm.FixedDuration(1.5).mean() == 1.5
@@ -125,9 +127,11 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         nm.FixedDuration(-1.0)
     with pytest.raises(ValueError):
-        nm.GammaErlang(0, 1.0)
+        nm.GammaErlang(shape=0, rate=1.0)
     with pytest.raises(ValueError):
-        nm.GammaErlang(2.5, 1.0)
+        nm.GammaErlang(shape=2.5, rate=1.0)
+    with pytest.raises(TypeError):  # keyword-only: (3, 2/3) was (shape, 1/mean)
+        nm.GammaErlang(3, 2 / 3)
     with pytest.raises(ValueError):
         nm.UniformInterval(0.0, 2.0)
     with pytest.raises(ValueError):
@@ -140,12 +144,11 @@ NON_FINITE = (math.inf, math.nan)
 @pytest.mark.parametrize("make", [
     nm.Exponential,
     nm.FixedDuration,
-    lambda x: nm.GammaErlang(3, x),
-    lambda x: nm.GammaErlang.from_shape_rate(3, x),
-    lambda x: nm.GammaErlang(x, 1.0),
+    lambda x: nm.GammaErlang(shape=3, rate=x),
+    lambda x: nm.GammaErlang(shape=x, rate=1.0),
     lambda x: nm.UniformInterval(1.0, x),
     lambda x: nm.UniformInterval(x, 2.0),
-], ids=["exp", "fixed", "gamma", "gamma-rate", "gamma-shape", "uniform-b", "uniform-a"])
+], ids=["exp", "fixed", "gamma-rate", "gamma-shape", "uniform-b", "uniform-a"])
 def test_non_finite_parameters_rejected(make):
     for value in NON_FINITE:
         with pytest.raises(ValueError):
@@ -168,10 +171,9 @@ def test_parse_distribution_forms():
     assert isinstance(d, nm.FixedDuration) and d.sigma == 1.5
     d = nm.parse_distribution("gamma:shape=3,rate=2")
     assert isinstance(d, nm.GammaErlang)
-    assert d.shape == 3 and d.gamma == pytest.approx(2.0 / 3.0)
-    assert d.rate == pytest.approx(2.0)
+    assert (d.shape, d.rate) == (3, 2.0) and d.mean() == 1.5
     d = nm.parse_distribution("uniform:a=1,b=2")
-    assert isinstance(d, nm.UniformInterval) and (d.lower, d.upper) == (1.0, 2.0)
+    assert isinstance(d, nm.UniformInterval) and (d.a, d.b) == (1.0, 2.0)
 
 
 def test_parse_distribution_round_trip():
@@ -183,7 +185,7 @@ def test_parse_distribution_round_trip():
 @pytest.mark.parametrize("make", [
     lambda: nm.Exponential(np.float64(0.5)),
     lambda: nm.FixedDuration(np.float64(1.5)),
-    lambda: nm.GammaErlang(np.int64(3), np.float64(2.0 / 3.0)),
+    lambda: nm.GammaErlang(shape=np.int64(3), rate=np.float64(2.0)),
     lambda: nm.UniformInterval(*np.linspace(1.0, 2.0, 2)),
 ], ids=["exp", "fixed", "gamma", "uniform"])
 def test_numpy_scalar_parameters_round_trip(make):
@@ -255,7 +257,7 @@ def test_uniform_sample_support_and_variance():
 
 def test_gamma_sample_moments():
     rng = np.random.default_rng(11)
-    dist = nm.GammaErlang(3, 2.0 / 3.0)
+    dist = nm.GammaErlang(shape=3, rate=2.0)
     draws = dist.sample(rng, size=400_000)
     assert draws.mean() == pytest.approx(1.5, rel=5e-3)
     assert draws.var() == pytest.approx(0.75, rel=2e-2)
@@ -276,7 +278,7 @@ def test_gamma_scalar_draw_equals_array_draw(shape):
     # A scalar draw is the sum of one array of stages, and equals, bit for
     # bit, the same stages drawn through the array path (np.sum's order
     # changes at 8 and again above 128).
-    dist = nm.GammaErlang(shape, 0.7)
+    dist = nm.GammaErlang(shape=shape, rate=shape * 0.7)
     for seed in range(20):
         scalar_rng, array_rng, vector_rng = (np.random.default_rng(seed) for _ in range(3))
         for _ in range(25):
@@ -289,7 +291,7 @@ def test_gamma_scalar_draw_equals_array_draw(shape):
 @pytest.mark.parametrize("dist", [
     nm.Exponential(2.0 / 3.0),
     nm.FixedDuration(1.5),
-    *(nm.GammaErlang(k, 0.7) for k in (1, 3, 7, 8, 9, 16, 130)),
+    *(nm.GammaErlang(shape=k, rate=k * 0.7) for k in (1, 3, 7, 8, 9, 16, 130)),
 ], ids=lambda d: d.spec_string())
 def test_periods_from_stages_equal_scalar_draws(dist):
     # Each period is K exponential stages of rate dist.rate (K = 0 for a fixed
@@ -342,7 +344,7 @@ def test_stage_chain_survival_is_the_chain_formula(dist):
 
 
 def test_on_grid_snaps_only_breakpoints():
-    for dist in (nm.Exponential(2.0 / 3.0), nm.GammaErlang(3, 2.0 / 3.0)):
+    for dist in (nm.Exponential(2.0 / 3.0), nm.GammaErlang(shape=3, rate=2.0)):
         assert dist._on_grid(0.01) == (dist, [])
     fixed, notes = nm.FixedDuration(1.5037)._on_grid(0.01)
     assert fixed.spec_string() == "fixed:sigma=1.5" and notes == ["sigma:1.5037->1.5"]
@@ -352,3 +354,58 @@ def test_on_grid_snaps_only_breakpoints():
         nm.UniformInterval(0.004, 2.0)._on_grid(0.01)
     with pytest.raises(ValueError, match="collapsed after grid snapping"):
         nm.UniformInterval(1.0, 1.004)._on_grid(0.01)
+
+
+# -- a law defined outside the package ----------------------------------------
+
+
+@dataclass(frozen=True)
+class TwoRate(nm.RecoveryDistribution):
+    """p Exp(r1) + (1 - p) Exp(r2): neither a stage chain nor bounded."""
+
+    p: float
+    r1: float
+    r2: float
+    kind: ClassVar[str] = "tworate"
+
+    def _survival(self, a):
+        return self.p * np.exp(-self.r1 * a) + (1.0 - self.p) * np.exp(-self.r2 * a)
+
+    def _laplace(self, tau):
+        return self.p * self.r1 / (self.r1 + tau) + (1.0 - self.p) * self.r2 / (self.r2 + tau)
+
+    def mean(self):
+        return self.p / self.r1 + (1.0 - self.p) / self.r2
+
+    def variance(self):
+        return 2.0 * (self.p / self.r1**2 + (1.0 - self.p) / self.r2**2) - self.mean() ** 2
+
+    def sample(self, rng, size=None):
+        rates = np.where(rng.random(size) < self.p, self.r1, self.r2)
+        return rng.exponential(1.0, size) / rates
+
+
+def test_a_law_that_states_only_its_fields_and_formulas_runs_on_every_route():
+    # Fig-1 shape; the final sizes are criterion 6's, at its 2% tolerance.
+    law = TwoRate(p=0.5, r1=0.4, r2=2.0)
+    assert law.mean() == 1.5
+    spec = "tworate:p=0.5,r1=0.4,r2=2.0"
+    N, n, tau, I0 = 1000, 15, 0.35, 5
+    params = nm.EpidemicParams(tau=tau, dist=law, initial_infected=I0, t_end=60.0)
+    rep = nm.reproduction_numbers(tau, n, N, N - I0, law)
+    for solve, theorem in (
+        (nm.solve_pairwise, nm.final_size_pairwise(rep.r0p, n)),
+        (nm.solve_meanfield, nm.final_size_meanfield(rep.r0)),
+    ):
+        traj = solve(params, num_nodes=N, degree=n)
+        assert traj.meta["dist"] == spec
+        attack = 1.0 - traj.S[-1] / (N - I0)
+        assert abs(attack - theorem.attack_rate) < 0.02 * theorem.attack_rate, solve.__name__
+    short = nm.EpidemicParams(tau=tau, dist=law, initial_infected=I0, t_end=10.0)
+    run = nm.run_single(nm.generate_regular(200, 8, seed=3), short, seed=1)
+    assert run.meta["dist"] == spec
+    (mean, _), = nm.run_ensembles([short], num_nodes=200, degree=8, runs=4, base_seed=1)
+    assert mean.meta["dist"] == spec
+    for reference in (nm.solve_reference_pairwise, nm.solve_reference_meanfield):
+        with pytest.raises(ValueError, match="no closed-form reference"):
+            reference(params, num_nodes=N, degree=n)

@@ -120,7 +120,7 @@ def test_law_without_closed_form_rejected():
 
 @pytest.mark.parametrize(
     "dist",
-    [nm.Exponential(2 / 3), nm.FixedDuration(1.5), nm.GammaErlang(3, 2 / 3),
+    [nm.Exponential(2 / 3), nm.FixedDuration(1.5), nm.GammaErlang(shape=3, rate=2.0),
      nm.UniformInterval(1, 2)],
     ids=["exp", "fixed", "gamma", "uniform"],
 )
@@ -149,7 +149,7 @@ def test_final_size_satisfies_pairwise_relation(dist):
 def test_gamma_chain_aggregate_matches_survival_quadrature():
     # Sum of stage occupancies equals the convolution of incidence with the
     # Erlang survival function plus the newborn boundary term.
-    dist = nm.GammaErlang(3, 2 / 3)
+    dist = nm.GammaErlang(shape=3, rate=2.0)
     p = _params(dist, t_end=20.0)
     h = 1e-3
     traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
@@ -163,7 +163,7 @@ def test_gamma_chain_aggregate_matches_survival_quadrature():
 
 
 def test_gamma_chain_stage_layout():
-    p = _params(nm.GammaErlang(3, 2 / 3), t_end=5.0)
+    p = _params(nm.GammaErlang(shape=3, rate=2.0), t_end=5.0)
     traj = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=1e-2))
     stages = traj.extra["I_stages"]
     assert stages.shape == (3, len(traj.t))
@@ -178,7 +178,7 @@ _SOLVE_META_KEYS = ["source", "model", "N", "n", "tau", "dist", "I0", "S0", "h",
 
 PW, MF = nm.solve_reference_pairwise, nm.solve_reference_meanfield
 EXP, FIXED = nm.Exponential(2 / 3), nm.FixedDuration(1.5)
-GAMMA, UNIFORM = nm.GammaErlang(3, 2 / 3), nm.UniformInterval(1, 2)
+GAMMA, UNIFORM = nm.GammaErlang(shape=3, rate=2.0), nm.UniformInterval(1, 2)
 
 # Both references for every law, each case named after the closed-form model
 # it solves.
@@ -298,8 +298,8 @@ _ORACLE_CASES = {
     "fixed-sigma-beyond": (PW, nm.FixedDuration(30.0), TAU, 5, 5.0, 1e-2),
     "uniform-a-beyond": (PW, nm.UniformInterval(6, 8), TAU, 5, 5.0, 1e-2),
     "uniform-b-beyond": (PW, nm.UniformInterval(3, 8), TAU, 5, 5.0, 1e-2),
-    "gamma-K1": (PW, nm.GammaErlang(1, 2 / 3), TAU, 5, 10.0, 1e-2),
-    "gamma-K8": (PW, nm.GammaErlang(8, 2 / 3), TAU, 5, 10.0, 1e-2),
+    "gamma-K1": (PW, nm.GammaErlang(shape=1, rate=2 / 3), TAU, 5, 10.0, 1e-2),
+    "gamma-K8": (PW, nm.GammaErlang(shape=8, rate=16 / 3), TAU, 5, 10.0, 1e-2),
     "fixed-I0-0": (PW, FIXED, TAU, 0, 5.0, 1e-2),
     "gamma-I0-0": (PW, GAMMA, TAU, 0, 5.0, 1e-2),
     "uniform-I0-0": (PW, UNIFORM, TAU, 0, 5.0, 1e-2),

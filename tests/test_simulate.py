@@ -24,7 +24,7 @@ from oracles import (
 )
 
 # Erlang with K >= 8 stages sums them in np.sum's pairwise order.
-REFERENCE_DISTS = dict(ALL_DISTS, gamma9=nm.GammaErlang(9, 2.0 / 3.0))
+REFERENCE_DISTS = dict(ALL_DISTS, gamma9=nm.GammaErlang(shape=9, rate=6.0))
 
 
 def _params(dist, i0=5, t_end=25.0, tau=0.35):
@@ -67,8 +67,8 @@ def test_initial_pair_counts_match_counter(small_graph):
 
 
 def test_deterministic_given_seed(small_graph):
-    a = nm.run_single(small_graph, _params(nm.GammaErlang(3, 2 / 3)), seed=99)
-    b = nm.run_single(small_graph, _params(nm.GammaErlang(3, 2 / 3)), seed=99)
+    a = nm.run_single(small_graph, _params(nm.GammaErlang(shape=3, rate=2.0)), seed=99)
+    b = nm.run_single(small_graph, _params(nm.GammaErlang(shape=3, rate=2.0)), seed=99)
     for name in ("S", "I", "R", "SI", "SS"):
         np.testing.assert_array_equal(a.series(name), b.series(name))
 
@@ -316,7 +316,7 @@ def _ensembles_in_a_worker(laws, common):
 def test_ensembles_inside_a_pool_worker_run_in_that_worker(monkeypatch):
     # A daemonic pool worker may not fork workers of its own.
     _usable_cpus(monkeypatch, 2)
-    laws = [_params(nm.GammaErlang(3, 2.0), t_end=6.0)]
+    laws = [_params(nm.GammaErlang(shape=3, rate=6.0), t_end=6.0)]
     common = dict(num_nodes=120, degree=6, runs=4, base_seed=7, graph_seed=2, dt_out=0.5)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         inside = pool.apply_async(_ensembles_in_a_worker, (laws, common)).get(timeout=120)

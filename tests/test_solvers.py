@@ -44,7 +44,7 @@ def test_zero_initial_infecteds_stay_constant():
 @pytest.mark.parametrize("tau", [0.35, 0.1], ids=["fig1", "tau0.1"])
 @pytest.mark.parametrize(
     "dist",
-    [nm.Exponential(2 / 3), nm.FixedDuration(1.5), nm.GammaErlang(3, 2 / 3),
+    [nm.Exponential(2 / 3), nm.FixedDuration(1.5), nm.GammaErlang(shape=3, rate=2.0),
      nm.UniformInterval(1, 2)],
     ids=["exp", "fixed", "gamma", "uniform"],
 )
@@ -69,7 +69,7 @@ def test_pairwise_exponential_matches_markovian_ode():
 def test_pairwise_gamma_matches_stage_chain_coarse():
     # Full-resolution equivalence is acceptance criterion 3; this guards the
     # wiring at a cheaper step size.
-    p = _params(nm.GammaErlang(3, 2 / 3))
+    p = _params(nm.GammaErlang(shape=3, rate=2.0))
     pw = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=5e-3))
     ref = nm.solve_reference_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=5e-3))
     assert rel_sup_diff(pw.I, ref.I) < 1e-2
@@ -127,7 +127,7 @@ def test_series_nonnegative_all_kinds(all_dists):
 
 
 def test_susceptibles_strictly_decreasing_while_si_positive():
-    p = _params(nm.GammaErlang(3, 2 / 3), t_end=15.0)
+    p = _params(nm.GammaErlang(shape=3, rate=2.0), t_end=15.0)
     pw = nm.solve_pairwise(p, num_nodes=N, degree=DEG, config=nm.SolverConfig(h=0.01))
     active = pw.SI[:-1] > 1e-8
     assert np.all(np.diff(pw.S)[active] < 0.0)
@@ -209,10 +209,11 @@ def _solve_args(draw):
     num_nodes = draw(st.integers(20, 3000))
     degree = draw(st.integers(2, min(num_nodes - 1, 30)))
     mean = draw(st.floats(0.1, 5.0))
+    stages = draw(st.integers(1, 8))
     dist = draw(st.sampled_from([
         nm.Exponential(1.0 / mean),
         nm.FixedDuration(mean),
-        nm.GammaErlang(draw(st.integers(1, 8)), 1.0 / mean),
+        nm.GammaErlang(shape=stages, rate=stages / mean),
         nm.UniformInterval(mean, mean + draw(st.floats(0.05, 3.0))),
     ]))
     params = nm.EpidemicParams(
@@ -264,8 +265,8 @@ def test_solves_end_in_valid_series_or_solver_errors(args):
 
 CONVOLUTION_LAWS = {
     "exp": nm.Exponential(2 / 3),
-    "erlang3": nm.GammaErlang(3, 2 / 3),
-    "erlang20": nm.GammaErlang(20, 2 / 3),
+    "erlang3": nm.GammaErlang(shape=3, rate=2.0),
+    "erlang20": nm.GammaErlang(shape=20, rate=20 * (2 / 3)),
     "fixed": nm.FixedDuration(1.5),
     "uniform": nm.UniformInterval(1, 2),
 }
@@ -352,7 +353,7 @@ def test_fast_epidemic_converges_at_default_step():
     # more from t = 0.23, 0.17 and 0.06).  The iteration contracts, so the
     # solve must go through and agree with a ten times finer step (measured
     # 1.8e-2 pairwise and 1.77e-2 mean-field at tau = 3).
-    dist = nm.GammaErlang(3, 2 / 3)
+    dist = nm.GammaErlang(shape=3, rate=2.0)
     for tau in (1.5, 2.0, 3.0):
         p = nm.EpidemicParams(tau=tau, dist=dist, initial_infected=5, t_end=10.0)
         for solve in (nm.solve_pairwise, nm.solve_meanfield):
@@ -562,8 +563,8 @@ def test_march_renewal_linear_renewal_closed_form():
 
 ORACLE_LAWS = {
     "exp": nm.Exponential(2 / 3),
-    "erlang3": nm.GammaErlang(3, 2 / 3),
-    "erlang8": nm.GammaErlang(8, 2 / 3),  # past _MAX_STAGES: the full kind
+    "erlang3": nm.GammaErlang(shape=3, rate=2.0),
+    "erlang8": nm.GammaErlang(shape=8, rate=16 / 3),  # past _MAX_STAGES: the full kind
     "fixed1.5": nm.FixedDuration(1.5),
     "fixed1.55": nm.FixedDuration(1.55),
     "fixed_snapped": nm.FixedDuration(1.553),  # snapped to 1.55
@@ -619,7 +620,9 @@ def test_failing_coarse_step_reports_as_the_four_call_oracle(monkeypatch, solve,
     # Measured: the pairwise solve fails at t = 0.52 (no [S] >= 0 with a
     # positive denominator), the mean-field one at t = 0.3 (no nonnegative
     # root).
-    p = nm.EpidemicParams(tau=tau, dist=nm.GammaErlang(3, 2 / 3), initial_infected=5, t_end=10.0)
+    p = nm.EpidemicParams(
+        tau=tau, dist=nm.GammaErlang(shape=3, rate=2.0), initial_infected=5, t_end=10.0
+    )
     kwargs = dict(num_nodes=N, degree=DEG, config=nm.SolverConfig(h=h))
     with pytest.raises(StepContractionError) as got:
         solve(p, **kwargs)
@@ -632,9 +635,9 @@ def test_failing_coarse_step_reports_as_the_four_call_oracle(monkeypatch, solve,
 
 STAGE_LAWS = {
     "exp": nm.Exponential(2 / 3),
-    "erlang2": nm.GammaErlang(2, 2 / 3),
-    "erlang3": nm.GammaErlang(3, 2 / 3),
-    "erlang_max": nm.GammaErlang(solvers._MAX_STAGES, 2 / 3),
+    "erlang2": nm.GammaErlang(shape=2, rate=4 / 3),
+    "erlang3": nm.GammaErlang(shape=3, rate=2.0),
+    "erlang_max": nm.GammaErlang(shape=solvers._MAX_STAGES, rate=solvers._MAX_STAGES * (2 / 3)),
 }
 KIND_SERIES = ("S", "I", "R", "SI", "SS")
 
@@ -676,7 +679,7 @@ def test_stage_kind_long_horizon_matches_full_kind(monkeypatch):
     # the kernel's rate plus tau, so the solve stays finite and within
     # rounding of the full kind (measured 5.4e-16).
     params = nm.EpidemicParams(
-        tau=1.0, dist=nm.GammaErlang(3, 2 / 3), initial_infected=5, t_end=800.0
+        tau=1.0, dist=nm.GammaErlang(shape=3, rate=2.0), initial_infected=5, t_end=800.0
     )
     worst, staged = _stage_vs_full(monkeypatch, nm.solve_pairwise, params, 1e-2)
     assert _phi_end(staged, params.tau) > 709.0
